@@ -7,106 +7,51 @@ coherence limits set by phonon-mediated orbital hopping, and a fitting
 workflow that recovers model parameters from spectroscopy data.
 """
 
-from .params import (
-    ManifoldParams,
-    MagneticField,
-    ground_defaults,
-    excited_defaults,
-    reference_field,
-)
-from .spinmodel import (
-    build_hamiltonian,
-    eigensystem,
-    manifold_eigensystem,
-    EigenSystem,
-    closed_form_energies,
-)
-from .spectrum import (
-    TransitionEntry,
-    TransitionTable,
-    SpectrumTrace,
-    mw_transitions,
-    optical_transitions,
-    ple_spectrum,
-    memory_detuning,
-)
-from .optics import (
-    DipoleSet,
-    default_dipoles,
-    dipole_strengths,
-    spin_conserving_pairs,
-    cyclicity,
-    cyclicity_from_lifetimes,
-    pump_dynamics,
-    excitation_fidelity,
-    excitation_fidelity_mc,
-    max_excitations,
-    collection_efficiency,
-)
-from .dynamics import (
-    DriveSegment,
-    PulseProgram,
-    NoiseModel,
-    SignalMap,
-    propagate,
-    rabi_map,
-    ramsey_map,
-    decoupling_scan,
-    rb_simulate,
-    clifford_adjust,
-)
-from .coherence import (
-    CoherenceParams,
-    lambda_eff,
-    t2_phonon,
-    ridge_upsilon,
-    coherence_map,
-)
+# Public names and the submodule each comes from.  The submodules load on
+# first access (PEP 562), so importing the package -- or ``snspin.cli`` --
+# does not load numpy: the CLI sets the BLAS thread count first.
+_EXPORTS = {
+    "ManifoldParams": "params", "MagneticField": "params",
+    "ground_defaults": "params", "excited_defaults": "params",
+    "reference_field": "params",
+    "build_hamiltonian": "spinmodel", "eigensystem": "spinmodel",
+    "manifold_eigensystem": "spinmodel", "EigenSystem": "spinmodel",
+    "closed_form_energies": "spinmodel",
+    "TransitionEntry": "spectrum", "TransitionTable": "spectrum",
+    "SpectrumTrace": "spectrum", "mw_transitions": "spectrum",
+    "optical_transitions": "spectrum", "ple_spectrum": "spectrum",
+    "memory_detuning": "spectrum",
+    "DipoleSet": "optics", "default_dipoles": "optics",
+    "dipole_strengths": "optics", "spin_conserving_pairs": "optics",
+    "cyclicity": "optics", "cyclicity_from_lifetimes": "optics",
+    "pump_dynamics": "optics", "excitation_fidelity": "optics",
+    "excitation_fidelity_mc": "optics", "max_excitations": "optics",
+    "collection_efficiency": "optics",
+    "DriveSegment": "dynamics", "PulseProgram": "dynamics",
+    "NoiseModel": "dynamics", "SignalMap": "dynamics", "propagate": "dynamics",
+    "rabi_map": "dynamics", "ramsey_map": "dynamics",
+    "decoupling_scan": "dynamics", "rb_simulate": "dynamics",
+    "clifford_adjust": "dynamics",
+    "CoherenceParams": "coherence", "lambda_eff": "coherence",
+    "t2_phonon": "coherence", "ridge_upsilon": "coherence",
+    "coherence_map": "coherence",
+}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        import importlib
+
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ManifoldParams",
-    "MagneticField",
-    "ground_defaults",
-    "excited_defaults",
-    "reference_field",
-    "build_hamiltonian",
-    "eigensystem",
-    "manifold_eigensystem",
-    "EigenSystem",
-    "closed_form_energies",
-    "TransitionEntry",
-    "TransitionTable",
-    "SpectrumTrace",
-    "mw_transitions",
-    "optical_transitions",
-    "ple_spectrum",
-    "memory_detuning",
-    "DipoleSet",
-    "default_dipoles",
-    "dipole_strengths",
-    "spin_conserving_pairs",
-    "cyclicity",
-    "cyclicity_from_lifetimes",
-    "pump_dynamics",
-    "excitation_fidelity",
-    "excitation_fidelity_mc",
-    "max_excitations",
-    "collection_efficiency",
-    "DriveSegment",
-    "PulseProgram",
-    "NoiseModel",
-    "SignalMap",
-    "propagate",
-    "rabi_map",
-    "ramsey_map",
-    "decoupling_scan",
-    "rb_simulate",
-    "clifford_adjust",
-    "lambda_eff",
-    "t2_phonon",
-    "ridge_upsilon",
-    "coherence_map",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

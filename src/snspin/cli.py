@@ -548,12 +548,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", help="output path (overrides config)")
     parser.add_argument("--seed", type=int, help="seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS/OpenMP thread budget (default 1, deterministic)")
+    parser.add_argument("--threads", type=int,
+                        help="BLAS/OpenMP thread budget (default: the environment's, "
+                             "else 1, deterministic)")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
 
+    # numpy is not loaded yet (the package imports lazily), so BLAS sees these
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
+        if args.threads is not None:
+            os.environ[var] = str(args.threads)
+        else:
+            os.environ.setdefault(var, "1")
 
     try:
         written = run(args.config, args.out, args.seed)

@@ -9,9 +9,11 @@ of the static bias, with amplitudes quoted as electron drive strengths
 
 The propagators exploit two exact structures to stay fast at map scale:
 free evolution is diagonal in the static eigenbasis, and a
-constant-amplitude tone is periodic, so one drive period is composed
-once and raised to an integer power, with only the fractional remainder
-integrated explicitly.
+constant-amplitude tone is periodic (Shirley, Phys. Rev. 138, B979
+(1965)), so one drive period per tone is composed and diagonalized once,
+whole periods become powers of its eigenvalues, and only the fractional
+remainders at the pulse ends are integrated explicitly.  Every pixel of
+a map is one row of a stacked state that all its pulses act on at once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.optimize import curve_fit
 
 from .params import ManifoldParams, MagneticField, MU_B_HZ_PER_T
@@ -40,11 +43,7 @@ ROUTING = {
 }
 
 _SUBSTEPS = 32          # integration samples per drive period (>= 20 required)
-# Drive-phase quantization of cached pulse propagators: coarse enough
-# that period-aligned pulses share a cache entry despite rounding noise
-# in the phase, fine enough (1.5e-9 rad) that the maps stay smooth in
-# the model parameters at finite-difference steps.
-_PHASE_BINS = 2 ** 32
+_BLOCK_ROWS = 1024      # programs per stacked pass; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,22 @@ def _gaussian_quantiles(n: int) -> np.ndarray:
 
 
 class _Engine:
-    """Cached lab-frame propagator factory for one (params, field) system.
+    """Lab-frame propagation of pulse programs for one (params, field) system.
 
     All states and unitaries live in the static eigenbasis, where free
     evolution is diagonal and the bright projector is a label mask.
+    A tone b(t) = cos(2 pi f t + phase) is phase-coherent in absolute
+    time, so each tone gets one table, anchored at t = 0: the products
+    P[k] of the first k midpoint substeps of one drive period, and the
+    eigendecomposition Q diag(exp(i theta)) Q^dagger of the period
+    propagator M = P[_SUBSTEPS].  Up to t = n T + k dt + r the tone
+    evolves by W(t) = F P[k] M^n, with F one midpoint step over the
+    remainder r, and a pulse from t_a to t_b is W(t_b) W(t_a)^dagger,
+    with M^(n_b - n_a) taken from powers of the eigenvalues.  Many
+    programs run side by side as the rows of one stacked state.
     """
 
-    def __init__(self, params: ManifoldParams, bias: MagneticField,
-                 phase_bins: int | None = _PHASE_BINS):
+    def __init__(self, params: ManifoldParams, bias: MagneticField):
         self.params = params
         self.bias = bias
         self.h0 = build_hamiltonian(params, bias)
@@ -155,9 +162,7 @@ class _Engine:
         self.bright_mask = np.array(
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
-        self.phase_bins = phase_bins
-        self._pulse_cache = {}
-        self._prefix_cache = {}
+        self._tables = {}
 
     def transition_frequency(self, transition: str) -> float:
         a, b = TRANSITIONS[transition]
@@ -187,94 +192,109 @@ class _Engine:
             raise ValueError(f"drive does not couple the {transition} transition")
         return 1.0 / (2.0 * rabi)
 
-    def init_state(self, label: str) -> np.ndarray:
-        psi = np.zeros(8, dtype=complex)
-        psi[self.system.index(label)] = 1.0
-        return psi
+    def bright_population(self, psi: np.ndarray):
+        """1B population of a state, or of each row of stacked states."""
+        return np.sum(np.abs(psi[..., self.bright_mask]) ** 2, axis=-1)
 
-    def bright_population(self, psi: np.ndarray) -> float:
-        return float(np.sum(np.abs(psi[self.bright_mask]) ** 2))
-
-    def free_phases(self, duration: float) -> np.ndarray:
+    def free_phases(self, duration) -> np.ndarray:
         return np.exp(-2j * math.pi * self.energies * duration)
 
-    def _step(self, v: np.ndarray, c: float, dt: float) -> np.ndarray:
-        h = np.diag(self.energies).astype(complex) + c * v
+    def _steps(self, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Stacked midpoint steps exp(-2 pi i (E + c V) dt), one stacked eigh."""
+        h = np.diag(self.energies) + c[:, None, None] * v
         vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-2j * math.pi * vals * dt)) @ vecs.conj().T
+        phases = np.exp(-2j * math.pi * vals * dt[:, None])
+        return (vecs * phases[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
-    def _steps_in_window(self, v, freq, phi, dt, n_steps, t_offset=0.0):
-        # One stacked diagonalization for all substeps of the window.
-        t_mid = t_offset + (np.arange(n_steps) + 0.5) * dt
-        c = np.cos(2.0 * math.pi * freq * t_mid + phi)
-        h = np.diag(self.energies)[None, :, :] + c[:, None, None] * v[None, :, :]
-        vals, vecs = np.linalg.eigh(h)
-        steps = (vecs * np.exp(-2j * math.pi * vals * dt)[:, None, :]) @ \
-            np.conj(np.swapaxes(vecs, -1, -2))
-        u = np.eye(8, dtype=complex)
-        prefix = [u]
-        for k in range(n_steps):
-            u = steps[k] @ u
-            prefix.append(u)
-        return prefix
+    def _table(self, tone: tuple) -> tuple:
+        """(P[k] Q for k = 0.._SUBSTEPS, theta) of one tone; see the class notes."""
+        table = self._tables.get(tone)
+        if table is None:
+            freq, ax, az, phase = tone
+            dt = _period(freq) / _SUBSTEPS
+            t_mid = (np.arange(_SUBSTEPS) + 0.5) * dt
+            steps = self._steps(ax * self.vx + az * self.vz,
+                                np.cos(2.0 * math.pi * freq * t_mid + phase),
+                                np.full(_SUBSTEPS, dt))
+            prefix = [np.eye(8, dtype=complex)]
+            for step in steps:
+                prefix.append(step @ prefix[-1])
+            tri, q = schur(prefix[-1], output="complex")
+            table = (np.array(prefix) @ q, np.angle(np.diag(tri)))
+            self._tables[tone] = table
+        return table
 
-    def pulse_unitary(self, seg: DriveSegment, start_time: float) -> np.ndarray:
-        """Propagator of one tone starting at absolute time ``start_time``.
+    def _pulse(self, psi, tones, which, t0, dur) -> np.ndarray:
+        """Row i of ``psi`` driven by ``tones[which[i]]`` from absolute time
+        ``t0[i]`` for ``dur[i]``.
 
-        Only the drive phase at the segment start matters, so it is
-        folded into an effective phase (quantized for caching) and the
-        periodic structure of the tone does the rest.
+        The remainder steps at both ends of every row are taken in one
+        stacked eigh, each bitwise-distinct (tone, substep, remainder)
+        once.  A constant drive (f = 0) is time-invariant: it runs from
+        t = 0, and any period tabulates it exactly.
         """
-        if seg.duration_s == 0.0:
-            return np.eye(8, dtype=complex)
-        if seg.is_gap:
-            return np.diag(self.free_phases(seg.duration_s))
-        v = seg.amplitude_x_hz * self.vx + seg.amplitude_z_hz * self.vz
-        freq = seg.frequency_hz
-        if freq == 0.0:
-            return self._step(v, math.cos(seg.phase_rad), seg.duration_s)
+        freq, ax, az, phase = (np.array(x, dtype=float) for x in zip(*tones))
+        tables = [self._table(tone) for tone in tones]
+        period = _period(freq)
+        dc = freq[which] == 0.0
+        ends = np.concatenate([np.where(dc, 0.0, t0), np.where(dc, dur, t0 + dur)])
+        rows = np.concatenate([which, which])
+        n_per, rem = np.divmod(ends, period[rows])
+        k, frac = np.divmod(rem, period[rows] / _SUBSTEPS)
+        keys, inv = np.unique(np.column_stack([rows, k, frac]), axis=0,
+                              return_inverse=True)
+        tone, k, frac = keys[:, 0].astype(int), keys[:, 1].astype(int), keys[:, 2]
+        t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
+        c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
+        v = ax[:, None, None] * self.vx + az[:, None, None] * self.vz
+        pq = np.array([table[0] for table in tables])
+        g = self._steps(v[tone], c, frac) @ pq[tone, k]   # W(t) without M^n
+        n = len(which)
+        theta = np.array([table[1] for table in tables])[which]
+        psi = np.einsum("nji,nj->ni", g[inv[:n]].conj(), psi)
+        psi *= np.exp(1j * theta * (n_per[n:] - n_per[:n])[:, None])
+        return np.einsum("nij,nj->ni", g[inv[n:]], psi)
 
-        phi = (2.0 * math.pi * freq * start_time + seg.phase_rad) % (2.0 * math.pi)
-        if self.phase_bins:
-            phi = round(phi / (2.0 * math.pi) * self.phase_bins) % self.phase_bins
-            phi = phi * 2.0 * math.pi / self.phase_bins
-        tone = (seg.frequency_hz, seg.amplitude_x_hz, seg.amplitude_z_hz, phi)
-        key = tone + (seg.duration_s,)
-        cached = self._pulse_cache.get(key)
-        if cached is not None:
-            return cached
+    def _sweep(self, init_label: str, n: int, layers) -> np.ndarray:
+        """Final states of ``n`` programs run side by side.
 
-        period = 1.0 / abs(freq)
-        dt = period / _SUBSTEPS
-        n_full, remainder = divmod(seg.duration_s, period)
-        prefix = self._prefix_cache.get(tone)
-        if prefix is None:
-            prefix = self._steps_in_window(v, freq, phi, dt, _SUBSTEPS)
-            if len(self._prefix_cache) < 1000:
-                self._prefix_cache[tone] = prefix
-        u_period = prefix[-1]
-        u = np.linalg.matrix_power(u_period, int(n_full))
-        k_rem, frac = divmod(remainder, dt)
-        u = prefix[int(k_rem)] @ u
-        if frac > 0.0:
-            t_mid = int(k_rem) * dt + 0.5 * frac
-            c = math.cos(2.0 * math.pi * freq * t_mid + phi)
-            u = self._step(v, c, frac) @ u
-        if len(self._pulse_cache) < 20000:
-            self._pulse_cache[key] = u
-        return u
+        Each layer is (tones, which, durations): row i is driven by
+        ``tones[which[i]]`` for its duration, or evolves freely when
+        ``tones`` is None; a layer starts where the previous one ended.
+        Rows go through in blocks of ``_BLOCK_ROWS``.
+        """
+        psi = np.zeros((n, 8), dtype=complex)
+        psi[:, self.system.index(init_label)] = 1.0
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            t = 0.0
+            for tones, which, dur in layers:
+                dur = np.broadcast_to(np.asarray(dur, dtype=float), (n,))[rows]
+                if tones is None:
+                    psi[rows] = self.free_phases(dur[:, None]) * psi[rows]
+                else:
+                    psi[rows] = self._pulse(psi[rows], tones,
+                                            np.broadcast_to(which, (n,))[rows], t, dur)
+                t = t + dur
+        return psi
+
+    def _routing(self, transition: str, ax: float, az: float) -> tuple:
+        """Layers of the pre- and post-mapping pi-pulses of a transition."""
+        return tuple([([(self.transition_frequency(key), ax, az, 0.0)], 0,
+                       self.pi_time(key, ax, az)) for key in keys]
+                     for keys in ROUTING[transition])
 
     def run(self, program: PulseProgram) -> np.ndarray:
         """Final state of a program, in the static eigenbasis."""
-        psi = self.init_state(program.init_label)
-        t = 0.0
-        for seg in program.segments:
-            if seg.is_gap:
-                psi = self.free_phases(seg.duration_s) * psi
-            else:
-                psi = self.pulse_unitary(seg, t) @ psi
-            t += seg.duration_s
-        return psi
+        layers = [(None if seg.is_gap else [(seg.frequency_hz, seg.amplitude_x_hz,
+                                             seg.amplitude_z_hz, seg.phase_rad)],
+                   0, seg.duration_s) for seg in program.segments]
+        return self._sweep(program.init_label, 1, layers)[0]
+
+
+def _period(freq):
+    """Drive period of a tone, s; a constant drive gets a nominal 1 s."""
+    return 1.0 / np.where(freq == 0.0, 1.0, np.abs(freq))
 
 
 def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
@@ -344,47 +364,38 @@ def _nearest_transition(engine: _Engine, freq_hz: float) -> str:
     return min(TRANSITIONS, key=lambda k: abs(engine.transition_frequency(k) - freq_hz))
 
 
+def _map_engine(params, field, engine) -> _Engine:
+    if engine is not None and (engine.params != params or engine.bias != field):
+        raise ValueError("the engine was built for other parameters or another field")
+    return engine or _Engine(params, field)
+
+
 def rabi_map(params: ManifoldParams, field: MagneticField,
              amplitude_x_hz: float, amplitude_z_hz: float,
-             freq_grid, time_grid, transition: str | None = None) -> SignalMap:
+             freq_grid, time_grid, transition: str | None = None,
+             engine: _Engine | None = None) -> SignalMap:
     """Chevron map: drive for each (frequency, duration), read the 1B signal.
 
     The drive tone is applied to the initialized 0B0M state after the
     transition's pre-mapping pulses (if any) and followed by its
-    post-mapping pulses, mirroring the measurement sequence.
+    post-mapping pulses, mirroring the measurement sequence.  ``engine``
+    shares one system of (params, field) between maps.
     """
     freq_grid = np.asarray(freq_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     if freq_grid.size == 0 or time_grid.size == 0:
         raise ValueError("grids must be non-empty")
-    engine = _Engine(params, field)
+    engine = _map_engine(params, field, engine)
     if transition is None:
         transition = _nearest_transition(engine, float(freq_grid.mean()))
     ax, az = amplitude_x_hz, amplitude_z_hz
-    pre_keys, post_keys = ROUTING[transition]
+    pre, post = engine._routing(transition, ax, az)
 
-    signal = np.empty((freq_grid.size, time_grid.size))
-    psi0 = engine.init_state("lower.0B0M")
-    u_pre = np.eye(8, dtype=complex)
-    t_pre = 0.0
-    for key in pre_keys:
-        seg = DriveSegment(engine.transition_frequency(key), ax, az, 0.0,
-                           engine.pi_time(key, ax, az))
-        u_pre = engine.pulse_unitary(seg, t_pre) @ u_pre
-        t_pre += seg.duration_s
-    psi_pre = u_pre @ psi0
-
-    for i, freq in enumerate(freq_grid):
-        for j, dur in enumerate(time_grid):
-            drive = DriveSegment(float(freq), ax, az, 0.0, float(dur))
-            psi = engine.pulse_unitary(drive, t_pre) @ psi_pre
-            t = t_pre + dur
-            for key in post_keys:
-                seg = DriveSegment(engine.transition_frequency(key), ax, az, 0.0,
-                                   engine.pi_time(key, ax, az))
-                psi = engine.pulse_unitary(seg, t) @ psi
-                t += seg.duration_s
-            signal[i, j] = engine.bright_population(psi)
+    n_f, n_t = freq_grid.size, time_grid.size
+    drive = ([(float(f), ax, az, 0.0) for f in freq_grid],
+             np.repeat(np.arange(n_f), n_t), np.tile(time_grid, n_f))
+    psi = engine._sweep("lower.0B0M", n_f * n_t, pre + [drive] + post)
+    signal = engine.bright_population(psi).reshape(n_f, n_t)
     return SignalMap(freq_grid, time_grid, np.clip(signal, 0.0, 1.0))
 
 
@@ -392,13 +403,15 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
                amplitude_x_hz: float, amplitude_z_hz: float,
                freq_grid, delay_grid, noise: NoiseModel | None = None,
                transition: str | None = None,
-               pi_half_s: float | None = None) -> SignalMap:
+               pi_half_s: float | None = None,
+               engine: _Engine | None = None) -> SignalMap:
     """Ramsey map: pi/2 -- free delay -- pi/2 per (frequency, delay).
 
     The pi/2 duration is calibrated once on resonance (or given
     explicitly) and held fixed while the frequency is swept, as in the
     measurement.  Quasi-static noise shifts the drive frequency per
     repetition and is averaged deterministically over Gaussian quantiles.
+    ``engine`` shares one system of (params, field) between maps.
     """
     freq_grid = np.asarray(freq_grid, dtype=float)
     delay_grid = np.asarray(delay_grid, dtype=float)
@@ -408,47 +421,27 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     if noise.kind == "ornstein-uhlenbeck":
         raise ValueError("ramsey_map supports quasi-static noise; "
                          "use decoupling_scan for OU noise")
-    engine = _Engine(params, field)
+    engine = _map_engine(params, field, engine)
     if transition is None:
         transition = _nearest_transition(engine, float(freq_grid.mean()))
     ax, az = amplitude_x_hz, amplitude_z_hz
     if pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
-    pre_keys, post_keys = ROUTING[transition]
+    pre, post = engine._routing(transition, ax, az)
 
     if noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0:
         shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples)
     else:
         shifts = np.zeros(1)
 
-    psi0 = engine.init_state("lower.0B0M")
-    signal = np.zeros((freq_grid.size, delay_grid.size))
-    for i, freq in enumerate(freq_grid):
-        for shift in shifts:
-            nu = float(freq + shift)
-            u_pre = np.eye(8, dtype=complex)
-            t_pre = 0.0
-            for key in pre_keys:
-                seg = DriveSegment(engine.transition_frequency(key), ax, az, 0.0,
-                                   engine.pi_time(key, ax, az))
-                u_pre = engine.pulse_unitary(seg, t_pre) @ u_pre
-                t_pre += seg.duration_s
-            first = DriveSegment(nu, ax, az, 0.0, float(pi_half_s))
-            psi_first = engine.pulse_unitary(first, t_pre) @ (u_pre @ psi0)
-            for j, delay in enumerate(delay_grid):
-                psi = engine.free_phases(float(delay)) * psi_first
-                t = t_pre + pi_half_s + float(delay)
-                second = DriveSegment(nu, ax, az, 0.0, float(pi_half_s))
-                psi = engine.pulse_unitary(second, t) @ psi
-                t += pi_half_s
-                for key in post_keys:
-                    seg = DriveSegment(engine.transition_frequency(key), ax, az, 0.0,
-                                       engine.pi_time(key, ax, az))
-                    psi = engine.pulse_unitary(seg, t) @ psi
-                    t += seg.duration_s
-                signal[i, j] += engine.bright_population(psi)
-    signal /= len(shifts)
-    return SignalMap(freq_grid, delay_grid, np.clip(signal, 0.0, 1.0))
+    # one row per (frequency, noise shift, delay)
+    tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq_grid, shifts).ravel()]
+    n_d = delay_grid.size
+    half = (tones, np.repeat(np.arange(len(tones)), n_d), float(pi_half_s))
+    gap = (None, 0, np.tile(delay_grid, len(tones)))
+    psi = engine._sweep("lower.0B0M", len(tones) * n_d, pre + [half, gap, half] + post)
+    signal = engine.bright_population(psi).reshape(freq_grid.size, shifts.size, n_d)
+    return SignalMap(freq_grid, delay_grid, np.clip(signal.mean(axis=1), 0.0, 1.0))
 
 
 @dataclass(frozen=True)

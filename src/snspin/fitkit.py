@@ -147,18 +147,44 @@ class ExperimentSpec:
         return meta
 
 
-def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> SignalMap:
-    """Model map for one spec, delegated to the dynamics engine."""
-    params, field, (ax, az) = theta.to_model()
+def _model(theta: FitParams, spec: ExperimentSpec):
+    """``theta.to_model()`` with the static field scaled to the spec's setting."""
+    params, field, drive = theta.to_model()
     if spec.field_scale != 1.0:
         s = spec.field_scale
         field = MagneticField(bx=s * field.bx, by=s * field.by, bz=s * field.bz)
+    return params, field, drive
+
+
+def simulate_experiment(theta: FitParams, spec: ExperimentSpec,
+                        engine=None) -> SignalMap:
+    """Model map for one spec, delegated to the dynamics engine.
+
+    ``engine`` optionally shares the system of ``theta`` at the spec's
+    field setting between specs (see :func:`_simulate_all`).
+    """
+    params, field, (ax, az) = _model(theta, spec)
     if spec.kind == "rabi":
         return dynamics.rabi_map(params, field, ax, az, spec.freq_hz, spec.time_s,
-                                 transition=spec.transition)
+                                 transition=spec.transition, engine=engine)
     return dynamics.ramsey_map(params, field, ax, az, spec.freq_hz, spec.time_s,
                                transition=spec.transition,
-                               pi_half_s=spec.pi_half_s)
+                               pi_half_s=spec.pi_half_s, engine=engine)
+
+
+def _engines(theta: FitParams, specs) -> list:
+    """One engine per spec, shared by all specs at the same field setting."""
+    built = {}
+    for spec in specs:
+        if spec.field_scale not in built:
+            built[spec.field_scale] = dynamics._Engine(*_model(theta, spec)[:2])
+    return [built[spec.field_scale] for spec in specs]
+
+
+def _simulate_all(theta: FitParams, specs) -> list:
+    """Model signals of every spec from one system per field setting."""
+    return [simulate_experiment(theta, spec, engine).signal
+            for spec, engine in zip(specs, _engines(theta, specs))]
 
 
 def _nuisance_rescale(sim: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -216,8 +242,7 @@ class FitProblem:
 
     def residual_maps(self, theta: FitParams) -> tuple:
         maps = []
-        for spec, d in zip(self.specs, self.data):
-            sim = simulate_experiment(theta, spec).signal
+        for sim, d in zip(_simulate_all(theta, self.specs), self.data):
             if self.nuisance:
                 sim = _nuisance_rescale(sim, np.asarray(d))
             maps.append(sim - np.asarray(d))
@@ -269,9 +294,9 @@ def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
     the leading singular values only settle at steps of 1e-6 and below.
     Central differences keep the truncation error of those stiff
     columns out of the weakest direction, which they would otherwise
-    swamp.  The engine quantizes drive phases, which puts small steps
-    into the residuals: the bins (1.5e-9 rad) must stay far below the
-    phase change of one step, or those steps swamp the weakest column.
+    swamp.  It also needs residuals free of steps: the engine takes
+    drive phases and pulse times as they are, with no rounding or
+    binning, which would put steps into the weakest column.
     """
     cols = []
     for k in range(x.size):
@@ -353,14 +378,14 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
 
     def objective(x):
         theta = initial.with_free_values(x * base, free)
-        params, field, (ax, az) = theta.to_model()
-        engine = dynamics._Engine(params, field)
         total = 0.0
-        for spec, f_col, f_hat, col_data in targets:
+        engines = _engines(theta, [spec for spec, *_ in targets])
+        for (spec, f_col, f_hat, col_data), engine in zip(targets, engines):
             f_model = engine.transition_frequency(spec.transition)
             total += _CALIBRATION_FREQ_WEIGHT * ((f_model - f_hat) / f_hat) ** 2
-            sim = dynamics.rabi_map(params, field, ax, az, (f_col,),
-                                    spec.time_s, transition=spec.transition)
+            params, field, (ax, az) = _model(theta, spec)
+            sim = dynamics.rabi_map(params, field, ax, az, (f_col,), spec.time_s,
+                                    transition=spec.transition, engine=engine)
             diff = sim.signal[0] - col_data
             total += float(diff @ diff)
         return total
@@ -647,10 +672,9 @@ def load_signal_csv(path) -> tuple:
 def _period_aligned(delays, freq_hz):
     """Round free delays to drive-period multiples (synthesized clock).
 
-    Keeping the second Ramsey pulse phase-locked to the tone makes every
-    delay share one cached pulse propagator, which is also how a
-    synthesizer-timed measurement behaves.  The sub-period rounding
-    (< 2 ns) is stored in the spec, so data and model stay consistent.
+    This keeps the second Ramsey pulse phase-locked to the tone, as in a
+    synthesizer-timed measurement.  The sub-period rounding (< 2 ns) is
+    stored in the spec, so data and model stay consistent.
     """
     period = 1.0 / freq_hz
     return tuple(np.round(np.asarray(delays) / period) * period)
@@ -674,8 +698,9 @@ def reference_problem(theta: FitParams | None = None,
     along the valley the shorter maps leave open.  None of them
     separates the strain from the transverse couplings, which can
     compensate it (see the module notes), so the problem's default
-    free set leaves it out.  Optional proportional Gaussian noise is
-    added to every point.  The problem's initial point defaults to the
+    free set leaves it out.  ``noise_rel`` > 0 adds Gaussian noise of
+    that standard deviation, in signal units and independent of the
+    signal, to every point.  The problem's initial point defaults to the
     truth.
     """
     theta = theta or FitParams.reference()
@@ -704,8 +729,7 @@ def reference_problem(theta: FitParams | None = None,
         delays = _period_aligned(np.linspace(0.0, long_delay_s, n_long), nu)
         specs.append(ExperimentSpec("ramsey", key, (nu,), delays,
                                     pi_half_s=pi_half, label=f"{key}-ramsey-long"))
-    for spec in specs:
-        sig = simulate_experiment(theta, spec).signal
+    for sig in _simulate_all(theta, specs):
         if noise_rel > 0:
             sig = sig + noise_rel * rng.standard_normal(sig.shape)
         data.append(sig)

@@ -8,8 +8,7 @@ Hamiltonian for a single S=1/2 electron coupled to one I=1/2 nucleus.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 # Bohr magneton over Planck constant, Hz per Tesla.
 MU_B_HZ_PER_T = 13.996246e9
@@ -165,18 +164,6 @@ def reference_field() -> MagneticField:
     )
 
 
-def dump_json(obj, path) -> None:
-    """Serialize a params/field dataclass (or dict of them) to JSON."""
-    def encode(x):
-        if isinstance(x, (ManifoldParams, MagneticField)):
-            return x.to_dict()
-        raise TypeError(f"cannot serialize {type(x).__name__}")
-
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, default=encode, sort_keys=True)
-        fh.write("\n")
-
-
 __all__ = [
     "MU_B_HZ_PER_T",
     "SN117_GYRO_HZ_PER_T",
@@ -191,6 +178,4 @@ __all__ = [
     "ground_defaults",
     "excited_defaults",
     "reference_field",
-    "dump_json",
-    "replace",
 ]

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,10 +356,50 @@ def test_main_success_prints_path(tmp_path, capsys):
 def test_console_entry_point(tmp_path):
     out = tmp_path / "levels.json"
     cfg = write_config(tmp_path, {"command": "levels"})
+    src = str(Path(snspin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "snspin.cli",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out)
     assert "_provenance" in load_json_artifact(out)
+
+
+
+# Runs ``cli.main`` on its argv and reports, on stderr, whether numpy was
+# loaded at import and when ``run`` starts, and the BLAS variables then.
+_THREAD_PROBE = """
+import json, os, sys
+from snspin import cli
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+seen = {"numpy_at_import": "numpy" in sys.modules}
+real_run = cli.run
+
+def spy(*args, **kwargs):
+    seen["numpy_at_run"] = "numpy" in sys.modules
+    seen["env"] = {v: os.environ.get(v) for v in BLAS_VARS}
+    return real_run(*args, **kwargs)
+
+cli.run = spy
+seen["code"] = cli.main(sys.argv[1:])
+sys.stderr.write(json.dumps(seen) + "\\n")
+"""
+
+
+def test_threads_flag_reaches_blas_before_numpy_loads(tmp_path):
+    cfg = write_config(tmp_path, {"command": "levels"})
+    src = str(Path(snspin.__file__).resolve().parent.parent)
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {"PATH": "", "PYTHONPATH": src} | {v: "1" for v in blas}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, "--config", str(cfg),
+         "--out", str(tmp_path / "levels.json"), "--threads", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert seen["code"] == 0
+    assert not seen["numpy_at_import"] and not seen["numpy_at_run"]
+    assert seen["env"] == {v: "2" for v in blas}

@@ -124,6 +124,15 @@ def test_gap_is_exact_free_evolution(ground, engine):
     assert np.allclose(psi, expected, atol=1e-14)
 
 
+def test_constant_drive_is_time_invariant(engine):
+    """A zero-frequency drive acts by its duration alone, wherever it starts."""
+    first = DriveSegment(F_BROKER, AX, AZ, 0.0, 43e-9)
+    psi = engine.run(PulseProgram((first, DriveSegment(0.0, AX, AZ, 0.4, 30e-9))))
+    vals, vecs = np.linalg.eigh(np.diag(engine.energies)
+                                + math.cos(0.4) * (AX * engine.vx + AZ * engine.vz))
+    step = (vecs * np.exp(-2j * math.pi * vals * 30e-9)) @ vecs.conj().T
+    assert np.allclose(psi, step @ engine.run(PulseProgram((first,))), atol=1e-12)
+
 def test_rabi_map_resonant_column(ground, field, engine):
     times = np.linspace(0.0, 3 * PI_S["broker"], 61)
     sm = rabi_map(ground, field, AX, AZ, [F_BROKER], times)
@@ -133,6 +142,54 @@ def test_rabi_map_resonant_column(ground, field, engine):
     # oscillation period ~ 2 t_pi: the first maximum sits near t_pi
     t_peak = times[np.argmax(col[:30])]
     assert t_peak == pytest.approx(PI_S["broker"], rel=0.15)
+
+
+def routed_program(engine, transition, drive):
+    """The measurement sequence of one map pixel around its drive segments."""
+    pre, post = dyn.ROUTING[transition]
+    return PulseProgram(tuple(pi_segment(engine, k) for k in pre) + tuple(drive)
+                        + tuple(pi_segment(engine, k) for k in post))
+
+
+@pytest.mark.parametrize("transition", list(dyn.TRANSITIONS))
+def test_maps_match_engine_programs(ground, field, engine, transition):
+    """Every map pixel is the bright population of its own pulse program."""
+    nu0 = engine.transition_frequency(transition)
+    freqs = nu0 + np.array([-1.3e6, 0.4e6])
+    times = np.array([37e-9, 151e-9, 263e-9])
+    chevron = rabi_map(ground, field, AX, AZ, freqs, times, transition=transition)
+    for i, f in enumerate(freqs):
+        for j, t in enumerate(times):
+            prog = routed_program(engine, transition, [DriveSegment(f, AX, AZ, 0.0, t)])
+            expected = engine.bright_population(engine.run(prog))
+            assert abs(chevron.signal[i, j] - expected) < 1e-12
+
+    noise = NoiseModel(kind="quasi-static-gaussian", sigma_hz=0.2e6, samples=3)
+    shifts = noise.sigma_hz * dyn._gaussian_quantiles(noise.samples)
+    delays = np.array([0.0, 0.4137e-6, 1.2931e-6])   # not period-aligned
+    half = 0.5 * engine.pi_time(transition, AX, AZ)
+    fringe = ramsey_map(ground, field, AX, AZ, freqs + 2e6, delays, noise=noise,
+                        transition=transition)
+    for i, f in enumerate(freqs + 2e6):
+        for j, d in enumerate(delays):
+            expected = np.mean([engine.bright_population(engine.run(routed_program(
+                engine, transition, [DriveSegment(f + s, AX, AZ, 0.0, half),
+                                     DriveSegment(0.0, 0.0, 0.0, 0.0, d),
+                                     DriveSegment(f + s, AX, AZ, 0.0, half)])))
+                for s in shifts])
+            assert abs(fringe.signal[i, j] - expected) < 1e-12
+
+
+def test_routed_chevron_pixel_matches_converged_propagation(ground, field, engine):
+    """A memory chevron pixel (with its broker_m1 readout pulse) against
+    ``propagate`` at 128 steps per period of the fastest tone."""
+    sm = rabi_map(ground, field, AX, AZ, [F_MEMORY], [PI_S["memory"]],
+                  transition="memory")
+    prog = routed_program(engine, "memory",
+                          [DriveSegment(F_MEMORY, AX, AZ, 0.0, PI_S["memory"])])
+    psi = propagate(engine.h0, ground, prog, timestep=1.0 / (128 * F_MEMORY))
+    reference = engine.bright_population(engine.system.states.conj().T @ psi)
+    assert abs(sm.signal[0, 0] - reference) < 2e-3
 
 
 def test_rabi_map_off_resonant_is_flat(ground, field):
