@@ -22,23 +22,22 @@ Config layout::
 
 Grids are {"start": lo, "stop": hi, "points": n} blocks.  Unset
 parameter blocks fall back to the package's fitted defaults.
+
+``decouple`` models ideal instantaneous pulses against pure dephasing,
+so its artifact does not depend on ``ground``, ``field`` or
+``options.transition`` (the last is only checked to be a known name).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 
 ENV_OUT_DIR = "SNSPIN_OUT_DIR"
-
-COMMANDS = (
-    "levels", "transitions", "ple", "cyclicity-map", "pump",
-    "fidelity-budget", "rabi", "ramsey", "decouple", "rb",
-    "coherence-map", "fit",
-)
 
 
 class ConfigError(Exception):
@@ -90,18 +89,26 @@ def _grid(cfg: dict, path: str, required: bool = True):
     return np.linspace(float(block["start"]), float(block["stop"]), n)
 
 
-def _manifold(cfg: dict, key: str, default_factory):
-    from .params import ManifoldParams
+def _manifold(cfg: dict, key: str):
+    """The ``ground`` or ``excited`` parameter block, else its defaults."""
+    from .params import ManifoldParams, excited_defaults, ground_defaults
 
     block = _get(cfg, key)
     if block is None:
-        return default_factory()
+        return {"ground": ground_defaults, "excited": excited_defaults}[key]()
     if not isinstance(block, dict):
         raise ConfigError("expected a parameter object", key)
     try:
         return ManifoldParams.from_dict(block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), key)
+
+
+def _eigensystem(cfg: dict, key: str, field):
+    """Labeled eigensystem of the ``key`` parameter block at ``field``."""
+    from .spinmodel import manifold_eigensystem
+
+    return manifold_eigensystem(_manifold(cfg, key), field)
 
 
 def _field(cfg: dict):
@@ -120,8 +127,6 @@ def _field(cfg: dict):
             components[f"b{axis}"] = float(block[tesla_key])
         elif hz_key in block:
             components[f"b{axis}"] = field_for_larmor(float(block[hz_key]))
-        else:
-            components[f"b{axis}"] = 0.0
     unknown = set(block) - {f"b{a}_t" for a in "xyz"} - {f"b_{a}_hz" for a in "xyz"}
     if unknown:
         raise ConfigError(f"unknown field keys {sorted(unknown)}", "field")
@@ -134,33 +139,34 @@ def _noise(cfg: dict, path: str):
     block = _get(cfg, path)
     if block is None:
         return None
+    casts = {"kind": str, "sigma_hz": float, "correlation_time_s": float, "samples": int}
     try:
-        return NoiseModel(
-            kind=block.get("kind", "none"),
-            sigma_hz=float(block.get("sigma_hz", 0.0)),
-            correlation_time_s=float(block.get("correlation_time_s", float("inf"))),
-            samples=int(block.get("samples", 100)),
-        )
+        # keys left out take NoiseModel's defaults
+        return NoiseModel(**{k: cast(block[k]) for k, cast in casts.items() if k in block})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), path)
 
 
+def _plain(value):
+    """A result as JSON-ready values: dataclasses and dicts field by field,
+    numpy arrays to lists and numpy scalars to Python numbers."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 # --- command handlers --------------------------------------------------------
-# Each returns (payload, flavor) where flavor is "json" or rows for CSV.
+# Each returns (payload, flavor): a dict for "json", rows for "csv", or
+# (rows, header metadata) for "signal-csv".
 
 def _cmd_levels(cfg, seed):
-    from .params import ground_defaults, excited_defaults
-    from .spinmodel import manifold_eigensystem
-
     field = _field(cfg)
     which = _get(cfg, "options.manifold", "ground")
-    out = {}
-    if which in ("ground", "both"):
-        es = manifold_eigensystem(_manifold(cfg, "ground", ground_defaults), field)
-        out["ground"] = {k: float(v) for k, v in es.level_dict().items()}
-    if which in ("excited", "both"):
-        es = manifold_eigensystem(_manifold(cfg, "excited", excited_defaults), field)
-        out["excited"] = {k: float(v) for k, v in es.level_dict().items()}
+    out = {key: _eigensystem(cfg, key, field).level_dict()
+           for key in ("ground", "excited") if which in (key, "both")}
     if not out:
         raise ConfigError("manifold must be ground, excited, or both",
                           "options.manifold")
@@ -168,29 +174,25 @@ def _cmd_levels(cfg, seed):
 
 
 def _cmd_transitions(cfg, seed):
-    from .params import ground_defaults, excited_defaults
-    from .spinmodel import manifold_eigensystem
     from .spectrum import mw_transitions, optical_transitions
 
     field = _field(cfg)
-    ground = manifold_eigensystem(_manifold(cfg, "ground", ground_defaults), field)
-    table = mw_transitions(ground)
-    rows = table.csv_rows()
+    ground = _eigensystem(cfg, "ground", field)
+    rows = mw_transitions(ground).csv_rows()
     if _get(cfg, "options.include_optical", True):
-        excited = manifold_eigensystem(_manifold(cfg, "excited", excited_defaults), field)
+        excited = _eigensystem(cfg, "excited", field)
         zpl = _number(cfg, "options.zpl_hz", 0.0)
         rows.extend(optical_transitions(ground, excited, zpl=zpl).csv_rows()[1:])
     return rows, "csv"
 
 
 def _cmd_ple(cfg, seed):
-    from .params import ground_defaults, excited_defaults, OPTICAL_LINEWIDTH_HZ
-    from .spinmodel import manifold_eigensystem
+    from .params import OPTICAL_LINEWIDTH_HZ
     from .spectrum import optical_transitions, ple_spectrum
 
     field = _field(cfg)
-    ground = manifold_eigensystem(_manifold(cfg, "ground", ground_defaults), field)
-    excited = manifold_eigensystem(_manifold(cfg, "excited", excited_defaults), field)
+    ground = _eigensystem(cfg, "ground", field)
+    excited = _eigensystem(cfg, "excited", field)
     table = optical_transitions(ground, excited, zpl=_number(cfg, "options.zpl_hz", 0.0))
     trace = ple_spectrum(
         table,
@@ -201,12 +203,12 @@ def _cmd_ple(cfg, seed):
 
 
 def _cmd_cyclicity_map(cfg, seed):
-    from .params import ground_defaults, excited_defaults, MagneticField
+    from .params import MagneticField
     from .spinmodel import manifold_eigensystem
     from .optics import cyclicity
 
-    gp = _manifold(cfg, "ground", ground_defaults)
-    ep = _manifold(cfg, "excited", excited_defaults)
+    gp = _manifold(cfg, "ground")
+    ep = _manifold(cfg, "excited")
     bx_grid = _grid(cfg, "options.bx_t")
     bz_grid = _grid(cfg, "options.bz_t")
     rows = [("bx_t", "bz_t", "lambda_f0")]
@@ -221,13 +223,12 @@ def _cmd_cyclicity_map(cfg, seed):
 
 
 def _cmd_pump(cfg, seed):
-    from .params import ground_defaults, excited_defaults, LIFETIME_S, OPTICAL_LINEWIDTH_HZ
-    from .spinmodel import manifold_eigensystem
+    from .params import LIFETIME_S, OPTICAL_LINEWIDTH_HZ
     from .optics import pump_dynamics
 
     field = _field(cfg)
-    ground = manifold_eigensystem(_manifold(cfg, "ground", ground_defaults), field)
-    excited = manifold_eigensystem(_manifold(cfg, "excited", excited_defaults), field)
+    ground = _eigensystem(cfg, "ground", field)
+    excited = _eigensystem(cfg, "excited", field)
     line = _get(cfg, "options.line", "f2")
     if not isinstance(line, str):
         line = float(line)
@@ -239,20 +240,12 @@ def _cmd_pump(cfg, seed):
         duration_s=_number(cfg, "options.duration_s", 10e-6),
         lifetime_s=_number(cfg, "options.lifetime_s", LIFETIME_S),
     )
-    return {
-        "populations": {k: float(v) for k, v in result.populations.items()},
-        "steady_state": {k: float(v) for k, v in result.steady_state.items()},
-        "tau_pol_s": result.tau_pol_s,
-        "target": result.target,
-        "converged": result.converged,
-        "message": result.message,
-    }, "json"
+    return _plain(result), "json"
 
 
 def _cmd_fidelity_budget(cfg, seed):
     import numpy as np
-    from .params import ground_defaults, excited_defaults, LIFETIME_S
-    from .spinmodel import manifold_eigensystem
+    from .params import LIFETIME_S
     from .spectrum import memory_detuning
     from .optics import excitation_fidelity, max_excitations
 
@@ -260,8 +253,8 @@ def _cmd_fidelity_budget(cfg, seed):
     delta = _number(cfg, "options.delta_omega_rad_s")
     if delta is None:
         field = _field(cfg)
-        ground = manifold_eigensystem(_manifold(cfg, "ground", ground_defaults), field)
-        excited = manifold_eigensystem(_manifold(cfg, "excited", excited_defaults), field)
+        ground = _eigensystem(cfg, "ground", field)
+        excited = _eigensystem(cfg, "excited", field)
         delta = 2.0 * np.pi * memory_detuning(ground, excited)
     ns = _get(cfg, "options.n_list")
     if ns is None:
@@ -279,49 +272,44 @@ def _cmd_fidelity_budget(cfg, seed):
     }, "json"
 
 
-def _map_common(cfg):
-    from .params import ground_defaults
-
-    params = _manifold(cfg, "ground", ground_defaults)
+def _map_common(cfg, kind):
+    """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map."""
+    params = _manifold(cfg, "ground")
     field = _field(cfg)
     ax = _number(cfg, "options.amplitude_x_hz", 8.92e6)
     az = _number(cfg, "options.amplitude_z_hz", 5.00e6)
     transition = _get(cfg, "options.transition")
-    return params, field, ax, az, transition
+    meta = {"kind": kind}
+    if transition:
+        meta["transition"] = transition
+    return params, field, ax, az, transition, meta
 
 
 def _cmd_rabi(cfg, seed):
     from .dynamics import rabi_map
 
-    params, field, ax, az, transition = _map_common(cfg)
+    params, field, ax, az, transition, meta = _map_common(cfg, "rabi")
     m = rabi_map(params, field, ax, az,
                  _grid(cfg, "options.freq_hz"), _grid(cfg, "options.duration_s"),
                  transition=transition)
-    meta = {"kind": "rabi"}
-    if transition:
-        meta["transition"] = transition
-    return (m, meta), "signal-csv"
+    return (m.csv_rows(), meta), "signal-csv"
 
 
 def _cmd_ramsey(cfg, seed):
     from .dynamics import ramsey_map
 
-    params, field, ax, az, transition = _map_common(cfg)
+    params, field, ax, az, transition, meta = _map_common(cfg, "ramsey")
     pi_half = _number(cfg, "options.pi_half_s")
     m = ramsey_map(params, field, ax, az,
                    _grid(cfg, "options.freq_hz"), _grid(cfg, "options.delay_s"),
                    noise=_noise(cfg, "options.noise"),
                    transition=transition, pi_half_s=pi_half)
-    meta = {"kind": "ramsey"}
-    if transition:
-        meta["transition"] = transition
     if pi_half is not None:
         meta["pi_half_s"] = repr(float(pi_half))
-    return (m, meta), "signal-csv"
+    return (m.csv_rows(), meta), "signal-csv"
 
 
 def _cmd_decouple(cfg, seed):
-    from .params import ground_defaults
     from .dynamics import decoupling_scan
 
     noise = _noise(cfg, "options.noise")
@@ -329,21 +317,13 @@ def _cmd_decouple(cfg, seed):
         raise ConfigError("decouple needs an ornstein-uhlenbeck noise block",
                           "options.noise")
     result = decoupling_scan(
-        _manifold(cfg, "ground", ground_defaults), _field(cfg),
+        _manifold(cfg, "ground"), _field(cfg),
         n_pulses=int(_number(cfg, "options.n_pulses", required=True)),
         delay_grid=_grid(cfg, "options.total_time_s"),
         noise=noise, seed=seed,
         transition=_get(cfg, "options.transition", "memory"),
     )
-    return {
-        "n_pulses": result.n_pulses,
-        "total_time_s": [float(t) for t in result.total_time_s],
-        "coherence": [float(c) for c in result.coherence],
-        "t2_s": result.t2_s,
-        "stretch": result.stretch,
-        "fit_ok": result.fit_ok,
-        "message": result.message,
-    }, "json"
+    return _plain(result), "json"
 
 
 def _cmd_rb(cfg, seed):
@@ -357,25 +337,13 @@ def _cmd_rb(cfg, seed):
         seed=seed,
         spam=(float(spam[0]), float(spam[1])),
     )
-    out = {
-        "lengths": [int(n) for n in result.lengths],
-        "mean_survival": [float(x) for x in result.mean_survival],
-        "stderr": [float(x) for x in result.stderr],
-        "fidelity": result.fidelity,
-        "fidelity_err": result.fidelity_err,
-        "decay": result.decay,
-        "amplitude": result.amplitude,
-        "offset": result.offset,
-        "fit_ok": result.fit_ok,
-        "message": result.message,
-    }
+    out = _plain(result)
     if result.fit_ok:
         out["clifford_fidelity"] = clifford_adjust(result.fidelity)
     return out, "json"
 
 
 def _cmd_coherence_map(cfg, seed):
-    from .params import ground_defaults
     from .coherence import coherence_map, CoherenceParams
 
     coh = CoherenceParams(
@@ -383,7 +351,7 @@ def _cmd_coherence_map(cfg, seed):
         temperature_k=_number(cfg, "options.temperature_k", 1.7),
     )
     m = coherence_map(
-        _manifold(cfg, "ground", ground_defaults),
+        _manifold(cfg, "ground"),
         _grid(cfg, "options.upsilon_hz"), _grid(cfg, "options.alpha_hz"),
         sign_convention=_get(cfg, "options.sign_convention", "opposite"),
         coherence=coh,
@@ -485,21 +453,13 @@ def _write_output(path: str, payload, flavor: str, provenance: dict):
     if flavor == "json":
         doc = {"_provenance": provenance}
         doc.update(payload)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        if flavor == "signal-csv":
-            m, meta = payload
-            rows = m.csv_rows()
-            header_meta = dict(meta)
-        else:
-            rows = payload
-            header_meta = {}
-        lines = [f"# {k}={v}" for k, v in provenance.items()]
-        lines.extend(f"# {k}={v}" for k, v in header_meta.items())
-        lines.extend(",".join(str(c) for c in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return
+    from .csvio import save_csv
+
+    rows, meta = payload if flavor == "signal-csv" else (payload, {})
+    save_csv(path, rows, {**provenance, **meta})
 
 
 def run(config_path: str, out_override: str | None = None,
@@ -521,21 +481,17 @@ def run(config_path: str, out_override: str | None = None,
     command = _get(cfg, "command", required=True)
     if command not in _HANDLERS:
         raise ConfigError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}",
+            f"unknown command {command!r}; expected one of {', '.join(_HANDLERS)}",
             "command",
         )
     seed = seed_override if seed_override is not None else int(_get(cfg, "seed", 0))
 
+    payload, flavor = _HANDLERS[command](cfg, seed)
     output = out_override or _get(cfg, "output")
     if output is None:
-        ext = "json" if command in (
-            "levels", "pump", "fidelity-budget", "decouple", "rb", "fit"
-        ) else "csv"
-        output = f"{command}.{ext}"
+        output = f"{command}.{'json' if flavor == 'json' else 'csv'}"
     if not os.path.isabs(output):
         output = os.path.join(os.environ.get(ENV_OUT_DIR, "."), output)
-
-    payload, flavor = _HANDLERS[command](cfg, seed)
     _write_output(output, payload, flavor, _provenance(raw, seed))
     return output
 

@@ -40,6 +40,27 @@ class CoherenceParams:
             raise ValueError("gamma_phonon must be >= 0")
 
 
+def _lambda_b(lambda_soc, upsilon, a_perp, delta):
+    """lambda_B of :func:`lambda_eff` from scalars or broadcasting arrays.
+
+    Squares are products, so that scalars and arrays round alike: near
+    the ridge a one-ulp change of a term is a large change of lambda_B."""
+    if np.any(delta <= 0):
+        raise ValueError("orbital splitting must be positive")
+    c_hat = lambda_soc / delta
+    return 2.0 * upsilon * c_hat + (a_perp * a_perp / (2.0 * delta)) * (c_hat * c_hat)
+
+
+def _t2(lambda_b, gamma):
+    """T2 of :func:`t2_phonon` from a scalar or an array of lambda_b."""
+    if gamma <= 0:
+        raise ValueError("gamma_phonon must be positive for a finite T2")
+    lam = np.abs(lambda_b)
+    # lam = 0 divides by zero twice on its way to the exact limit, inf
+    with np.errstate(divide="ignore"):
+        return 4.0 * np.pi / (lam * -np.expm1(-2.0 * np.pi / (lam * gamma)))
+
+
 def lambda_eff(params: ManifoldParams) -> tuple:
     """Branch-to-branch splitting difference (broker, memory) in Hz.
 
@@ -49,13 +70,8 @@ def lambda_eff(params: ManifoldParams) -> tuple:
     The sign of lambda_B follows the formula; the dephasing rate only
     depends on its magnitude.
     """
-    delta = params.delta_total
-    if delta <= 0:
-        raise ValueError("orbital splitting must be positive")
-    c_hat = params.lambda_soc / delta
-    lam_b = 2.0 * params.upsilon_ioc * c_hat + (
-        params.a_perp ** 2 / (2.0 * delta)
-    ) * c_hat ** 2
+    lam_b = _lambda_b(params.lambda_soc, params.upsilon_ioc, params.a_perp,
+                      params.delta_total)
     return lam_b, 0.0
 
 
@@ -69,13 +85,7 @@ def t2_phonon(lambda_b_hz: float, coherence: CoherenceParams | None = None) -> f
     (infinite T2).
     """
     coherence = coherence or CoherenceParams()
-    gamma = coherence.gamma_phonon
-    if gamma <= 0:
-        raise ValueError("gamma_phonon must be positive for a finite T2")
-    lam = abs(lambda_b_hz)
-    if lam == 0.0:
-        return math.inf
-    return 4.0 * math.pi / (lam * -math.expm1(-2.0 * math.pi / (lam * gamma)))
+    return float(_t2(lambda_b_hz, coherence.gamma_phonon))
 
 
 def ridge_upsilon(lambda_soc_hz: float, a_perp_hz: float, alpha_hz: float) -> float:
@@ -122,9 +132,10 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
     ``upsilon_grid``/``alpha_grid`` are magnitudes; ``sign_convention``
     selects whether upsilon opposes ("opposite", the high-coherence
     ridge case) or follows ("same") the sign of the spin-orbit
-    splitting.  Every grid point reuses ``base`` with its strain and
+    splitting.  Every grid point is ``base`` with its strain and
     Jahn-Teller amplitude replaced (the x component carries all of
-    alpha).
+    alpha), evaluated with the closed forms of :func:`lambda_eff` and
+    :func:`t2_phonon` over the whole grid at once.
     """
     if sign_convention not in ("opposite", "same"):
         raise ValueError("sign_convention must be 'opposite' or 'same'")
@@ -138,22 +149,10 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
     sign = -1.0 if sign_convention == "opposite" else 1.0
     signed_ups = sign * math.copysign(1.0, base.lambda_soc) * upsilon_grid
 
-    t2 = np.empty((upsilon_grid.size, alpha_grid.size))
-    for j, alpha in enumerate(alpha_grid):
-        for i, ups in enumerate(signed_ups):
-            p = ManifoldParams(
-                lambda_soc=base.lambda_soc,
-                upsilon_ioc=float(ups),
-                a_par=base.a_par,
-                a_perp=base.a_perp,
-                strain_egx=float(alpha),
-                strain_egy=0.0,
-                orbital_quench_q=base.orbital_quench_q,
-                g_electron=base.g_electron,
-                nuclear_gyro=base.nuclear_gyro,
-            )
-            lam_b, _ = lambda_eff(p)
-            t2[i, j] = t2_phonon(lam_b, coherence)
+    # ManifoldParams.delta_total with the strain (egx, 0) of each column
+    delta = np.sqrt(base.lambda_soc * base.lambda_soc + 4.0 * alpha_grid * alpha_grid)
+    lam_b = _lambda_b(base.lambda_soc, signed_ups[:, None], base.a_perp, delta)
+    t2 = _t2(lam_b, coherence.gamma_phonon)
     ridge = np.array([
         ridge_upsilon(base.lambda_soc, base.a_perp, float(a)) for a in alpha_grid
     ])

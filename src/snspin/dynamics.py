@@ -26,13 +26,10 @@ from scipy.linalg import schur
 from scipy.optimize import curve_fit
 
 from .params import ManifoldParams, MagneticField, MU_B_HZ_PER_T
-from .spinmodel import EigenSystem, eigensystem, build_hamiltonian, zeeman_operator
-
-TRANSITIONS = {
-    "broker": ("lower.0B0M", "lower.1B0M"),
-    "memory": ("lower.0B0M", "lower.0B1M"),
-    "broker_m1": ("lower.0B1M", "lower.1B1M"),
-}
+from .spinmodel import (
+    SIGMA_X, SIGMA_Y, TRANSITIONS, EigenSystem, eigensystem, build_hamiltonian,
+    zeeman_operator,
+)
 
 # Mapping pulses that connect the initialized 0B0M state and the dark
 # post-drive states to the bright 1B readout subspace.
@@ -360,14 +357,21 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
     return psi
 
 
-def _nearest_transition(engine: _Engine, freq_hz: float) -> str:
-    return min(TRANSITIONS, key=lambda k: abs(engine.transition_frequency(k) - freq_hz))
-
-
-def _map_engine(params, field, engine) -> _Engine:
+def _map_setup(params, field, engine, freq_grid, time_grid, transition) -> tuple:
+    """A map's grids as arrays, its engine, and its transition: the one
+    nearest the mean drive frequency when none is named."""
+    freq_grid = np.asarray(freq_grid, dtype=float)
+    time_grid = np.asarray(time_grid, dtype=float)
+    if freq_grid.size == 0 or time_grid.size == 0:
+        raise ValueError("grids must be non-empty")
     if engine is not None and (engine.params != params or engine.bias != field):
         raise ValueError("the engine was built for other parameters or another field")
-    return engine or _Engine(params, field)
+    engine = engine or _Engine(params, field)
+    if transition is None:
+        f_mean = float(freq_grid.mean())
+        transition = min(TRANSITIONS, key=lambda k: abs(
+            engine.transition_frequency(k) - f_mean))
+    return freq_grid, time_grid, engine, transition
 
 
 def rabi_map(params: ManifoldParams, field: MagneticField,
@@ -381,13 +385,8 @@ def rabi_map(params: ManifoldParams, field: MagneticField,
     post-mapping pulses, mirroring the measurement sequence.  ``engine``
     shares one system of (params, field) between maps.
     """
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    time_grid = np.asarray(time_grid, dtype=float)
-    if freq_grid.size == 0 or time_grid.size == 0:
-        raise ValueError("grids must be non-empty")
-    engine = _map_engine(params, field, engine)
-    if transition is None:
-        transition = _nearest_transition(engine, float(freq_grid.mean()))
+    freq_grid, time_grid, engine, transition = _map_setup(
+        params, field, engine, freq_grid, time_grid, transition)
     ax, az = amplitude_x_hz, amplitude_z_hz
     pre, post = engine._routing(transition, ax, az)
 
@@ -413,17 +412,12 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     repetition and is averaged deterministically over Gaussian quantiles.
     ``engine`` shares one system of (params, field) between maps.
     """
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    delay_grid = np.asarray(delay_grid, dtype=float)
-    if freq_grid.size == 0 or delay_grid.size == 0:
-        raise ValueError("grids must be non-empty")
     noise = noise or NoiseModel()
     if noise.kind == "ornstein-uhlenbeck":
         raise ValueError("ramsey_map supports quasi-static noise; "
                          "use decoupling_scan for OU noise")
-    engine = _map_engine(params, field, engine)
-    if transition is None:
-        transition = _nearest_transition(engine, float(freq_grid.mean()))
+    freq_grid, delay_grid, engine, transition = _map_setup(
+        params, field, engine, freq_grid, delay_grid, transition)
     ax, az = amplitude_x_hz, amplitude_z_hz
     if pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
@@ -493,6 +487,11 @@ def decoupling_scan(params: ManifoldParams, field: MagneticField,
     them, and the curve is the noise-averaged Ramsey contrast
     E[cos(accumulated filtered phase)].  ``delay_grid`` is the total
     free-evolution time; pulses sit at the standard CPMG positions.
+
+    Because the pulses are ideal and the noise is pure dephasing, the
+    curve depends on none of the spin model: ``params`` and ``field`` do
+    not enter the result, and ``transition`` is only checked to name one
+    of :data:`TRANSITIONS`.
     """
     if noise.kind != "ornstein-uhlenbeck":
         raise ValueError("decoupling_scan expects an Ornstein-Uhlenbeck noise model")
@@ -549,12 +548,8 @@ def decoupling_scan(params: ManifoldParams, field: MagneticField,
 def _rb_gates():
     """The physical gate set: quarter and half turns about X and Y."""
     gates = []
-    for axis in ("x", "y"):
+    for gen in (SIGMA_X, SIGMA_Y):
         for angle in (math.pi / 2, -math.pi / 2, math.pi, -math.pi):
-            if axis == "x":
-                gen = np.array([[0, 1], [1, 0]], dtype=complex)
-            else:
-                gen = np.array([[0, -1j], [1j, 0]], dtype=complex)
             gates.append(
                 math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * gen
             )

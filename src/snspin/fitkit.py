@@ -25,14 +25,14 @@ sum-of-squares loss at the optimum, reported relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .params import ManifoldParams, MagneticField, field_for_larmor
 from . import dynamics
-from .dynamics import SignalMap
+from .csvio import load_signal_csv, save_signal_csv  # noqa: F401 (re-exported)
 
 FIT_PARAM_NAMES = (
     "b_x_dc_hz", "b_z_dc_hz", "b_x_ac_hz", "b_z_ac_hz",
@@ -91,10 +91,7 @@ class FitParams:
         return params, field, (self.b_x_ac_hz, self.b_z_ac_hz)
 
     def to_dict(self) -> dict:
-        return {n: float(getattr(self, n)) for n in FIT_PARAM_NAMES} | {
-            "lambda_soc_hz": float(self.lambda_soc_hz),
-            "orbital_quench_q": float(self.orbital_quench_q),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def _model(theta: FitParams, spec: ExperimentSpec):
 
 
 def simulate_experiment(theta: FitParams, spec: ExperimentSpec,
-                        engine=None) -> SignalMap:
+                        engine=None) -> dynamics.SignalMap:
     """Model map for one spec, delegated to the dynamics engine.
 
     ``engine`` optionally shares the system of ``theta`` at the spec's
@@ -269,21 +266,20 @@ class FitResult:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "loss": self.loss,
-            "errors_rel": dict(self.errors_rel),
-            "transitions_hz": dict(self.transitions_hz),
-            "n_eval": self.n_eval,
-            "acceptance_log": [list(x) for x in self.acceptance_log],
-            "success": self.success,
-            "message": self.message,
-        }
+        """Every field but the residual maps, as JSON-ready values."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "residual_maps"}
+        out.update(params=self.params.to_dict(),
+                   acceptance_log=[list(x) for x in self.acceptance_log])
+        return out
 
 
 # Relative finite-difference step of the residual Jacobian, in the
 # normalized coordinates of the fit.
 _FD_STEP = 1e-6
+
+# Step tolerance of the trust-region optimizer, in the same coordinates.
+_XTOL = 1e-4
 
 
 def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
@@ -433,14 +429,13 @@ def _curriculum(problem: FitProblem) -> list:
 
 
 def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
-                   max_eval: int = 2000, xatol: float = 1e-4,
-                   with_errors: bool = True) -> FitResult:
+                   max_eval: int = 2000, with_errors: bool = True) -> FitResult:
     """Recover the free parameters by staged trust-region least squares.
 
     The optimizer (scipy's bounded trust-region reflective method) works
     on the residual vector over values normalized by the problem's
-    initial point, so all directions have comparable scale; ``xatol`` is
-    its step tolerance in those units.  It follows :func:`_curriculum`:
+    initial point, so all directions have comparable scale, and stops at
+    a step of ``_XTOL`` in those units.  It follows :func:`_curriculum`:
     the chevrons first, then ever longer Ramsey fringes, each stage
     starting from the previous optimum.  The first stage also screens
     the box of +-5% around the start with a Latin hypercube drawn from
@@ -519,7 +514,7 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
             return j
 
         res = least_squares(fun, x0, jac=jac, bounds=(lo, hi), method="trf",
-                            xtol=xatol)
+                            xtol=_XTOL)
         best.update(success=bool(res.success), message=str(res.message))
 
     def screen(sub, x, count):
@@ -589,84 +584,6 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
         n_eval=state["n"], acceptance_log=tuple(log),
         success=success, message=message,
     )
-
-
-def save_signal_csv(path, signal_map: SignalMap, metadata: dict | None = None):
-    """Write a map as freq_hz,duration_s,signal rows with '#' metadata lines."""
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key}={val}")
-    for row in signal_map.csv_rows():
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_signal_csv(path) -> tuple:
-    """Read a freq_hz,duration_s,signal CSV into (metadata, SignalMap).
-
-    Leading '#' lines carry optional key=value metadata (experiment
-    kind, transition, calibrated pulse duration) written by the
-    exporter.  The rows must cover a full rectangular grid; malformed
-    content is reported with its line number.
-    """
-    import csv
-
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        raw = fh.read().splitlines()
-    body_start = 0
-    for line in raw:
-        if not line.startswith("#"):
-            break
-        body_start += 1
-        text = line.lstrip("#").strip()
-        if "=" in text:
-            key, _, val = text.partition("=")
-            meta[key.strip()] = val.strip()
-    reader = csv.reader(raw[body_start:])
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    if [h.strip() for h in header] != ["freq_hz", "duration_s", "signal"]:
-        raise ValueError(
-            f"{path}: line {body_start + 1}: expected header "
-            f"'freq_hz,duration_s,signal', got {','.join(header)!r}"
-        )
-    freqs, times, vals = [], [], []
-    for offset, row in enumerate(reader, start=body_start + 2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"{path}: line {offset}: expected 3 fields, got {len(row)}")
-        try:
-            f, t, s = (float(x) for x in row)
-        except ValueError:
-            raise ValueError(f"{path}: line {offset}: non-numeric value in {row!r}")
-        if not (math.isfinite(f) and math.isfinite(t) and math.isfinite(s)):
-            raise ValueError(f"{path}: line {offset}: non-finite value in {row!r}")
-        freqs.append(f)
-        times.append(t)
-        vals.append(s)
-    if not vals:
-        raise ValueError(f"{path}: no data rows")
-    freq_axis = np.unique(freqs)
-    time_axis = np.unique(times)
-    if len(vals) != freq_axis.size * time_axis.size:
-        raise ValueError(
-            f"{path}: {len(vals)} rows do not fill a "
-            f"{freq_axis.size} x {time_axis.size} grid"
-        )
-    signal = np.full((freq_axis.size, time_axis.size), math.nan)
-    fi = {v: i for i, v in enumerate(freq_axis)}
-    ti = {v: i for i, v in enumerate(time_axis)}
-    for f, t, s in zip(freqs, times, vals):
-        i, j = fi[f], ti[t]
-        if not math.isnan(signal[i, j]):
-            raise ValueError(f"{path}: duplicate grid point ({f!r}, {t!r})")
-        signal[i, j] = s
-    return meta, SignalMap(freq_axis, time_axis, signal)
 
 
 def _period_aligned(delays, freq_hz):

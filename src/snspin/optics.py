@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit, linear_sum_assignment
 
-from .spinmodel import EigenSystem, QUBIT_LABELS, SX_L, SY_L
-
-# Lower-branch label order used for all 4x4 optical matrices.
-_GROUND_ORDER = tuple(f"lower.{q}" for q in QUBIT_LABELS)
+from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,8 @@ def dipole_strengths(ground: EigenSystem, excited: EigenSystem,
     """
     dipoles = dipoles or default_dipoles()
     p_total = dipoles.total()
-    exc = np.column_stack([excited.state(lab) for lab in _GROUND_ORDER])
-    gnd = np.column_stack([ground.state(lab) for lab in _GROUND_ORDER])
+    exc = np.column_stack([excited.state(lab) for lab in LOWER_LABELS])
+    gnd = np.column_stack([ground.state(lab) for lab in LOWER_LABELS])
     amp = exc.conj().T @ p_total @ gnd
     return np.abs(amp) ** 2
 
@@ -70,7 +67,7 @@ def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem,
     """
     strengths = dipole_strengths(ground, excited, dipoles)
     exc_idx, gnd_idx = linear_sum_assignment(-strengths)
-    return {_GROUND_ORDER[g]: _GROUND_ORDER[e] for e, g in zip(exc_idx, gnd_idx)}
+    return {LOWER_LABELS[g]: LOWER_LABELS[e] for e, g in zip(exc_idx, gnd_idx)}
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,8 @@ class CyclicityResult:
 
     branching: np.ndarray
     cyclicity: dict
-    excited_labels: tuple = _GROUND_ORDER
-    ground_labels: tuple = _GROUND_ORDER
+    excited_labels: tuple = LOWER_LABELS
+    ground_labels: tuple = LOWER_LABELS
 
     @property
     def lambda_f0(self) -> float:
@@ -102,7 +99,7 @@ def cyclicity(ground: EigenSystem, excited: EigenSystem,
     totals = strengths.sum(axis=1)
     branching = np.zeros_like(strengths)
     cyc = {}
-    for i, label in enumerate(_GROUND_ORDER):
+    for i, label in enumerate(LOWER_LABELS):
         if totals[i] <= 0.0:
             cyc[label] = math.nan
             continue
@@ -143,8 +140,8 @@ def _pump_rates(ground, excited, dipoles, pump_freq_hz, rabi_hz, linewidth_hz):
     peak = strengths.max()
     if peak <= 0:
         return np.zeros((4, 4))
-    e_gnd = np.array([ground.energy(lab) for lab in _GROUND_ORDER])
-    e_exc = np.array([excited.energy(lab) for lab in _GROUND_ORDER])
+    e_gnd = np.array([ground.energy(lab) for lab in LOWER_LABELS])
+    e_exc = np.array([excited.energy(lab) for lab in LOWER_LABELS])
     detuning = pump_freq_hz - (e_exc[:, None] - e_gnd[None, :])
     # Unit-area Lorentzian of FWHM linewidth, peak 2/(pi*linewidth).
     lineshape = (2.0 / (math.pi * linewidth_hz)) / (
@@ -178,10 +175,10 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
         from .spectrum import optical_transitions
 
         table = optical_transitions(ground, excited, zpl=0.0, dipoles=dipoles)
-        freqs = [e.frequency_hz for e in table.entries if e.peak_id == pump_line]
-        if not freqs:
-            raise ValueError(f"no optical line with peak id {pump_line!r}")
-        pump_freq = float(np.mean(freqs))
+        try:
+            pump_freq = table.frequency(pump_line)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     else:
         pump_freq = float(pump_line)
 
@@ -205,8 +202,8 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
 
     if w.max() * duration_s < 1e-6:
         return PumpResult(
-            populations=dict(zip(_GROUND_ORDER, x0[:4] / x0[:4].sum())),
-            steady_state=dict(zip(_GROUND_ORDER, x0[:4] / x0[:4].sum())),
+            populations=dict(zip(LOWER_LABELS, x0[:4] / x0[:4].sum())),
+            steady_state=dict(zip(LOWER_LABELS, x0[:4] / x0[:4].sum())),
             tau_pol_s=math.inf,
             target="",
             converged=False,
@@ -226,7 +223,7 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
     steady_ground = np.clip(steady[:4], 0.0, None)
     steady_ground /= steady_ground.sum()
     target_idx = int(np.argmax(steady_ground))
-    target = _GROUND_ORDER[target_idx]
+    target = LOWER_LABELS[target_idx]
 
     times = np.linspace(0.0, duration_s, 200)
     modes = np.exp(np.outer(times, vals)) * coeff
@@ -246,8 +243,8 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
     final_ground = np.clip(traj[-1, :4], 0.0, None)
     final_ground /= final_ground.sum()
     return PumpResult(
-        populations=dict(zip(_GROUND_ORDER, final_ground)),
-        steady_state=dict(zip(_GROUND_ORDER, steady_ground)),
+        populations=dict(zip(LOWER_LABELS, final_ground)),
+        steady_state=dict(zip(LOWER_LABELS, steady_ground)),
         tau_pol_s=tau_pol,
         target=target,
     )

@@ -8,7 +8,8 @@ Hamiltonian for a single S=1/2 electron coupled to one I=1/2 nucleus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import dataclass, asdict, fields
 
 # Bohr magneton over Planck constant, Hz per Tesla.
 MU_B_HZ_PER_T = 13.996246e9
@@ -33,8 +34,26 @@ OPTICAL_LINEWIDTH_HZ = 61.859e6
 GAMMA_PHONON_1P7K = 0.75
 
 
+class _NumberRecord:
+    """Base of the parameter dataclasses: every field is a finite number,
+    and the dict form holds the fields by name."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class ManifoldParams:
+class ManifoldParams(_NumberRecord):
     """Coupling constants of one orbital doublet manifold (Hz).
 
     :param lambda_soc: spin-orbit splitting of the orbital doublet.
@@ -60,18 +79,13 @@ class ManifoldParams:
     g_electron: float = G_ELECTRON
     nuclear_gyro: float = SN117_GYRO_HZ_PER_T
 
-    def __post_init__(self):
-        for name in ("lambda_soc", "upsilon_ioc", "a_par", "a_perp",
-                     "strain_egx", "strain_egy", "orbital_quench_q",
-                     "g_electron", "nuclear_gyro"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value != value:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-
     @property
     def strain_total(self) -> float:
         """Magnitude of the transverse strain coupling, Hz."""
-        return float((self.strain_egx ** 2 + self.strain_egy ** 2) ** 0.5)
+        # products and sqrt, which round like numpy's array arithmetic;
+        # Python's ``x ** 2`` does not on about one value in a thousand
+        return math.sqrt(self.strain_egx * self.strain_egx
+                         + self.strain_egy * self.strain_egy)
 
     @property
     def delta_total(self) -> float:
@@ -81,36 +95,17 @@ class ManifoldParams:
         by spin-orbit coupling and transverse strain together (for one
         electron-spin orientation, ignoring hyperfine corrections).
         """
-        return float((self.lambda_soc ** 2 + 4.0 * self.strain_total ** 2) ** 0.5)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ManifoldParams":
-        return cls(**data)
+        strain = self.strain_total
+        return math.sqrt(self.lambda_soc * self.lambda_soc + 4.0 * strain * strain)
 
 
 @dataclass(frozen=True)
-class MagneticField:
+class MagneticField(_NumberRecord):
     """Static or envelope magnetic field vector in Tesla."""
 
     bx: float = 0.0
     by: float = 0.0
     bz: float = 0.0
-
-    def __post_init__(self):
-        for name in ("bx", "by", "bz"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value != value:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MagneticField":
-        return cls(**data)
 
 
 def electron_larmor_hz(b_tesla: float, g_electron: float = G_ELECTRON) -> float:

@@ -6,11 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinmodel import EigenSystem, QUBIT_LABELS
+from .spinmodel import LOWER_LABELS, TRANSITIONS, EigenSystem
 from .optics import DipoleSet, spin_conserving_pairs
 from .params import OPTICAL_LINEWIDTH_HZ
-
-_LOWER = tuple(f"lower.{q}" for q in QUBIT_LABELS)
 
 
 @dataclass(frozen=True)
@@ -57,20 +55,10 @@ class SpectrumTrace:
 
 
 def mw_transitions(ground: EigenSystem) -> TransitionTable:
-    """The three lower-branch microwave transitions.
-
-    0B0M <-> 1B0M is the broker-qubit flip, 0B0M <-> 0B1M the
-    memory-qubit flip, and 0B1M <-> 1B1M the broker flip conditional on
-    the memory being 1.
-    """
-    pairs = (
-        ("lower.0B0M", "lower.1B0M", "broker"),
-        ("lower.0B0M", "lower.0B1M", "memory"),
-        ("lower.0B1M", "lower.1B1M", "broker_m1"),
-    )
+    """The three lower-branch microwave transitions of ``spinmodel.TRANSITIONS``."""
     entries = tuple(
         TransitionEntry(a, b, abs(ground.transition(b, a)), "microwave", key)
-        for a, b, key in pairs
+        for key, (a, b) in TRANSITIONS.items()
     )
     return TransitionTable(entries=entries)
 
@@ -100,9 +88,9 @@ def optical_transitions(ground: EigenSystem, excited: EigenSystem,
         "lower.0B1M": "f2",
     }
     entries = []
-    for g_label in _LOWER:
+    for g_label in LOWER_LABELS:
         partner = pairs[g_label]
-        for e_label in _LOWER:
+        for e_label in LOWER_LABELS:
             freq = zpl + excited.energy(e_label) - ground.energy(g_label)
             peak = peak_of[g_label] if e_label == partner else "other"
             entries.append(TransitionEntry(g_label, e_label, freq, "optical", peak))

@@ -58,6 +58,24 @@ SX_I, SY_I, SZ_I = (_embed(p, 2) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 BRANCHES = ("lower", "upper")
 QUBIT_LABELS = ("0B0M", "0B1M", "1B0M", "1B1M")
 
+# Lower-branch labels in qubit order: the row and column order of every
+# 4x4 optical matrix and of the optical transition table.
+LOWER_LABELS = tuple(f"lower.{q}" for q in QUBIT_LABELS)
+
+# The three lower-branch microwave transitions, (from, to) by name:
+# 0B0M <-> 1B0M is the broker-qubit flip, 0B0M <-> 0B1M the memory-qubit
+# flip, and 0B1M <-> 1B1M the broker flip conditional on the memory being 1.
+TRANSITIONS = {
+    "broker": ("lower.0B0M", "lower.1B0M"),
+    "memory": ("lower.0B0M", "lower.0B1M"),
+    "broker_m1": ("lower.0B1M", "lower.1B1M"),
+}
+
+# Relative gap (in units of the total orbital splitting) below which
+# neighboring levels are treated as one degenerate cluster and rotated
+# onto the analytic zero-field basis before labeling.
+_DEGENERACY_TOL = 1e-9
+
 # Basis-index bit masks: aligned means electron bit == nuclear bit.
 _ELECTRON_BIT = np.array([(i >> 1) & 1 for i in range(8)])
 _NUCLEAR_BIT = np.array([i & 1 for i in range(8)])
@@ -115,9 +133,6 @@ class EigenSystem:
     def transition(self, label_to: str, label_from: str) -> float:
         """Signed transition frequency E(to) - E(from), Hz."""
         return self.energy(label_to) - self.energy(label_from)
-
-    def branch_indices(self, branch: str) -> list:
-        return [k for k, lab in enumerate(self.labels) if lab.startswith(branch + ".")]
 
     def level_dict(self) -> dict:
         return {lab: float(e) for lab, e in zip(self.labels, self.energies)}
@@ -223,17 +238,12 @@ def _rotate_clusters(energies, states, params, branch_idx, offset, tol):
     return states
 
 
-def eigensystem(h: np.ndarray, params: ManifoldParams,
-                degeneracy_tol: float = 1e-9) -> EigenSystem:
+def eigensystem(h: np.ndarray, params: ManifoldParams) -> EigenSystem:
     """Diagonalize a manifold Hamiltonian and attach branch/qubit labels.
 
     :param h: 8x8 Hermitian matrix in the fixed product basis (Hz).
     :param params: couplings used to build ``h``; needed to resolve
         degenerate subspaces against the analytic zero-field basis.
-    :param degeneracy_tol: relative gap (in units of the total orbital
-        splitting) below which neighboring levels are treated as one
-        degenerate cluster and rotated onto the analytic zero-field
-        basis before labeling.
     """
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {h.shape}")
@@ -241,7 +251,7 @@ def eigensystem(h: np.ndarray, params: ManifoldParams,
     if scale > 0 and np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("Hamiltonian is not Hermitian")
     energies, states = np.linalg.eigh(h)
-    tol = degeneracy_tol * max(params.delta_total, 1.0)
+    tol = _DEGENERACY_TOL * max(params.delta_total, 1.0)
 
     labels = [""] * 8
     for branch_idx, (branch, offset) in enumerate((("lower", 0), ("upper", 4))):
@@ -267,10 +277,9 @@ def eigensystem(h: np.ndarray, params: ManifoldParams,
     )
 
 
-def manifold_eigensystem(params: ManifoldParams, field: MagneticField,
-                         degeneracy_tol: float = 1e-9) -> EigenSystem:
+def manifold_eigensystem(params: ManifoldParams, field: MagneticField) -> EigenSystem:
     """Build and diagonalize one manifold at the given field."""
-    return eigensystem(build_hamiltonian(params, field), params, degeneracy_tol)
+    return eigensystem(build_hamiltonian(params, field), params)
 
 
 def closed_form_energies(params: ManifoldParams, order: int = 2) -> dict:
@@ -330,7 +339,7 @@ def closed_form_energies(params: ManifoldParams, order: int = 2) -> dict:
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY",
     "SX_L", "SY_L", "SZ_L", "SX_S", "SY_S", "SZ_S", "SX_I", "SY_I", "SZ_I",
-    "BRANCHES", "QUBIT_LABELS",
+    "BRANCHES", "QUBIT_LABELS", "LOWER_LABELS", "TRANSITIONS",
     "zeeman_operator", "build_hamiltonian",
     "EigenSystem", "eigensystem", "manifold_eigensystem", "closed_form_energies",
 ]

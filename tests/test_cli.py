@@ -54,6 +54,59 @@ def load_csv_artifact(path):
     return comments, lines
 
 
+# A small config of every command and the artifact format it writes.
+SMALL_CONFIGS = {
+    "levels": ({"options": {"manifold": "both"}}, "json"),
+    "transitions": ({}, "csv"),
+    "ple": ({"options": {"detuning_hz": {"start": -1e9, "stop": 1e9,
+                                         "points": 21}}}, "csv"),
+    "cyclicity-map": ({"options": {"bx_t": [0.0, 2.0e-4],
+                                   "bz_t": [5.537199046e-5]}}, "csv"),
+    "pump": ({"options": {"line": "f2", "rabi_hz": 30e6,
+                          "duration_s": 3e-6}}, "json"),
+    "fidelity-budget": ({"options": {"n_list": [1, 1000]}}, "json"),
+    "rabi": ({"options": {"freq_hz": {"start": 6.40e8, "stop": 6.48e8, "points": 3},
+                          "duration_s": {"start": 0.0, "stop": 2.4e-7,
+                                         "points": 5}}}, "csv"),
+    "ramsey": ({"options": {"transition": "memory", "freq_hz": [6.143066e8],
+                            "delay_s": {"start": 0.0, "stop": 2e-6, "points": 9},
+                            "pi_half_s": 108e-9}}, "csv"),
+    "decouple": ({"seed": 4, "options": {
+        "n_pulses": 1,
+        "total_time_s": {"start": 5e-6, "stop": 6e-5, "points": 6},
+        "noise": {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
+                  "correlation_time_s": 1e-4, "samples": 50}}}, "json"),
+    "rb": ({"seed": 9, "options": {"gate_fidelity": 0.9, "lengths": [1, 4, 16, 64],
+                                   "sequences_per_length": 20}}, "json"),
+    "coherence-map": ({"options": {"upsilon_hz": [0.0, 1.0e6],
+                                   "alpha_hz": [928.4e9]}}, "csv"),
+    "fit": (None, "json"),  # built by small_config: it needs a data file
+}
+
+
+def small_config(command, tmp_path):
+    """The small config of ``command``; ``fit`` gets the tiny chevron of
+    test_fit_command_round_trip, written next to the config."""
+    if command != "fit":
+        return dict(SMALL_CONFIGS[command][0], command=command)
+    from snspin.fitkit import (ExperimentSpec, FitParams, save_signal_csv,
+                               simulate_experiment)
+
+    truth = FitParams.reference()
+    spec = ExperimentSpec(
+        "rabi", "broker",
+        tuple(6.440462e8 + np.linspace(-6e6, 6e6, 5)),
+        tuple(np.linspace(2e-8, 6.2e-7, 8)),
+    )
+    save_signal_csv(tmp_path / "chevron.csv", simulate_experiment(truth, spec),
+                    metadata=spec.metadata())
+    initial = truth.to_dict()
+    initial["b_x_ac_hz"] *= 1.02
+    return {"command": "fit", "seed": 1,
+            "options": {"datasets": [{"path": "chevron.csv"}], "initial": initial,
+                        "free": ["b_x_ac_hz"], "max_eval": 200}}
+
+
 def test_levels_matches_library(tmp_path):
     cfg = {"command": "levels", "options": {"manifold": "both"}}
     written, raw = run_command(tmp_path, cfg)
@@ -272,10 +325,9 @@ def test_fit_command_round_trip(tmp_path):
         cli.run(str(write_config(tmp_path, bad, "bad.json")))
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = {"command": "rb", "seed": 9,
-           "options": {"gate_fidelity": 0.9, "lengths": [1, 4, 16, 64],
-                       "sequences_per_length": 20}}
+@pytest.mark.parametrize("command", list(SMALL_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    cfg = small_config(command, tmp_path)
     first, _ = run_command(tmp_path, cfg)
     blob = open(first, "rb").read()
     path = tmp_path / "run.json"
@@ -297,17 +349,26 @@ def test_seed_override_changes_result(tmp_path):
     assert base["mean_survival"] != other["mean_survival"]
 
 
-def test_default_output_and_env_dir(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", list(SMALL_CONFIGS))
+def test_default_output_and_env_dir(tmp_path, monkeypatch, command):
     monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
-    cfg = {"command": "levels"}  # no "output" key
-    path = write_config(tmp_path, cfg)
-    written = cli.run(str(path))
-    assert written == str(tmp_path / "levels.json")
-    assert (tmp_path / "levels.json").exists()
+    cfg = small_config(command, tmp_path)  # no "output" key
+    written = cli.run(str(write_config(tmp_path, cfg)))
+    ext = SMALL_CONFIGS[command][1]
+    assert written == str(tmp_path / f"{command}.{ext}")
+    if ext == "json":
+        assert "_provenance" in load_json_artifact(written)
+    else:
+        comments, lines = load_csv_artifact(written)
+        assert set(comments) >= {"config_sha256", "version", "seed"}
+        assert len(lines) >= 2 and "," in lines[0]
 
-    csv_cfg = {"command": "transitions"}
-    written = cli.run(str(write_config(tmp_path, csv_cfg, "t.json")))
-    assert written == str(tmp_path / "transitions.csv")
+    # the unknown-command error lists exactly the commands tested here
+    unknown = write_config(tmp_path, {"command": "teleport"}, "u.json")
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run(str(unknown))
+    listed = str(err.value).split("expected one of ")[1].split(", ")
+    assert sorted(listed) == sorted(SMALL_CONFIGS)
 
 
 def test_main_exit_codes_and_error_json(tmp_path, capsys):

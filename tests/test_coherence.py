@@ -1,6 +1,8 @@
 """Phonon-limited dephasing: lambda_eff, T2 formula, strain maps."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,3 +180,29 @@ def test_coherence_map_csv(ground):
     assert rows[0] == ("upsilon_hz", "alpha_hz", "t2_s")
     assert len(rows) == 1 + 4
     assert float(rows[1][2]) == cmap.t2_s[0, 0]
+
+
+@pytest.mark.parametrize("lambda_sign", [1.0, -1.0])
+@pytest.mark.parametrize("sign_convention", ["opposite", "same"])
+def test_coherence_map_matches_per_point_formulas(ground, sign_convention,
+                                                  lambda_sign):
+    """The map equals t2_phonon(lambda_eff(...)) of ``base`` with each grid
+    point's strain and Jahn-Teller amplitude, including alpha = 0,
+    upsilon = 0 and points exactly on the ridge, and warns of nothing."""
+    base = replace(ground, lambda_soc=lambda_sign * ground.lambda_soc)
+    alphas = np.array([0.0, 1e11, ground.strain_egx, 1.5e12])
+    ridges = [abs(ridge_upsilon(base.lambda_soc, base.a_perp, a)) for a in alphas]
+    ups = np.concatenate([np.linspace(0.0, 2.2e5, 23), ridges])
+    coh = CoherenceParams(gamma_phonon=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cmap = coherence_map(base, ups, alphas, sign_convention, coh)
+    expected = np.array([
+        [t2_phonon(lambda_eff(replace(base, upsilon_ioc=float(u),
+                                      strain_egx=float(a), strain_egy=0.0))[0], coh)
+         for a in alphas]
+        for u in cmap.upsilon_hz
+    ])
+    np.testing.assert_allclose(cmap.t2_s, expected, rtol=1e-15, atol=0.0)
+    # lambda_B vanishes exactly on the alpha = 0 ridge of the opposite sign
+    assert np.isinf(cmap.t2_s[23, 0]) == (sign_convention == "opposite")

@@ -80,3 +80,8 @@ def test_params_reject_non_numbers():
         ManifoldParams(lambda_soc="big")
     with pytest.raises(ValueError):
         MagneticField(bx=float("nan"))
+    for value in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ManifoldParams(lambda_soc=value)
+        with pytest.raises(ValueError, match="finite"):
+            MagneticField(bx=value)
