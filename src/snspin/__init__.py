@@ -21,7 +21,6 @@ _EXPORTS = {
     "SpectrumTrace": "spectrum", "mw_transitions": "spectrum",
     "optical_transitions": "spectrum", "ple_spectrum": "spectrum",
     "memory_detuning": "spectrum",
-    "DipoleSet": "optics", "default_dipoles": "optics",
     "dipole_strengths": "optics", "spin_conserving_pairs": "optics",
     "cyclicity": "optics", "cyclicity_from_lifetimes": "optics",
     "pump_dynamics": "optics", "excitation_fidelity": "optics",

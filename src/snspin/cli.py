@@ -24,8 +24,8 @@ Grids are {"start": lo, "stop": hi, "points": n} blocks.  Unset
 parameter blocks fall back to the package's fitted defaults.
 
 ``decouple`` models ideal instantaneous pulses against pure dephasing,
-so its artifact does not depend on ``ground``, ``field`` or
-``options.transition`` (the last is only checked to be a known name).
+so it reads only ``options.noise``, ``options.n_pulses`` and
+``options.total_time_s``: no parameter block, field or transition.
 """
 
 from __future__ import annotations
@@ -147,6 +147,17 @@ def _noise(cfg: dict, path: str):
         raise ConfigError(str(exc), path)
 
 
+def _given(cfg: dict, readers: dict) -> dict:
+    """Each option named in ``readers`` that the config gives, read by its
+    reader; the options left out take the library function's defaults."""
+    return {name: read(cfg, f"options.{name}") for name, read in readers.items()
+            if _get(cfg, f"options.{name}") is not None}
+
+
+def _integer(cfg: dict, path: str) -> int:
+    return int(_number(cfg, path))
+
+
 def _plain(value):
     """A result as JSON-ready values: dataclasses and dicts field by field,
     numpy arrays to lists and numpy scalars to Python numbers."""
@@ -223,7 +234,7 @@ def _cmd_cyclicity_map(cfg, seed):
 
 
 def _cmd_pump(cfg, seed):
-    from .params import LIFETIME_S, OPTICAL_LINEWIDTH_HZ
+    from .params import OPTICAL_LINEWIDTH_HZ
     from .optics import pump_dynamics
 
     field = _field(cfg)
@@ -233,12 +244,11 @@ def _cmd_pump(cfg, seed):
     if not isinstance(line, str):
         line = float(line)
     result = pump_dynamics(
-        ground, excited, dipoles=None,
-        pump_line=line,
+        ground, excited, pump_line=line,
         rabi_hz=_number(cfg, "options.rabi_hz", required=True),
         linewidth_hz=_number(cfg, "options.linewidth_hz", OPTICAL_LINEWIDTH_HZ),
         duration_s=_number(cfg, "options.duration_s", 10e-6),
-        lifetime_s=_number(cfg, "options.lifetime_s", LIFETIME_S),
+        **_given(cfg, {"lifetime_s": _number}),
     )
     return _plain(result), "json"
 
@@ -273,11 +283,15 @@ def _cmd_fidelity_budget(cfg, seed):
 
 
 def _map_common(cfg, kind):
-    """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map."""
+    """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map;
+    the drive defaults to the reference device's."""
+    from .fitkit import FitParams
+
     params = _manifold(cfg, "ground")
     field = _field(cfg)
-    ax = _number(cfg, "options.amplitude_x_hz", 8.92e6)
-    az = _number(cfg, "options.amplitude_z_hz", 5.00e6)
+    reference = FitParams.reference()
+    ax = _number(cfg, "options.amplitude_x_hz", reference.b_x_ac_hz)
+    az = _number(cfg, "options.amplitude_z_hz", reference.b_z_ac_hz)
     transition = _get(cfg, "options.transition")
     meta = {"kind": kind}
     if transition:
@@ -317,11 +331,9 @@ def _cmd_decouple(cfg, seed):
         raise ConfigError("decouple needs an ornstein-uhlenbeck noise block",
                           "options.noise")
     result = decoupling_scan(
-        _manifold(cfg, "ground"), _field(cfg),
         n_pulses=int(_number(cfg, "options.n_pulses", required=True)),
         delay_grid=_grid(cfg, "options.total_time_s"),
         noise=noise, seed=seed,
-        transition=_get(cfg, "options.transition", "memory"),
     )
     return _plain(result), "json"
 
@@ -329,13 +341,15 @@ def _cmd_decouple(cfg, seed):
 def _cmd_rb(cfg, seed):
     from .dynamics import rb_simulate, clifford_adjust
 
-    spam = _get(cfg, "options.spam", [1.0, 0.0])
+    def pair(cfg, path):
+        spam = _get(cfg, path)
+        return float(spam[0]), float(spam[1])
+
     result = rb_simulate(
         gate_fidelity=_number(cfg, "options.gate_fidelity", required=True),
         lengths=_get(cfg, "options.lengths"),
-        sequences_per_length=int(_number(cfg, "options.sequences_per_length", 300)),
         seed=seed,
-        spam=(float(spam[0]), float(spam[1])),
+        **_given(cfg, {"sequences_per_length": _integer, "spam": pair}),
     )
     out = _plain(result)
     if result.fit_ok:
@@ -346,15 +360,11 @@ def _cmd_rb(cfg, seed):
 def _cmd_coherence_map(cfg, seed):
     from .coherence import coherence_map, CoherenceParams
 
-    coh = CoherenceParams(
-        gamma_phonon=_number(cfg, "options.gamma_phonon", CoherenceParams().gamma_phonon),
-        temperature_k=_number(cfg, "options.temperature_k", 1.7),
-    )
     m = coherence_map(
         _manifold(cfg, "ground"),
         _grid(cfg, "options.upsilon_hz"), _grid(cfg, "options.alpha_hz"),
-        sign_convention=_get(cfg, "options.sign_convention", "opposite"),
-        coherence=coh,
+        coherence=CoherenceParams(**_given(cfg, {"gamma_phonon": _number})),
+        **_given(cfg, {"sign_convention": _get}),
     )
     return m.csv_rows(), "csv"
 
@@ -414,8 +424,7 @@ def _cmd_fit(cfg, seed):
         raise ConfigError(str(exc), "options")
     result = fit_parameters(
         problem, seed=seed,
-        restarts=int(_number(cfg, "options.restarts", 0)),
-        max_eval=int(_number(cfg, "options.max_eval", 2000)),
+        **_given(cfg, {"restarts": _integer, "max_eval": _integer}),
     )
     out = result.to_dict()
     del out["acceptance_log"]  # can be large; keep artifacts compact

@@ -29,11 +29,10 @@ class CoherenceParams:
     """Inter-branch phonon scattering input for the T2 formula.
 
     ``gamma_phonon`` is a direct calibration input per temperature (the
-    formula uses it literally); ``temperature_k`` is metadata only.
+    formula uses it literally); the default is its value at 1.7 K.
     """
 
     gamma_phonon: float = GAMMA_PHONON_1P7K
-    temperature_k: float = 1.7
 
     def __post_init__(self):
         if not self.gamma_phonon >= 0:

@@ -477,9 +477,8 @@ def _ou_segment_samples(rng, delta0, sigma, tau_c, dt):
     return delta1, integral
 
 
-def decoupling_scan(params: ManifoldParams, field: MagneticField,
-                    n_pulses: int, delay_grid, noise: NoiseModel,
-                    seed: int = 0, transition: str = "memory") -> DecouplingResult:
+def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
+                    seed: int = 0) -> DecouplingResult:
     """Coherence under n equidistant XY pi-pulses with OU detuning noise.
 
     The pi-pulses are ideal and instantaneous (alternating X/Y phases
@@ -489,15 +488,13 @@ def decoupling_scan(params: ManifoldParams, field: MagneticField,
     free-evolution time; pulses sit at the standard CPMG positions.
 
     Because the pulses are ideal and the noise is pure dephasing, the
-    curve depends on none of the spin model: ``params`` and ``field`` do
-    not enter the result, and ``transition`` is only checked to name one
-    of :data:`TRANSITIONS`.
+    curve depends on the noise alone, not on the spin model or on which
+    transition carries the qubit.
     """
     if noise.kind != "ornstein-uhlenbeck":
         raise ValueError("decoupling_scan expects an Ornstein-Uhlenbeck noise model")
     if n_pulses < 0:
         raise ValueError("pulse count must be non-negative")
-    _ = TRANSITIONS[transition]  # validate the transition exists
     delay_grid = np.asarray(delay_grid, dtype=float)
     rng = np.random.default_rng(seed)
     sigma, tau_c = noise.sigma_hz, noise.correlation_time_s

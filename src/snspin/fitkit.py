@@ -30,7 +30,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .params import ManifoldParams, MagneticField, field_for_larmor
+from .params import (ManifoldParams, MagneticField, electron_larmor_hz,
+                     field_for_larmor, ground_defaults, reference_field)
 from . import dynamics
 from .csvio import load_signal_csv, save_signal_csv  # noqa: F401 (re-exported)
 
@@ -48,7 +49,7 @@ class FitParams:
 
     Field and drive amplitudes are electron drive strengths g mu_B B / h
     in Hz.  ``lambda_soc_hz`` and ``orbital_quench_q`` are fixed inputs,
-    not fitted.
+    not fitted; they default to the ground manifold's.
     """
 
     b_x_dc_hz: float
@@ -58,15 +59,20 @@ class FitParams:
     a_par_hz: float
     a_perp_hz: float
     alpha_hz: float
-    lambda_soc_hz: float = 830.0e9
-    orbital_quench_q: float = 0.171
+    lambda_soc_hz: float = ground_defaults().lambda_soc
+    orbital_quench_q: float = ground_defaults().orbital_quench_q
 
     @classmethod
     def reference(cls) -> "FitParams":
+        """The reference device: the ground manifold's defaults in
+        :func:`reference_field`, driven at 8.92 MHz (x) and 5.00 MHz (z)."""
+        ground, field = ground_defaults(), reference_field()
         return cls(
-            b_x_dc_hz=6.03e6, b_z_dc_hz=1.55e6,
+            b_x_dc_hz=electron_larmor_hz(field.bx, ground.g_electron),
+            b_z_dc_hz=electron_larmor_hz(field.bz, ground.g_electron),
             b_x_ac_hz=8.92e6, b_z_ac_hz=5.00e6,
-            a_par_hz=673.8e6, a_perp_hz=670.95e6, alpha_hz=928.4e9,
+            a_par_hz=ground.a_par, a_perp_hz=ground.a_perp,
+            alpha_hz=ground.strain_egx,
         )
 
     def free_values(self, names=FIT_PARAM_NAMES) -> np.ndarray:
@@ -102,9 +108,6 @@ class ExperimentSpec:
     delay axis for a Ramsey map.  ``pi_half_s`` freezes the Ramsey
     pulse duration at its value when the data were taken; it is part of
     the measurement, not of the model, so the fit never varies it.
-    ``field_scale`` records maps taken at a different bias-coil current
-    with a known ratio to the primary setting; both static components
-    scale together while the fitted baseline values stay shared.
     Initialization is always 0B0M and readout the 1B population; the
     pre/post mapping-pulse routing follows the transition under test.
     """
@@ -114,7 +117,6 @@ class ExperimentSpec:
     freq_hz: tuple
     time_s: tuple
     pi_half_s: float | None = None
-    field_scale: float = 1.0
     label: str = ""
 
     def __post_init__(self):
@@ -126,8 +128,6 @@ class ExperimentSpec:
             raise ValueError("grids must be non-empty")
         if self.kind == "ramsey" and self.pi_half_s is None:
             raise ValueError("a ramsey spec needs its calibrated pi_half_s")
-        if not self.field_scale > 0:
-            raise ValueError("field_scale must be positive")
 
     @property
     def size(self) -> int:
@@ -137,30 +137,19 @@ class ExperimentSpec:
         meta = {"kind": self.kind, "transition": self.transition}
         if self.pi_half_s is not None:
             meta["pi_half_s"] = repr(float(self.pi_half_s))
-        if self.field_scale != 1.0:
-            meta["field_scale"] = repr(float(self.field_scale))
         if self.label:
             meta["label"] = self.label
         return meta
-
-
-def _model(theta: FitParams, spec: ExperimentSpec):
-    """``theta.to_model()`` with the static field scaled to the spec's setting."""
-    params, field, drive = theta.to_model()
-    if spec.field_scale != 1.0:
-        s = spec.field_scale
-        field = MagneticField(bx=s * field.bx, by=s * field.by, bz=s * field.bz)
-    return params, field, drive
 
 
 def simulate_experiment(theta: FitParams, spec: ExperimentSpec,
                         engine=None) -> dynamics.SignalMap:
     """Model map for one spec, delegated to the dynamics engine.
 
-    ``engine`` optionally shares the system of ``theta`` at the spec's
-    field setting between specs (see :func:`_simulate_all`).
+    ``engine`` optionally shares the system of ``theta`` between specs
+    (see :func:`_simulate_all`).
     """
-    params, field, (ax, az) = _model(theta, spec)
+    params, field, (ax, az) = theta.to_model()
     if spec.kind == "rabi":
         return dynamics.rabi_map(params, field, ax, az, spec.freq_hz, spec.time_s,
                                  transition=spec.transition, engine=engine)
@@ -169,19 +158,10 @@ def simulate_experiment(theta: FitParams, spec: ExperimentSpec,
                                pi_half_s=spec.pi_half_s, engine=engine)
 
 
-def _engines(theta: FitParams, specs) -> list:
-    """One engine per spec, shared by all specs at the same field setting."""
-    built = {}
-    for spec in specs:
-        if spec.field_scale not in built:
-            built[spec.field_scale] = dynamics._Engine(*_model(theta, spec)[:2])
-    return [built[spec.field_scale] for spec in specs]
-
-
 def _simulate_all(theta: FitParams, specs) -> list:
-    """Model signals of every spec from one system per field setting."""
-    return [simulate_experiment(theta, spec, engine).signal
-            for spec, engine in zip(specs, _engines(theta, specs))]
+    """Model signals of every spec from one shared system of ``theta``."""
+    engine = dynamics._Engine(*theta.to_model()[:2])
+    return [simulate_experiment(theta, spec, engine).signal for spec in specs]
 
 
 def _nuisance_rescale(sim: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -374,12 +354,12 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
 
     def objective(x):
         theta = initial.with_free_values(x * base, free)
+        params, field, (ax, az) = theta.to_model()
+        engine = dynamics._Engine(params, field)
         total = 0.0
-        engines = _engines(theta, [spec for spec, *_ in targets])
-        for (spec, f_col, f_hat, col_data), engine in zip(targets, engines):
+        for spec, f_col, f_hat, col_data in targets:
             f_model = engine.transition_frequency(spec.transition)
             total += _CALIBRATION_FREQ_WEIGHT * ((f_model - f_hat) / f_hat) ** 2
-            params, field, (ax, az) = _model(theta, spec)
             sim = dynamics.rabi_map(params, field, ax, az, (f_col,), spec.time_s,
                                     transition=spec.transition, engine=engine)
             diff = sim.signal[0] - col_data

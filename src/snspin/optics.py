@@ -16,48 +16,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit, linear_sum_assignment
 
+from .params import LIFETIME_S
 from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L
 
 
-@dataclass(frozen=True)
-class DipoleSet:
-    """Cross-manifold dipole operators in the fixed 8-dim product basis.
-
-    Each operator acts on the orbital factor only (identity on electron
-    and nuclear spin): ``pz`` preserves the circular orbital state while
-    ``px``/``py`` swap it, with the usual circular-basis phases.
-    """
-
-    px: np.ndarray
-    py: np.ndarray
-    pz: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.px + self.py + self.pz
+# Total cross-manifold dipole operator P = px + py + pz in the fixed
+# 8-dim product basis.  Each term acts on the orbital factor only
+# (identity on electron and nuclear spin): pz keeps the circular orbital
+# state while px/py swap it, with the usual circular-basis phases.
+DIPOLE = SX_L + SY_L + np.eye(8, dtype=complex)
 
 
-def default_dipoles() -> DipoleSet:
-    """Unit-strength dipole set of the standard group-theoretic model."""
-    return DipoleSet(px=SX_L.copy(), py=SY_L.copy(), pz=np.eye(8, dtype=complex))
-
-
-def dipole_strengths(ground: EigenSystem, excited: EigenSystem,
-                     dipoles: DipoleSet | None = None) -> np.ndarray:
-    """|<exc_i|P|gnd_j>|^2 over the lower branches, P = px + py + pz.
+def dipole_strengths(ground: EigenSystem, excited: EigenSystem) -> np.ndarray:
+    """|<exc_i|P|gnd_j>|^2 over the lower branches, P = :data:`DIPOLE`.
 
     Rows follow the excited, columns the ground lower-branch states, both
     in label order (0B0M, 0B1M, 1B0M, 1B1M).
     """
-    dipoles = dipoles or default_dipoles()
-    p_total = dipoles.total()
     exc = np.column_stack([excited.state(lab) for lab in LOWER_LABELS])
     gnd = np.column_stack([ground.state(lab) for lab in LOWER_LABELS])
-    amp = exc.conj().T @ p_total @ gnd
+    amp = exc.conj().T @ DIPOLE @ gnd
     return np.abs(amp) ** 2
 
 
-def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem,
-                          dipoles: DipoleSet | None = None) -> dict:
+def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem) -> dict:
     """Match each lower-branch ground state to its optical partner.
 
     The partner is the excited state carrying the dominant dipole
@@ -65,7 +47,7 @@ def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem,
     matching so it stays one-to-one even when the two manifolds order
     their mixed states differently.  Returns ground label -> excited label.
     """
-    strengths = dipole_strengths(ground, excited, dipoles)
+    strengths = dipole_strengths(ground, excited)
     exc_idx, gnd_idx = linear_sum_assignment(-strengths)
     return {LOWER_LABELS[g]: LOWER_LABELS[e] for e, g in zip(exc_idx, gnd_idx)}
 
@@ -92,10 +74,9 @@ class CyclicityResult:
         return min(self.cyclicity["lower.1B0M"], self.cyclicity["lower.1B1M"])
 
 
-def cyclicity(ground: EigenSystem, excited: EigenSystem,
-              dipoles: DipoleSet | None = None) -> CyclicityResult:
+def cyclicity(ground: EigenSystem, excited: EigenSystem) -> CyclicityResult:
     """Optical cyclicity of each lower-branch excited state."""
-    strengths = dipole_strengths(ground, excited, dipoles)
+    strengths = dipole_strengths(ground, excited)
     totals = strengths.sum(axis=1)
     branching = np.zeros_like(strengths)
     cyc = {}
@@ -134,9 +115,9 @@ class PumpResult:
     message: str = ""
 
 
-def _pump_rates(ground, excited, dipoles, pump_freq_hz, rabi_hz, linewidth_hz):
+def _pump_rates(ground, excited, pump_freq_hz, rabi_hz, linewidth_hz):
     """Per-line excitation rates w[i, j] of a weak-coherence rate model."""
-    strengths = dipole_strengths(ground, excited, dipoles)
+    strengths = dipole_strengths(ground, excited)
     peak = strengths.max()
     if peak <= 0:
         return np.zeros((4, 4))
@@ -150,10 +131,9 @@ def _pump_rates(ground, excited, dipoles, pump_freq_hz, rabi_hz, linewidth_hz):
     return 0.5 * math.pi * rabi_hz ** 2 * lineshape * (strengths / peak)
 
 
-def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
-                  dipoles: DipoleSet | None, pump_line,
+def pump_dynamics(ground: EigenSystem, excited: EigenSystem, pump_line,
                   rabi_hz: float, linewidth_hz: float, duration_s: float,
-                  lifetime_s: float = 6e-9) -> PumpResult:
+                  lifetime_s: float = LIFETIME_S) -> PumpResult:
     """Rate-equation optical pumping on one resonant line.
 
     :param pump_line: either a peak id (``"f0"``, ``"f1"``, ``"f2"``) or a
@@ -169,12 +149,11 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
     """
     if rabi_hz < 0 or linewidth_hz <= 0 or duration_s <= 0 or lifetime_s <= 0:
         raise ValueError("rates and durations must be positive")
-    dipoles = dipoles or default_dipoles()
 
     if isinstance(pump_line, str):
         from .spectrum import optical_transitions
 
-        table = optical_transitions(ground, excited, zpl=0.0, dipoles=dipoles)
+        table = optical_transitions(ground, excited, zpl=0.0)
         try:
             pump_freq = table.frequency(pump_line)
         except KeyError as exc:
@@ -182,8 +161,8 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem,
     else:
         pump_freq = float(pump_line)
 
-    w = _pump_rates(ground, excited, dipoles, pump_freq, rabi_hz, linewidth_hz)
-    res = cyclicity(ground, excited, dipoles)
+    w = _pump_rates(ground, excited, pump_freq, rabi_hz, linewidth_hz)
+    res = cyclicity(ground, excited)
 
     # State vector: 4 ground then 4 excited populations.  Excited states
     # that do not emit (all-zero branching row) keep no decay channel, so
@@ -316,7 +295,7 @@ def collection_efficiency(detected_rate: float, tau: float) -> float:
 
 
 __all__ = [
-    "DipoleSet", "default_dipoles", "dipole_strengths", "spin_conserving_pairs",
+    "DIPOLE", "dipole_strengths", "spin_conserving_pairs",
     "CyclicityResult", "cyclicity", "cyclicity_from_lifetimes",
     "PumpResult", "pump_dynamics",
     "excitation_fidelity", "excitation_fidelity_mc", "max_excitations",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinmodel import LOWER_LABELS, TRANSITIONS, EigenSystem
-from .optics import DipoleSet, spin_conserving_pairs
+from .optics import spin_conserving_pairs
 from .params import OPTICAL_LINEWIDTH_HZ
 
 
@@ -64,8 +64,7 @@ def mw_transitions(ground: EigenSystem) -> TransitionTable:
 
 
 def optical_transitions(ground: EigenSystem, excited: EigenSystem,
-                        zpl: float = 0.0,
-                        dipoles: DipoleSet | None = None) -> TransitionTable:
+                        zpl: float = 0.0) -> TransitionTable:
     """Lower-branch optical lines between the two manifolds.
 
     Spin-conserving lines (between dipole-matched partners) carry the
@@ -80,7 +79,7 @@ def optical_transitions(ground: EigenSystem, excited: EigenSystem,
     signs of the two manifolds' couplings can order differently from the
     energy-based labels.
     """
-    pairs = spin_conserving_pairs(ground, excited, dipoles)
+    pairs = spin_conserving_pairs(ground, excited)
     peak_of = {
         "lower.1B0M": "f0",
         "lower.1B1M": "f0",

@@ -116,7 +116,6 @@ class EigenSystem:
     energies: np.ndarray
     states: np.ndarray
     labels: tuple
-    params: ManifoldParams | None = None
 
     def index(self, label: str) -> int:
         try:
@@ -269,12 +268,7 @@ def eigensystem(h: np.ndarray, params: ManifoldParams) -> EigenSystem:
         labels[offset + zero_b[1]] = f"{branch}.0B1M"
 
     states = _fix_phases(states)
-    return EigenSystem(
-        energies=energies,
-        states=states,
-        labels=tuple(labels),
-        params=params,
-    )
+    return EigenSystem(energies=energies, states=states, labels=tuple(labels))
 
 
 def manifold_eigensystem(params: ManifoldParams, field: MagneticField) -> EigenSystem:

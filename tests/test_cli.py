@@ -329,10 +329,10 @@ def test_fit_command_round_trip(tmp_path):
 def test_rerun_is_byte_identical(tmp_path, command):
     cfg = small_config(command, tmp_path)
     first, _ = run_command(tmp_path, cfg)
-    blob = open(first, "rb").read()
+    blob = Path(first).read_bytes()
     path = tmp_path / "run.json"
     again = cli.run(str(path), out_override=str(tmp_path / "again.json"))
-    assert open(again, "rb").read() == blob
+    assert Path(again).read_bytes() == blob
 
 
 def test_seed_override_changes_result(tmp_path):
@@ -464,3 +464,13 @@ def test_threads_flag_reaches_blas_before_numpy_loads(tmp_path):
     assert seen["code"] == 0
     assert not seen["numpy_at_import"] and not seen["numpy_at_run"]
     assert seen["env"] == {v: "2" for v in blas}
+
+
+def test_every_export_resolves():
+    """Each public name loads through the package's lazy ``__getattr__``, so
+    a name deleted from its submodule cannot linger in the export table."""
+    listed = dir(snspin)
+    for name in snspin.__all__:
+        if name != "__version__":
+            assert snspin.__getattr__(name) is getattr(snspin, name)
+        assert name in listed

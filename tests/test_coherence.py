@@ -111,7 +111,7 @@ def test_t2_limits():
 
 def test_t2_increases_with_hopping():
     lam = 1e4
-    values = [t2_phonon(lam, CoherenceParams(gamma_phonon=g, temperature_k=1.7))
+    values = [t2_phonon(lam, CoherenceParams(gamma_phonon=g))
               for g in (0.1, 0.5, 2.0, 10.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 

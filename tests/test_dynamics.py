@@ -290,13 +290,12 @@ def test_ou_sampler_moments_match_path_integration():
     assert cov_a == pytest.approx(cov_b, rel=0.07)
 
 
-def test_decoupling_scan_extends_coherence(ground, field):
+def test_decoupling_scan_extends_coherence():
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
                        correlation_time_s=100e-6, samples=3000)
     results = {}
     for n_p, t_end in ((1, 40e-6), (4, 120e-6), (16, 200e-6)):
-        res = decoupling_scan(ground, field, n_p, np.linspace(0, t_end, 25),
-                              noise, seed=11)
+        res = decoupling_scan(n_p, np.linspace(0, t_end, 25), noise, seed=11)
         assert res.fit_ok
         assert res.coherence[0] == 1.0
         results[n_p] = res
@@ -311,28 +310,25 @@ def test_decoupling_scan_extends_coherence(ground, field):
         assert 2.5 < res.stretch < 3.5
 
 
-def test_decoupling_free_evolution_limit(ground, field):
+def test_decoupling_free_evolution_limit():
     """n = 0 with tau_c >> t reproduces the quasi-static Gaussian T2*."""
     sigma = 20e3
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=sigma,
                        correlation_time_s=1.0, samples=4000)
-    res = decoupling_scan(ground, field, 0, np.linspace(0, 30e-6, 25),
-                          noise, seed=2)
+    res = decoupling_scan(0, np.linspace(0, 30e-6, 25), noise, seed=2)
     assert res.fit_ok
     assert res.t2_s == pytest.approx(math.sqrt(2) / (2 * math.pi * sigma), rel=0.08)
     assert res.stretch == pytest.approx(2.0, abs=0.25)
 
 
-def test_decoupling_validation(ground, field):
+def test_decoupling_validation():
     quasi = NoiseModel(kind="quasi-static-gaussian", sigma_hz=1e3)
     with pytest.raises(ValueError, match="Ornstein"):
-        decoupling_scan(ground, field, 1, [1e-6], quasi)
+        decoupling_scan(1, [1e-6], quasi)
     ou = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=1e3,
                     correlation_time_s=1e-4)
     with pytest.raises(ValueError, match="non-negative"):
-        decoupling_scan(ground, field, -1, [1e-6], ou)
-    with pytest.raises(KeyError):
-        decoupling_scan(ground, field, 1, [1e-6], ou, transition="zeta")
+        decoupling_scan(-1, [1e-6], ou)
 
 
 def test_rb_recovers_gate_fidelity():

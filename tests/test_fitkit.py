@@ -56,14 +56,12 @@ def test_fit_params_round_trip():
 
 
 def test_fit_params_to_model_matches_reference_field():
-    from snspin.params import reference_field
+    from snspin.params import ground_defaults, reference_field
 
-    params, field, (ax, az) = FitParams.reference().to_model()
-    ref = reference_field()
-    assert field.bx == pytest.approx(ref.bx, rel=1e-9)
-    assert field.bz == pytest.approx(ref.bz, rel=1e-9)
-    assert (ax, az) == (8.92e6, 5.00e6)
-    assert params.strain_egx == 928.4e9
+    model = FitParams.reference().to_model()
+    assert model[:2] == (ground_defaults(), reference_field())
+    assert model[2] == (8.92e6, 5.00e6)
+    assert model[0].strain_egx == 928.4e9
 
 
 def test_spec_validation():

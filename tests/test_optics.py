@@ -11,7 +11,7 @@ from snspin.optics import (
     collection_efficiency,
     cyclicity,
     cyclicity_from_lifetimes,
-    default_dipoles,
+    DIPOLE,
     dipole_strengths,
     excitation_fidelity,
     excitation_fidelity_mc,
@@ -90,7 +90,7 @@ def test_cyclicity_from_lifetimes():
 def test_pump_polarizes_into_0b0m(ground, excited):
     """Driving the f2 line empties 0B1M and collects population in 0B0M."""
     sg, se = systems_at(ground, excited, 200e-6, reference_field().bz)
-    res = pump_dynamics(sg, se, None, "f2", rabi_hz=25e6,
+    res = pump_dynamics(sg, se, "f2", rabi_hz=25e6,
                         linewidth_hz=LINEWIDTH_HZ, duration_s=50e-6)
     assert res.converged
     assert res.target == "lower.0B0M"
@@ -101,20 +101,20 @@ def test_pump_polarizes_into_0b0m(ground, excited):
 
 def test_pump_on_cycling_line_drains_broker(ground, excited):
     sg, se = systems_at(ground, excited, 200e-6, reference_field().bz)
-    res = pump_dynamics(sg, se, None, "f0", rabi_hz=30e6,
+    res = pump_dynamics(sg, se, "f0", rabi_hz=30e6,
                         linewidth_hz=LINEWIDTH_HZ, duration_s=50e-6)
     assert res.steady_state["lower.1B0M"] < 0.05
     assert res.steady_state["lower.1B1M"] < 0.05
     assert res.tau_pol_s == pytest.approx(2.01e-5, rel=0.05)
     # the polarization time grows with cyclicity: weaker field, slower pump
     sg2, se2 = systems_at(ground, excited, 100e-6, reference_field().bz)
-    res2 = pump_dynamics(sg2, se2, None, "f0", rabi_hz=30e6,
+    res2 = pump_dynamics(sg2, se2, "f0", rabi_hz=30e6,
                          linewidth_hz=LINEWIDTH_HZ, duration_s=400e-6)
     assert res2.tau_pol_s > 2 * res.tau_pol_s
 
 
 def test_pump_off_resonant_reports_no_polarization(ground_system, excited_system):
-    res = pump_dynamics(ground_system, excited_system, None, 1e15,
+    res = pump_dynamics(ground_system, excited_system, 1e15,
                         rabi_hz=10e6, linewidth_hz=LINEWIDTH_HZ,
                         duration_s=10e-6)
     assert not res.converged
@@ -124,10 +124,10 @@ def test_pump_off_resonant_reports_no_polarization(ground_system, excited_system
 
 def test_pump_rejects_bad_input(ground_system, excited_system):
     with pytest.raises(ValueError, match="f7"):
-        pump_dynamics(ground_system, excited_system, None, "f7",
+        pump_dynamics(ground_system, excited_system, "f7",
                       rabi_hz=1e6, linewidth_hz=LINEWIDTH_HZ, duration_s=1e-6)
     with pytest.raises(ValueError):
-        pump_dynamics(ground_system, excited_system, None, "f0",
+        pump_dynamics(ground_system, excited_system, "f0",
                       rabi_hz=1e6, linewidth_hz=-1.0, duration_s=1e-6)
 
 
@@ -183,8 +183,9 @@ def test_collection_efficiency():
 
 
 def test_default_dipoles_orbital_only():
-    d = default_dipoles()
-    for op in (d.px, d.py, d.pz):
-        assert op.shape == (8, 8)
-    # pz keeps the orbital state: identity here
-    assert np.allclose(d.pz, np.eye(8))
+    from snspin.spinmodel import SX_L, SX_I, SX_S, SY_I, SY_L, SY_S, SZ_I, SZ_S
+
+    # px + py swap the circular orbital state, pz keeps it (identity here)
+    assert np.array_equal(DIPOLE, SX_L + SY_L + np.eye(8))
+    for op in (SX_S, SY_S, SZ_S, SX_I, SY_I, SZ_I):
+        assert np.array_equal(DIPOLE @ op, op @ DIPOLE)
