@@ -23,8 +23,9 @@ Config layout::
 Grids are {"start": lo, "stop": hi, "points": n} blocks.  Unset
 parameter blocks fall back to the package's fitted defaults.
 
-``decouple`` models ideal instantaneous pulses against pure dephasing,
-so it reads only ``options.noise``, ``options.n_pulses`` and
+Each command accepts only the option keys its handler reads and rejects
+any other.  ``decouple`` models ideal instantaneous pulses against pure
+dephasing, so it reads only ``options.noise``, ``options.n_pulses`` and
 ``options.total_time_s``: no parameter block, field or transition.
 """
 
@@ -432,19 +433,26 @@ def _cmd_fit(cfg, seed):
     return out, "json"
 
 
-_HANDLERS = {
-    "levels": _cmd_levels,
-    "transitions": _cmd_transitions,
-    "ple": _cmd_ple,
-    "cyclicity-map": _cmd_cyclicity_map,
-    "pump": _cmd_pump,
-    "fidelity-budget": _cmd_fidelity_budget,
-    "rabi": _cmd_rabi,
-    "ramsey": _cmd_ramsey,
-    "decouple": _cmd_decouple,
-    "rb": _cmd_rb,
-    "coherence-map": _cmd_coherence_map,
-    "fit": _cmd_fit,
+# Each command's handler and the option keys it reads; run rejects any
+# other key under ``options``.
+_COMMANDS = {
+    "levels": (_cmd_levels, ("manifold",)),
+    "transitions": (_cmd_transitions, ("include_optical", "zpl_hz")),
+    "ple": (_cmd_ple, ("zpl_hz", "linewidth_hz", "detuning_hz")),
+    "cyclicity-map": (_cmd_cyclicity_map, ("bx_t", "bz_t")),
+    "pump": (_cmd_pump, ("line", "rabi_hz", "linewidth_hz", "duration_s", "lifetime_s")),
+    "fidelity-budget": (_cmd_fidelity_budget,
+                        ("tau_s", "delta_omega_rad_s", "n_list", "f_min")),
+    "rabi": (_cmd_rabi, ("amplitude_x_hz", "amplitude_z_hz", "transition",
+                         "freq_hz", "duration_s")),
+    "ramsey": (_cmd_ramsey, ("amplitude_x_hz", "amplitude_z_hz", "transition",
+                             "freq_hz", "delay_s", "pi_half_s", "noise")),
+    "decouple": (_cmd_decouple, ("noise", "n_pulses", "total_time_s")),
+    "rb": (_cmd_rb, ("gate_fidelity", "lengths", "sequences_per_length", "spam")),
+    "coherence-map": (_cmd_coherence_map,
+                      ("upsilon_hz", "alpha_hz", "gamma_phonon", "sign_convention")),
+    "fit": (_cmd_fit, ("datasets", "initial", "free", "bounds", "nuisance",
+                       "restarts", "max_eval")),
 }
 
 
@@ -488,14 +496,23 @@ def run(config_path: str, out_override: str | None = None,
     cfg["_config_path"] = os.path.abspath(config_path)
 
     command = _get(cfg, "command", required=True)
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise ConfigError(
-            f"unknown command {command!r}; expected one of {', '.join(_HANDLERS)}",
+            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}",
             "command",
         )
+    handler, option_keys = _COMMANDS[command]
+    options = _get(cfg, "options") or {}
+    if not isinstance(options, dict):
+        raise ConfigError("expected an options object", "options")
+    unknown = sorted(set(options) - set(option_keys))
+    if unknown:
+        raise ConfigError(f"unknown {command} options {unknown}; "
+                          f"expected some of {', '.join(option_keys)}",
+                          f"options.{unknown[0]}")
     seed = seed_override if seed_override is not None else int(_get(cfg, "seed", 0))
 
-    payload, flavor = _HANDLERS[command](cfg, seed)
+    payload, flavor = handler(cfg, seed)
     output = out_override or _get(cfg, "output")
     if output is None:
         output = f"{command}.{'json' if flavor == 'json' else 'csv'}"

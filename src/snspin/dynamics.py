@@ -148,7 +148,7 @@ class _Engine:
         self.params = params
         self.bias = bias
         self.h0 = build_hamiltonian(params, bias)
-        self.system = eigensystem(self.h0, params)
+        self.system = eigensystem(self.h0)
         self.energies = self.system.energies
         basis = self.system.states
         scale = params.g_electron * MU_B_HZ_PER_T
@@ -306,7 +306,7 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
     Returns the final state in the fixed product basis (and the full
     sequence unitary when ``return_unitary`` is set).
     """
-    system = eigensystem(h0, params)
+    system = eigensystem(h0)
     fastest = max((abs(s.frequency_hz) for s in program.segments
                    if not s.is_gap and s.frequency_hz != 0.0), default=0.0)
     if fastest > 0.0:
@@ -583,8 +583,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     recovery (at most two gates) mapping the ideal state back to the
     bright pole; each applied gate depolarizes the qubit by
     ``1 - gate_fidelity``.  Survival is the exact bright population (no
-    shot noise), fit to A p^N + B; the extracted average gate fidelity
-    is 1 - (1 - p)/2.
+    shot noise), fit to A p^N + B, so ``lengths`` needs at least three
+    distinct values; the extracted average gate fidelity is 1 - (1 - p)/2.
 
     ``spam`` = (bright level, dark level) mixes in preparation/readout
     imperfection; the default is ideal.
@@ -594,6 +594,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     if lengths is None:
         lengths = np.unique(np.round(np.geomspace(1, 128, 12)).astype(int))
     lengths = np.asarray(lengths, dtype=int)
+    if np.unique(lengths).size < 3:
+        raise ValueError("the decay A p^N + B needs at least three distinct lengths")
     rng = np.random.default_rng(seed)
     gates = _rb_gates()
     lam = 2.0 * gate_fidelity - 1.0

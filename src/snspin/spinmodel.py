@@ -24,6 +24,11 @@ spin states are labeled by the broker/memory qubit convention:
                     0M is the one dominated by nuclear spin up;
     0B0M, 0B1M  --  the anti-aligned flip-flop pair, 1M is the
                     higher-energy state of the two.
+
+Degenerate levels are resolved by symmetry, not by a tolerance: without
+a transverse field H conserves Fz = sz_S + sz_I (Hepp et al., PRL 112,
+036405 (2014)), and ``eigensystem`` diagonalizes each Fz sector on its
+own.  Otherwise one ``eigh`` decides, down to its ~1e-3 Hz resolution.
 """
 
 from __future__ import annotations
@@ -71,16 +76,18 @@ TRANSITIONS = {
     "broker_m1": ("lower.0B1M", "lower.1B1M"),
 }
 
-# Relative gap (in units of the total orbital splitting) below which
-# neighboring levels are treated as one degenerate cluster and rotated
-# onto the analytic zero-field basis before labeling.
-_DEGENERACY_TOL = 1e-9
-
 # Basis-index bit masks: aligned means electron bit == nuclear bit.
 _ELECTRON_BIT = np.array([(i >> 1) & 1 for i in range(8)])
 _NUCLEAR_BIT = np.array([i & 1 for i in range(8)])
 _ALIGNED = (_ELECTRON_BIT == _NUCLEAR_BIT).astype(float)
 _NUCLEAR_UP = (_NUCLEAR_BIT == 0).astype(float)
+
+# Fz = sz_S + sz_I of each basis state, its sectors -- aligned up {0, 4},
+# aligned down {3, 7}, anti-aligned {1, 2, 5, 6} -- and the entries of an
+# 8x8 matrix that couple two different sectors.
+_FZ = 2 - 2 * (_ELECTRON_BIT + _NUCLEAR_BIT)
+_FZ_SECTORS = tuple(np.flatnonzero(_FZ == fz) for fz in (2, -2, 0))
+_CROSS_SECTOR = _FZ[:, None] != _FZ[None, :]
 
 
 def zeeman_operator(params: ManifoldParams, field: MagneticField) -> np.ndarray:
@@ -94,13 +101,19 @@ def zeeman_operator(params: ManifoldParams, field: MagneticField) -> np.ndarray:
     return h
 
 
+_SZ_L_SZ_S = SZ_L @ SZ_S
+_SZ_L_SZ_I = SZ_L @ SZ_I
+_FLIP_FLOP = SX_S @ SX_I + SY_S @ SY_I
+_SZ_S_SZ_I = SZ_S @ SZ_I
+
+
 def build_hamiltonian(params: ManifoldParams, field: MagneticField) -> np.ndarray:
     """Full 8x8 manifold Hamiltonian in Hz."""
-    h = 0.5 * params.lambda_soc * (SZ_L @ SZ_S)
-    h = h + 0.5 * params.upsilon_ioc * (SZ_L @ SZ_I)
+    h = 0.5 * params.lambda_soc * _SZ_L_SZ_S
+    h = h + 0.5 * params.upsilon_ioc * _SZ_L_SZ_I
     h = h - params.strain_egx * SX_L - params.strain_egy * SY_L
-    h = h + 0.25 * params.a_perp * (SX_S @ SX_I + SY_S @ SY_I)
-    h = h + 0.25 * params.a_par * (SZ_S @ SZ_I)
+    h = h + 0.25 * params.a_perp * _FLIP_FLOP
+    h = h + 0.25 * params.a_par * _SZ_S_SZ_I
     h = h + zeeman_operator(params, field)
     return h
 
@@ -137,62 +150,6 @@ class EigenSystem:
         return {lab: float(e) for lab, e in zip(self.labels, self.energies)}
 
 
-def _orbital_sector_vectors(params: ManifoldParams):
-    """Zero-field orbital eigenvectors per (electron, nuclear) spin sector.
-
-    Returns an array ``w[s_e, s_n, :, b]`` with b=0 the lower and b=1 the
-    upper orbital branch, where s_e/s_n index (up, down) as (0, 1).
-    """
-    blocks = np.empty((2, 2, 2, 2), dtype=complex)
-    for se, sgn_e in ((0, 1.0), (1, -1.0)):
-        for sn, sgn_n in ((0, 1.0), (1, -1.0)):
-            zz = 0.5 * (params.lambda_soc * sgn_e + params.upsilon_ioc * sgn_n)
-            blocks[se, sn] = (
-                zz * SIGMA_Z
-                - params.strain_egx * SIGMA_X
-                - params.strain_egy * SIGMA_Y
-            )
-    vals, vecs = np.linalg.eigh(blocks.reshape(4, 2, 2))
-    return vals.reshape(2, 2, 2), vecs.reshape(2, 2, 2, 2)
-
-
-def _analytic_zero_field_states(params: ManifoldParams, branch_idx: int) -> np.ndarray:
-    """Product-form zero-field eigenstates of one orbital branch.
-
-    Used only to resolve degenerate clusters deterministically; the
-    states are exact at zero field up to cross-branch hyperfine mixing.
-    Columns are ordered (0B0M, 0B1M, 1B0M, 1B1M).
-    """
-    sector_vals, sector_vecs = _orbital_sector_vectors(params)
-    out = np.zeros((8, 4), dtype=complex)
-
-    def put(col, orb_vec, spin_index):
-        out[spin_index::4, col] = orb_vec
-
-    # Aligned states |up,Up> (spin index 0) and |down,Down> (spin index 3).
-    put(2, sector_vecs[0, 0, :, branch_idx], 0)
-    put(3, sector_vecs[1, 1, :, branch_idx], 3)
-
-    # Anti-aligned 2x2 problem in {|up,Down>, |down,Up>} (indices 1, 2).
-    w_ud = sector_vecs[0, 1, :, branch_idx]
-    w_du = sector_vecs[1, 0, :, branch_idx]
-    overlap = np.vdot(w_ud, w_du)
-    h2 = np.array(
-        [
-            [sector_vals[0, 1, branch_idx] - 0.25 * params.a_par,
-             0.5 * params.a_perp * overlap],
-            [0.5 * params.a_perp * np.conj(overlap),
-             sector_vals[1, 0, branch_idx] - 0.25 * params.a_par],
-        ]
-    )
-    _, combos = np.linalg.eigh(h2)
-    # eigh sorts ascending: column 0 is 0B0M, column 1 is 0B1M.
-    for col, combo in ((0, combos[:, 0]), (1, combos[:, 1])):
-        out[1::4, col] = combo[0] * w_ud
-        out[2::4, col] = combo[1] * w_du
-    return out
-
-
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     """Gauge: make the largest-magnitude component of each column real positive."""
     idx = np.argmax(np.abs(states), axis=0)
@@ -200,61 +157,41 @@ def _fix_phases(states: np.ndarray) -> np.ndarray:
     return states * (np.abs(pivots) / pivots)
 
 
-def _rotate_clusters(energies, states, params, branch_idx, offset, tol):
-    """Replace eigenvectors of degenerate clusters by projections of the
-    analytic zero-field states, making degenerate subspaces deterministic.
-
-    A cluster may also contain accidental near-coincidences (levels within
-    ``tol`` of a true degeneracy); each analytic column is therefore placed
-    in the slot of the eigenvector it actually overlaps, so sharp levels
-    keep their own eigenvalues and only genuine gauge freedom is rotated.
-    """
-    analytic = None
-    k = 0
-    while k < 4:
-        j = k + 1
-        while j < 4 and energies[offset + j] - energies[offset + j - 1] <= tol:
-            j += 1
-        size = j - k
-        if size > 1:
-            if analytic is None:
-                analytic = _analytic_zero_field_states(params, branch_idx)
-            sub = states[:, offset + k:offset + j]
-            coeff = sub.conj().T @ analytic  # analytic states in cluster basis
-            norms = np.linalg.norm(coeff, axis=0)
-            cols = np.argsort(-norms)[:size]
-            weight = np.abs(coeff[:, cols]) ** 2  # (slot, picked column)
-            slot_of = np.full(size, -1)
-            for c in np.argsort(-weight.max(axis=0)):
-                for s in np.argsort(-weight[:, c]):
-                    if slot_of[s] < 0:
-                        slot_of[s] = cols[c]
-                        break
-            picked = sub @ coeff[:, slot_of]
-            q, _ = np.linalg.qr(picked)
-            states[:, offset + k:offset + j] = q
-        k = j
-    return states
-
-
-def eigensystem(h: np.ndarray, params: ManifoldParams) -> EigenSystem:
+def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalize a manifold Hamiltonian and attach branch/qubit labels.
 
+    When ``h`` couples no two Fz sectors (no transverse field), each
+    sector is diagonalized on its own, so every eigenvector has a definite
+    Fz even inside a degenerate level: the aligned pair splits into
+    |up,Up> (1B0M) and |down,Down> (1B1M).  Any other ``h`` takes one
+    ``eigh``, whose ~1e-3 Hz resolution limits the labels at bz = 0 with
+    bx below about 1 uT: there the excited 1B gap (0.02 Hz at 1 uT,
+    growing as bx^2) nears it, and rounding sets lambda_f0 (2.0-5.6 for
+    10-400 nT).
+
     :param h: 8x8 Hermitian matrix in the fixed product basis (Hz).
-    :param params: couplings used to build ``h``; needed to resolve
-        degenerate subspaces against the analytic zero-field basis.
     """
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {h.shape}")
     scale = np.abs(h).max()
     if scale > 0 and np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("Hamiltonian is not Hermitian")
-    energies, states = np.linalg.eigh(h)
-    tol = _DEGENERACY_TOL * max(params.delta_total, 1.0)
+    if h[_CROSS_SECTOR].any():
+        energies, states = np.linalg.eigh(h)
+    else:
+        energies = np.empty(8)
+        states = np.zeros((8, 8), dtype=complex)
+        col = 0
+        for idx in _FZ_SECTORS:
+            vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+            energies[col:col + idx.size] = vals
+            states[idx, col:col + idx.size] = vecs
+            col += idx.size
+        order = np.argsort(energies, kind="stable")
+        energies, states = energies[order], states[:, order]
 
     labels = [""] * 8
-    for branch_idx, (branch, offset) in enumerate((("lower", 0), ("upper", 4))):
-        states = _rotate_clusters(energies, states, params, branch_idx, offset, tol)
+    for branch, offset in (("lower", 0), ("upper", 4)):
         pops = np.abs(states[:, offset:offset + 4]) ** 2
         aligned_pop = _ALIGNED @ pops
         nuclear_up_pop = _NUCLEAR_UP @ pops
@@ -273,7 +210,7 @@ def eigensystem(h: np.ndarray, params: ManifoldParams) -> EigenSystem:
 
 def manifold_eigensystem(params: ManifoldParams, field: MagneticField) -> EigenSystem:
     """Build and diagonalize one manifold at the given field."""
-    return eigensystem(build_hamiltonian(params, field), params)
+    return eigensystem(build_hamiltonian(params, field))
 
 
 def closed_form_energies(params: ManifoldParams, order: int = 2) -> dict:

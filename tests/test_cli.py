@@ -406,6 +406,19 @@ def test_main_exit_codes_and_error_json(tmp_path, capsys):
     assert "gate fidelity" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command, key", [
+    ("rb", "sequence_per_length"),
+    ("coherence-map", "temperature_k"),
+    ("decouple", "transition"),
+])
+def test_unknown_option_key_rejected(tmp_path, command, key):
+    cfg = small_config(command, tmp_path)
+    cfg["options"] = dict(cfg["options"], **{key: 1})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run(str(write_config(tmp_path, cfg)))
+    assert err.value.path == f"options.{key}"
+
+
 def test_main_success_prints_path(tmp_path, capsys):
     out = tmp_path / "levels.json"
     cfg = write_config(tmp_path, {"command": "levels"})

@@ -359,6 +359,13 @@ def test_rb_validation_and_csv():
     assert int(rows[1][0]) == 1
 
 
+def test_rb_rejects_fewer_than_three_lengths():
+    """The three-parameter decay cannot be fit to two distinct lengths."""
+    for lengths in ([1, 8], [1, 8, 8, 1]):
+        with pytest.raises(ValueError, match="three distinct lengths"):
+            rb_simulate(0.95, lengths=lengths, sequences_per_length=5, seed=2)
+
+
 def test_clifford_adjust():
     assert clifford_adjust(0.978) == pytest.approx(0.98646, abs=5e-6)
     assert clifford_adjust(0.923) == pytest.approx(0.952615, abs=5e-6)

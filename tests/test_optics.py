@@ -79,6 +79,16 @@ def test_cyclicity_decreases_with_transverse_field(ground, excited):
     assert values[-1] > 1.0
 
 
+def test_cyclicity_smooth_in_transverse_field_without_bias(ground, excited):
+    """At bz = 0 lambda_f0 falls smoothly with bx: no degeneracy threshold
+    switches the 1B basis and makes it jump."""
+    values = np.array([cyclicity(*systems_at(ground, excited, bx, 0.0)).lambda_f0
+                       for bx in np.linspace(0.0, 1e-3, 50)[1:]])
+    steps = np.diff(values)
+    assert np.all(steps < 0)
+    assert np.all(np.abs(steps) < 0.05 * values[:-1])
+
+
 def test_cyclicity_from_lifetimes():
     assert cyclicity_from_lifetimes(2e-5, 6e-9) == pytest.approx(2e-5 / 1.2e-8)
     with pytest.raises(ValueError):

@@ -71,6 +71,22 @@ def test_zero_field_broker_pair_degenerate(params):
         assert abs(gap) < 1e-9 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(params=params_strategy, bz=st.floats(-1e-3, 1e-3))
+def test_axial_field_eigenvectors_have_definite_fz(params, bz):
+    """Without a transverse field every eigenvector lies in one Fz sector,
+    with 1B0M aligned up and 1B1M aligned down in each branch."""
+    system = manifold_eigensystem(params, MagneticField(bz=bz))
+    sectors = {"up": [0, 4], "down": [3, 7], "anti": [1, 2, 5, 6]}
+    for label, col in zip(system.labels, system.states.T):
+        inside = [name for name, idx in sectors.items() if np.any(col[idx] != 0)]
+        assert len(inside) == 1
+        if label.endswith("1B0M"):
+            assert inside == ["up"]
+        elif label.endswith("1B1M"):
+            assert inside == ["down"]
+
+
 def test_zeeman_transverse_field_leaves_orbital_alone():
     p = ground_defaults()
     h = zeeman_operator(p, MagneticField(bx=1e-3))
@@ -92,11 +108,11 @@ def test_zeeman_axial_quenched_orbital_term():
 def test_eigensystem_rejects_bad_input():
     p = ground_defaults()
     with pytest.raises(ValueError, match="8x8"):
-        eigensystem(np.eye(4), p)
+        eigensystem(np.eye(4))
     h = build_hamiltonian(p, MagneticField()).astype(complex)
     h[0, 1] += 1e6  # break Hermiticity
     with pytest.raises(ValueError, match="Hermitian"):
-        eigensystem(h, p)
+        eigensystem(h)
 
 
 def test_eigensystem_unknown_label():
@@ -175,10 +191,7 @@ def test_closed_forms_match_diagonalization(lam, strain, a_par, a_perp, ups):
     first = closed_form_energies(p, order=1)
     second = closed_form_energies(p, order=2)
     # order 1 drops the nucleus-orbit coupling entirely, so it enters
-    # the first-order bound linearly; the floor covers level attribution
-    # inside degenerate clusters (and eigh noise) at the 1e-9 degeneracy
-    # tolerance relative to the orbital gap -- clusters merge
-    # transitively, so attribution can be off by a few tolerances
+    # the first-order bound linearly
     floor = 5e-9 * p.delta_total
     bound1 = 10.0 * (scale ** 2 / p.delta_total + abs(ups)) + floor
     bound2 = 10.0 * (scale ** 3 / p.delta_total ** 2
