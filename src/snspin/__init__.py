@@ -31,9 +31,8 @@ _EXPORTS = {
     "rabi_map": "dynamics", "ramsey_map": "dynamics",
     "decoupling_scan": "dynamics", "rb_simulate": "dynamics",
     "clifford_adjust": "dynamics",
-    "CoherenceParams": "coherence", "lambda_eff": "coherence",
-    "t2_phonon": "coherence", "ridge_upsilon": "coherence",
-    "coherence_map": "coherence",
+    "lambda_eff": "coherence", "t2_phonon": "coherence",
+    "ridge_upsilon": "coherence", "coherence_map": "coherence",
 }
 
 

@@ -62,13 +62,23 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
-def _number(cfg: dict, path: str, default=None, required: bool = False) -> float:
-    val = _get(cfg, path, default, required)
-    if val is None:
-        return None
+def _float(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"expected a number, got {val!r}", path)
     return float(val)
+
+
+def _number(cfg: dict, path: str, default=None, required: bool = False) -> float:
+    val = _get(cfg, path, default, required)
+    return None if val is None else _float(val, path)
+
+
+def _numbers(cfg: dict, path: str, count: int | None = None, default=None) -> list:
+    """The non-empty list at ``path`` (else ``default``) as floats."""
+    val = _get(cfg, path, default)
+    if not isinstance(val, list) or not val or count not in (None, len(val)):
+        raise ConfigError(f"expected a list of {count or 'one or more'} numbers", path)
+    return [_float(x, f"{path}[{i}]") for i, x in enumerate(val)]
 
 
 def _grid(cfg: dict, path: str, required: bool = True):
@@ -78,16 +88,16 @@ def _grid(cfg: dict, path: str, required: bool = True):
     if block is None:
         return None
     if isinstance(block, list):
-        if not block:
-            raise ConfigError("grid list must be non-empty", path)
-        return np.asarray([float(x) for x in block])
+        return np.asarray(_numbers(cfg, path))
+    if not isinstance(block, dict):
+        raise ConfigError("expected a grid list or a start/stop/points object", path)
     for key in ("start", "stop", "points"):
         if key not in block:
             raise ConfigError(f"grid needs start/stop/points", f"{path}.{key}")
     n = block["points"]
     if not isinstance(n, int) or n < 1:
         raise ConfigError("points must be a positive integer", f"{path}.points")
-    return np.linspace(float(block["start"]), float(block["stop"]), n)
+    return np.linspace(_number(cfg, f"{path}.start"), _number(cfg, f"{path}.stop"), n)
 
 
 def _manifold(cfg: dict, key: str):
@@ -118,6 +128,8 @@ def _field(cfg: dict):
     block = _get(cfg, "field")
     if block is None:
         return reference_field()
+    if not isinstance(block, dict):
+        raise ConfigError("expected a field object", "field")
     components = {}
     for axis in ("x", "y", "z"):
         tesla_key, hz_key = f"b{axis}_t", f"b_{axis}_hz"
@@ -125,9 +137,9 @@ def _field(cfg: dict):
             raise ConfigError(f"give either {tesla_key} or {hz_key}, not both",
                               f"field.{tesla_key}")
         if tesla_key in block:
-            components[f"b{axis}"] = float(block[tesla_key])
+            components[f"b{axis}"] = _number(cfg, f"field.{tesla_key}")
         elif hz_key in block:
-            components[f"b{axis}"] = field_for_larmor(float(block[hz_key]))
+            components[f"b{axis}"] = field_for_larmor(_number(cfg, f"field.{hz_key}"))
     unknown = set(block) - {f"b{a}_t" for a in "xyz"} - {f"b_{a}_hz" for a in "xyz"}
     if unknown:
         raise ConfigError(f"unknown field keys {sorted(unknown)}", "field")
@@ -140,6 +152,8 @@ def _noise(cfg: dict, path: str):
     block = _get(cfg, path)
     if block is None:
         return None
+    if not isinstance(block, dict):
+        raise ConfigError("expected a noise object", path)
     casts = {"kind": str, "sigma_hz": float, "correlation_time_s": float, "samples": int}
     try:
         # keys left out take NoiseModel's defaults
@@ -243,7 +257,7 @@ def _cmd_pump(cfg, seed):
     excited = _eigensystem(cfg, "excited", field)
     line = _get(cfg, "options.line", "f2")
     if not isinstance(line, str):
-        line = float(line)
+        line = _number(cfg, "options.line")
     result = pump_dynamics(
         ground, excited, pump_line=line,
         rabi_hz=_number(cfg, "options.rabi_hz", required=True),
@@ -267,9 +281,8 @@ def _cmd_fidelity_budget(cfg, seed):
         ground = _eigensystem(cfg, "ground", field)
         excited = _eigensystem(cfg, "excited", field)
         delta = 2.0 * np.pi * memory_detuning(ground, excited)
-    ns = _get(cfg, "options.n_list")
-    if ns is None:
-        ns = [int(x) for x in np.unique(np.round(np.geomspace(1, 1e7, 29)))]
+    every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).tolist()
+    ns = _numbers(cfg, "options.n_list", default=every_n)
     f_min = _number(cfg, "options.f_min", 0.95)
     return {
         "delta_omega_rad_s": float(delta),
@@ -286,6 +299,7 @@ def _cmd_fidelity_budget(cfg, seed):
 def _map_common(cfg, kind):
     """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map;
     the drive defaults to the reference device's."""
+    from .dynamics import TRANSITIONS
     from .fitkit import FitParams
 
     params = _manifold(cfg, "ground")
@@ -294,6 +308,8 @@ def _map_common(cfg, kind):
     ax = _number(cfg, "options.amplitude_x_hz", reference.b_x_ac_hz)
     az = _number(cfg, "options.amplitude_z_hz", reference.b_z_ac_hz)
     transition = _get(cfg, "options.transition")
+    if transition not in (None, *TRANSITIONS):
+        raise ConfigError(f"unknown transition {transition!r}", "options.transition")
     meta = {"kind": kind}
     if transition:
         meta["transition"] = transition
@@ -342,15 +358,11 @@ def _cmd_decouple(cfg, seed):
 def _cmd_rb(cfg, seed):
     from .dynamics import rb_simulate, clifford_adjust
 
-    def pair(cfg, path):
-        spam = _get(cfg, path)
-        return float(spam[0]), float(spam[1])
-
     result = rb_simulate(
         gate_fidelity=_number(cfg, "options.gate_fidelity", required=True),
-        lengths=_get(cfg, "options.lengths"),
         seed=seed,
-        **_given(cfg, {"sequences_per_length": _integer, "spam": pair}),
+        **_given(cfg, {"lengths": _numbers, "sequences_per_length": _integer,
+                       "spam": lambda cfg, path: _numbers(cfg, path, 2)}),
     )
     out = _plain(result)
     if result.fit_ok:
@@ -359,13 +371,12 @@ def _cmd_rb(cfg, seed):
 
 
 def _cmd_coherence_map(cfg, seed):
-    from .coherence import coherence_map, CoherenceParams
+    from .coherence import coherence_map
 
     m = coherence_map(
         _manifold(cfg, "ground"),
         _grid(cfg, "options.upsilon_hz"), _grid(cfg, "options.alpha_hz"),
-        coherence=CoherenceParams(**_given(cfg, {"gamma_phonon": _number})),
-        **_given(cfg, {"sign_convention": _get}),
+        **_given(cfg, {"gamma_phonon": _number, "sign_convention": _get}),
     )
     return m.csv_rows(), "csv"
 
@@ -382,8 +393,10 @@ def _cmd_fit(cfg, seed):
     specs, data = [], []
     base = os.path.dirname(os.path.abspath(cfg["_config_path"]))
     for i, block in enumerate(blocks):
+        if not isinstance(block, dict):
+            raise ConfigError("expected a dataset object", f"options.datasets[{i}]")
         path = block.get("path")
-        if not path:
+        if not isinstance(path, str) or not path:
             raise ConfigError("dataset needs a csv path", f"options.datasets[{i}].path")
         if not os.path.isabs(path):
             path = os.path.join(base, path)
@@ -410,27 +423,29 @@ def _cmd_fit(cfg, seed):
         data.append(m.signal)
 
     initial_block = _get(cfg, "options.initial", required=True)
+    if not isinstance(initial_block, dict):
+        raise ConfigError("expected a parameter object", "options.initial")
     try:
-        initial = FitParams(**{k: float(v) for k, v in initial_block.items()})
+        initial = FitParams(**{k: _float(v, f"options.initial.{k}")
+                               for k, v in initial_block.items()})
     except TypeError as exc:
         raise ConfigError(str(exc), "options.initial")
-    free = tuple(_get(cfg, "options.free", list(DEFAULT_FREE)))
+    free = _get(cfg, "options.free", list(DEFAULT_FREE))
+    if not isinstance(free, list) or not all(isinstance(n, str) for n in free):
+        raise ConfigError("expected a list of parameter names", "options.free")
     bounds_block = _get(cfg, "options.bounds", {}) or {}
-    bounds = {k: (float(v[0]), float(v[1])) for k, v in bounds_block.items()}
+    if not isinstance(bounds_block, dict):
+        raise ConfigError("expected an object of (low, high) pairs", "options.bounds")
+    bounds = {k: tuple(_numbers(cfg, f"options.bounds.{k}", 2)) for k in bounds_block}
     try:
-        problem = FitProblem(tuple(specs), tuple(data), initial, free=free,
+        problem = FitProblem(tuple(specs), tuple(data), initial, free=tuple(free),
                              bounds=bounds or None,
                              nuisance=bool(_get(cfg, "options.nuisance", False)))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
-    result = fit_parameters(
-        problem, seed=seed,
-        **_given(cfg, {"restarts": _integer, "max_eval": _integer}),
-    )
-    out = result.to_dict()
-    del out["acceptance_log"]  # can be large; keep artifacts compact
-    out["acceptance_improvements"] = len(result.acceptance_log)
-    return out, "json"
+    result = fit_parameters(problem, seed=seed,
+                            **_given(cfg, {"max_eval": _integer}))
+    return result.to_dict(), "json"
 
 
 # Each command's handler and the option keys it reads; run rejects any
@@ -451,8 +466,7 @@ _COMMANDS = {
     "rb": (_cmd_rb, ("gate_fidelity", "lengths", "sequences_per_length", "spam")),
     "coherence-map": (_cmd_coherence_map,
                       ("upsilon_hz", "alpha_hz", "gamma_phonon", "sign_convention")),
-    "fit": (_cmd_fit, ("datasets", "initial", "free", "bounds", "nuisance",
-                       "restarts", "max_eval")),
+    "fit": (_cmd_fit, ("datasets", "initial", "free", "bounds", "nuisance", "max_eval")),
 }
 
 
@@ -510,10 +524,12 @@ def run(config_path: str, out_override: str | None = None,
         raise ConfigError(f"unknown {command} options {unknown}; "
                           f"expected some of {', '.join(option_keys)}",
                           f"options.{unknown[0]}")
-    seed = seed_override if seed_override is not None else int(_get(cfg, "seed", 0))
+    seed = seed_override if seed_override is not None else int(_number(cfg, "seed", 0))
+    output = out_override or _get(cfg, "output")
+    if not isinstance(output, (str, type(None))):
+        raise ConfigError("expected an output path", "output")
 
     payload, flavor = handler(cfg, seed)
-    output = out_override or _get(cfg, "output")
     if output is None:
         output = f"{command}.{'json' if flavor == 'json' else 'csv'}"
     if not os.path.isabs(output):

@@ -24,36 +24,32 @@ import numpy as np
 from .params import ManifoldParams, GAMMA_PHONON_1P7K
 
 
-@dataclass(frozen=True)
-class CoherenceParams:
-    """Inter-branch phonon scattering input for the T2 formula.
-
-    ``gamma_phonon`` is a direct calibration input per temperature (the
-    formula uses it literally); the default is its value at 1.7 K.
-    """
-
-    gamma_phonon: float = GAMMA_PHONON_1P7K
-
-    def __post_init__(self):
-        if not self.gamma_phonon >= 0:
-            raise ValueError("gamma_phonon must be >= 0")
-
-
-def _lambda_b(lambda_soc, upsilon, a_perp, delta):
-    """lambda_B of :func:`lambda_eff` from scalars or broadcasting arrays.
-
-    Squares are products, so that scalars and arrays round alike: near
-    the ridge a one-ulp change of a term is a large change of lambda_B."""
+def _k_c(lambda_soc, a_perp, alpha):
+    """K = A_perp^2 / (2 Delta) and c = lambda_soc / Delta, from scalars or
+    arrays, with the orbital gap Delta at strain magnitude alpha rounded
+    like ``ManifoldParams.delta_total``."""
+    delta = np.sqrt(lambda_soc * lambda_soc + 4.0 * alpha * alpha)
     if np.any(delta <= 0):
         raise ValueError("orbital splitting must be positive")
-    c_hat = lambda_soc / delta
-    return 2.0 * upsilon * c_hat + (a_perp * a_perp / (2.0 * delta)) * (c_hat * c_hat)
+    return a_perp * a_perp / (2.0 * delta), lambda_soc / delta
+
+
+def _lambda_b(lambda_soc, upsilon, a_perp, alpha):
+    """lambda_B of :func:`lambda_eff` from scalars or broadcasting arrays.
+
+    Written c (2 upsilon + K c), so that at the ridge upsilon = -K c / 2
+    of :func:`ridge_upsilon`, made from the same K and c, the bracket is
+    exactly zero: halving and doubling are exact, and both of its terms
+    round the one product K c.  Squares are products, so that scalars
+    and arrays round alike."""
+    k, c = _k_c(lambda_soc, a_perp, alpha)
+    return c * (2.0 * upsilon + k * c)
 
 
 def _t2(lambda_b, gamma):
     """T2 of :func:`t2_phonon` from a scalar or an array of lambda_b."""
-    if gamma <= 0:
-        raise ValueError("gamma_phonon must be positive for a finite T2")
+    if not gamma > 0:
+        raise ValueError("gamma_phonon must be positive")
     lam = np.abs(lambda_b)
     # lam = 0 divides by zero twice on its way to the exact limit, inf
     with np.errstate(divide="ignore"):
@@ -69,35 +65,35 @@ def lambda_eff(params: ManifoldParams) -> tuple:
     The sign of lambda_B follows the formula; the dephasing rate only
     depends on its magnitude.
     """
-    lam_b = _lambda_b(params.lambda_soc, params.upsilon_ioc, params.a_perp,
-                      params.delta_total)
-    return lam_b, 0.0
+    return float(_lambda_b(params.lambda_soc, params.upsilon_ioc, params.a_perp,
+                           params.strain_total)), 0.0
 
 
-def t2_phonon(lambda_b_hz: float, coherence: CoherenceParams | None = None) -> float:
+def t2_phonon(lambda_b_hz: float, gamma_phonon: float = GAMMA_PHONON_1P7K) -> float:
     """Hopping-limited T2 (s) of a qubit with splitting difference lambda_b.
 
     T2 = 4 pi / (lambda_b (1 - exp(-2 pi / (lambda_b gamma)))) with the
     phonon hopping parameter gamma.  Slow hopping (lambda_b gamma <<
     2 pi) gives the static limit 4 pi / lambda_b; fast hopping gives
     2 gamma.  A vanishing lambda_b means no phonon dephasing at all
-    (infinite T2).
+    (infinite T2).  ``gamma_phonon`` is a direct calibration input per
+    temperature, used literally; the default is its value at 1.7 K.
     """
-    coherence = coherence or CoherenceParams()
-    return float(_t2(lambda_b_hz, coherence.gamma_phonon))
+    return float(_t2(lambda_b_hz, gamma_phonon))
 
 
-def ridge_upsilon(lambda_soc_hz: float, a_perp_hz: float, alpha_hz: float) -> float:
-    """Strain value maximizing broker T2 at fixed spin-orbit and Jahn-Teller.
+def ridge_upsilon(lambda_soc_hz: float, a_perp_hz: float, alpha_hz):
+    """Strain value maximizing broker T2 at fixed spin-orbit and Jahn-Teller,
+    for a scalar or an array of alpha.
 
     The hyperfine and strain contributions to lambda_B cancel at
     upsilon = -A_perp^2 lambda_soc / (4 Delta^2), which requires
-    upsilon and lambda_soc of opposite sign.
+    upsilon and lambda_soc of opposite sign.  It is computed as
+    -K c / 2 from the terms of :func:`_lambda_b`, so that lambda_B is
+    exactly zero there.
     """
-    delta = math.hypot(lambda_soc_hz, 2.0 * alpha_hz)
-    if delta <= 0:
-        raise ValueError("orbital splitting must be positive")
-    return -(a_perp_hz ** 2) * lambda_soc_hz / (4.0 * delta ** 2)
+    k, c = _k_c(lambda_soc_hz, a_perp_hz, alpha_hz)
+    return -0.5 * k * c
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class CoherenceMap:
 
 def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
                   sign_convention: str = "opposite",
-                  coherence: CoherenceParams | None = None) -> CoherenceMap:
+                  gamma_phonon: float = GAMMA_PHONON_1P7K) -> CoherenceMap:
     """Broker T2 versus in-plane strain magnitude and Jahn-Teller coupling.
 
     ``upsilon_grid``/``alpha_grid`` are magnitudes; ``sign_convention``
@@ -134,7 +130,7 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
     splitting.  Every grid point is ``base`` with its strain and
     Jahn-Teller amplitude replaced (the x component carries all of
     alpha), evaluated with the closed forms of :func:`lambda_eff` and
-    :func:`t2_phonon` over the whole grid at once.
+    :func:`t2_phonon` (at ``gamma_phonon``) over the whole grid at once.
     """
     if sign_convention not in ("opposite", "same"):
         raise ValueError("sign_convention must be 'opposite' or 'same'")
@@ -144,21 +140,16 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
         raise ValueError("grids must be non-empty")
     if np.any(upsilon_grid < 0) or np.any(alpha_grid < 0):
         raise ValueError("grids are magnitudes; signs come from sign_convention")
-    coherence = coherence or CoherenceParams()
     sign = -1.0 if sign_convention == "opposite" else 1.0
     signed_ups = sign * math.copysign(1.0, base.lambda_soc) * upsilon_grid
 
-    # ManifoldParams.delta_total with the strain (egx, 0) of each column
-    delta = np.sqrt(base.lambda_soc * base.lambda_soc + 4.0 * alpha_grid * alpha_grid)
-    lam_b = _lambda_b(base.lambda_soc, signed_ups[:, None], base.a_perp, delta)
-    t2 = _t2(lam_b, coherence.gamma_phonon)
-    ridge = np.array([
-        ridge_upsilon(base.lambda_soc, base.a_perp, float(a)) for a in alpha_grid
-    ])
+    lam_b = _lambda_b(base.lambda_soc, signed_ups[:, None], base.a_perp, alpha_grid)
+    t2 = _t2(lam_b, gamma_phonon)
+    ridge = ridge_upsilon(base.lambda_soc, base.a_perp, alpha_grid)
     return CoherenceMap(signed_ups, alpha_grid, t2, ridge, sign_convention)
 
 
 __all__ = [
-    "CoherenceParams", "lambda_eff", "t2_phonon", "ridge_upsilon",
+    "lambda_eff", "t2_phonon", "ridge_upsilon",
     "CoherenceMap", "coherence_map",
 ]

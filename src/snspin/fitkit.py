@@ -238,19 +238,15 @@ class FitResult:
     params: FitParams
     loss: float
     errors_rel: dict
-    residual_maps: tuple
     transitions_hz: dict
     n_eval: int
-    acceptance_log: tuple   # (eval index, best loss so far) pairs
     success: bool
     message: str = ""
 
     def to_dict(self) -> dict:
-        """Every field but the residual maps, as JSON-ready values."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "residual_maps"}
-        out.update(params=self.params.to_dict(),
-                   acceptance_log=[list(x) for x in self.acceptance_log])
+        """Every field as JSON-ready values, the parameters as a dict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["params"] = self.params.to_dict()
         return out
 
 
@@ -408,8 +404,8 @@ def _curriculum(problem: FitProblem) -> list:
     return stages + [problem]
 
 
-def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
-                   max_eval: int = 2000, with_errors: bool = True) -> FitResult:
+def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
+                   with_errors: bool = True) -> FitResult:
     """Recover the free parameters by staged trust-region least squares.
 
     The optimizer (scipy's bounded trust-region reflective method) works
@@ -419,35 +415,33 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
     the chevrons first, then ever longer Ramsey fringes, each stage
     starting from the previous optimum.  The first stage also screens
     the box of +-5% around the start with a Latin hypercube drawn from
-    ``seed``; the ``restarts + 1`` best screened points, and in the last
-    stage the problem's own initial point, are candidates for further
-    runs.  A candidate is run only if it already beats the stage's best
+    ``seed``, and the last stage tries the problem's own initial point;
+    either candidate is run only if it already beats the stage's best
     loss, and the best point of a stage goes on to the next.
 
-    ``max_eval`` bounds every residual evaluation of the fit,
-    finite-difference Jacobian columns included, and ``n_eval`` counts
-    them all.  Once it is used up the fit stops with ``success`` False
-    and the best point so far; a stage before the last keeps one
+    ``max_eval`` (at least 1) bounds every residual evaluation of the
+    fit, finite-difference Jacobian columns included, and ``n_eval``
+    counts them all.  Once it is used up the fit stops with ``success``
+    False and the best point so far; a stage before the last keeps one
     evaluation back, so the result is always scored on the full
-    problem.  The acceptance log records every improvement of the
-    full-problem loss (monotone by construction).  Relative
-    uncertainties come from the Gauss-Newton curvature at the optimum,
-    reusing the Jacobian the optimizer took there; a singular
-    information matrix is reported in the message rather than raised.
+    problem.  Relative uncertainties come from the Gauss-Newton
+    curvature at the optimum, reusing the Jacobian the optimizer took
+    there; a singular information matrix is reported in the message
+    rather than raised.
     """
     names = tuple(problem.free)
     initial = problem.initial
     if not names:
         return FitResult(
             params=initial, loss=problem.loss(initial), errors_rel={},
-            residual_maps=problem.residual_maps(initial),
-            transitions_hz=derived_transitions(initial),
-            n_eval=1, acceptance_log=((1, problem.loss(initial)),),
+            transitions_hz=derived_transitions(initial), n_eval=1,
             success=True, message="no free parameters; loss evaluated only",
         )
     start = initial.free_values(names)
     if np.any(start == 0):
         raise ValueError("initial values must be non-zero (they set the scale)")
+    if max_eval < 1:
+        raise ValueError("max_eval must be at least 1")
 
     lo = np.full(len(names), -np.inf)
     hi = np.full(len(names), np.inf)
@@ -456,8 +450,7 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
             # sorted: a negative start flips the ratio
             lo[k], hi[k] = sorted(b / start[k] for b in problem.bounds[n])
 
-    log = []
-    state = {"n": 0, "limit": max_eval, "best": math.inf}
+    state = {"n": 0, "limit": max_eval}
     rng = np.random.default_rng(seed)
 
     def evaluate(sub, x):
@@ -466,14 +459,9 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
         state["n"] += 1
         return sub.residuals(initial.with_free_values(start * x, names))
 
-    def trial(sub, x):
-        """Evaluate a candidate point, logging full-problem improvements."""
+    def score(sub, x):
         r = evaluate(sub, x)
-        val = float(r @ r)
-        if sub is problem and val < state["best"]:
-            state["best"] = val
-            log.append((state["n"], val))
-        return r, val
+        return float(r @ r)
 
     def run(sub, x0, runs):
         """One trust-region run on ``sub``; appends its best point to ``runs``."""
@@ -482,7 +470,8 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
         runs.append(best)
 
         def fun(x):
-            r, val = trial(sub, x)
+            r = evaluate(sub, x)
+            val = float(r @ r)
             if val < best["loss"]:
                 best.update(loss=val, x=x.copy(), jac=None)
             return r
@@ -497,15 +486,14 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
                             xtol=_XTOL)
         best.update(success=bool(res.success), message=str(res.message))
 
-    def screen(sub, x, count):
-        """The ``count`` best (loss, point) pairs of a seeded
-        Latin-hypercube screen of the box ``x * (1 +- _SCREEN_SPAN)``."""
+    def screen(sub, x):
+        """The best (loss, point) of a seeded Latin-hypercube screen of the
+        box ``x * (1 +- _SCREEN_SPAN)``."""
         m = _SCREEN_PER_PARAM * x.size
         u = (np.argsort(rng.random((m, x.size)), axis=0)
              + rng.random((m, x.size))) / m
         points = np.clip(x * (1 + _SCREEN_SPAN * (2 * u - 1)), lo, hi)
-        scored = [(trial(sub, p)[1], p) for p in points]
-        return sorted(scored, key=lambda c: c[0])[:count]
+        return min(((score(sub, p), p) for p in points), key=lambda c: c[0])
 
     x = np.ones(len(names))
     exhausted = False
@@ -515,14 +503,15 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
         runs = []
         try:
             run(sub, x, runs)
-            candidates = screen(sub, x, restarts + 1) if k == 0 else []
-            if sub is problem and k > 0:
+            val = math.inf
+            if k == 0:
+                val, x0 = screen(sub, x)
+            elif sub is problem:
                 # the caller's own start, which earlier stages may have lost
-                ones = np.ones(len(names))
-                candidates.append((trial(sub, ones)[1], ones))
-            for val, x0 in candidates:
-                if val < min(o["loss"] for o in runs):
-                    run(sub, x0, runs)
+                x0 = np.ones(len(names))
+                val = score(sub, x0)
+            if val < runs[0]["loss"]:
+                run(sub, x0, runs)
         except _BudgetExhausted:
             exhausted = True
         outcome = min(runs, key=lambda o: o["loss"])
@@ -530,16 +519,12 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
         if exhausted:
             break
     if sub is not problem:
+        # the evaluation kept back scores the stage's best point
         state["limit"] = max_eval
-        runs = []
-        try:
-            run(problem, x, runs)
-        except _BudgetExhausted:
-            pass
-        outcome = runs[0]
+        outcome = {"loss": score(problem, x), "x": x, "jac": None}
 
     best = initial.with_free_values(start * outcome["x"], names)
-    success = outcome["success"] and not exhausted
+    success = not exhausted and outcome["success"]
     message = (f"evaluation budget of {max_eval} exhausted" if exhausted
                else outcome["message"])
     errors = {}
@@ -559,9 +544,7 @@ def fit_parameters(problem: FitProblem, seed: int = 0, restarts: int = 0,
 
     return FitResult(
         params=best, loss=outcome["loss"], errors_rel=errors,
-        residual_maps=problem.residual_maps(best),
-        transitions_hz=derived_transitions(best),
-        n_eval=state["n"], acceptance_log=tuple(log),
+        transitions_hz=derived_transitions(best), n_eval=state["n"],
         success=success, message=message,
     )
 
@@ -577,30 +560,26 @@ def _period_aligned(delays, freq_hz):
     return tuple(np.round(np.asarray(delays) / period) * period)
 
 
-def reference_problem(theta: FitParams | None = None,
-                      noise_rel: float = 0.0, seed: int = 0,
+def reference_problem(noise_rel: float = 0.0, seed: int = 0,
                       n_freq: int = 7, n_time: int = 14,
-                      n_delay: int = 40, n_long: int = 44,
-                      long_delay_s: float = 40e-6,
-                      **problem_kwargs) -> FitProblem:
-    """Synthesize the standard fit input at a truth value.
+                      n_delay: int = 40, n_long: int = 44) -> FitProblem:
+    """Synthesize the standard fit input at :meth:`FitParams.reference`.
 
     One Rabi chevron per microwave transition (windowed around each
     transition frequency), detuned single-frequency Ramsey scans of the
-    broker and green transitions, and one long-delay Ramsey scan per
-    transition.  The chevrons pin the drive amplitudes and hyperfine
-    scales; the short Ramsey fringes resolve the 1B beat; the long
-    fringes amplify sub-kilohertz transition-frequency errors that the
-    chevrons cannot see, which is what pins the static transverse field
-    along the valley the shorter maps leave open.  None of them
+    broker and green transitions over 6 us, and one Ramsey scan per
+    transition over 40 us.  The chevrons pin the drive amplitudes and
+    hyperfine scales; the short Ramsey fringes resolve the 1B beat; the
+    long fringes amplify sub-kilohertz transition-frequency errors that
+    the chevrons cannot see, which is what pins the static transverse
+    field along the valley the shorter maps leave open.  None of them
     separates the strain from the transverse couplings, which can
     compensate it (see the module notes), so the problem's default
     free set leaves it out.  ``noise_rel`` > 0 adds Gaussian noise of
     that standard deviation, in signal units and independent of the
-    signal, to every point.  The problem's initial point defaults to the
-    truth.
+    signal, to every point.  The problem starts at the truth.
     """
-    theta = theta or FitParams.reference()
+    theta = FitParams.reference()
     params, field, (ax, az) = theta.to_model()
     engine = dynamics._Engine(params, field)
     rng = np.random.default_rng(seed)
@@ -623,15 +602,14 @@ def reference_problem(theta: FitParams | None = None,
         nu0 = engine.transition_frequency(key)
         pi_half = 0.5 * engine.pi_time(key, ax, az)
         nu = nu0 + detune
-        delays = _period_aligned(np.linspace(0.0, long_delay_s, n_long), nu)
+        delays = _period_aligned(np.linspace(0.0, 40e-6, n_long), nu)
         specs.append(ExperimentSpec("ramsey", key, (nu,), delays,
                                     pi_half_s=pi_half, label=f"{key}-ramsey-long"))
     for sig in _simulate_all(theta, specs):
         if noise_rel > 0:
             sig = sig + noise_rel * rng.standard_normal(sig.shape)
         data.append(sig)
-    problem_kwargs.setdefault("initial", theta)
-    return FitProblem(tuple(specs), tuple(data), **problem_kwargs)
+    return FitProblem(tuple(specs), tuple(data), theta)
 
 
 __all__ = [

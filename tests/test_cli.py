@@ -314,8 +314,6 @@ def test_fit_command_round_trip(tmp_path):
     assert doc["loss"] < 1e-8
     assert doc["params"]["b_x_ac_hz"] == pytest.approx(truth.b_x_ac_hz, rel=1e-3)
     assert set(doc["params"]) >= set(FIT_PARAM_NAMES)
-    assert "acceptance_log" not in doc
-    assert doc["acceptance_improvements"] >= 1
 
     # missing kind/transition metadata is a config error, not a crash
     save_signal_csv(tmp_path / "bare.csv", simulate_experiment(truth, spec))
@@ -417,6 +415,32 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     with pytest.raises(cli.ConfigError) as err:
         cli.run(str(write_config(tmp_path, cfg)))
     assert err.value.path == f"options.{key}"
+
+
+@pytest.mark.parametrize("command, key, value, path", [
+    ("rb", "options.spam", 0.9, "options.spam"),
+    ("ple", "options.detuning_hz", 5, "options.detuning_hz"),
+    ("levels", "field", 5, "field"),
+    ("pump", "options.line", [1], "options.line"),
+    ("fidelity-budget", "options.n_list", 5, "options.n_list"),
+    ("fit", "options.datasets", ["x.csv"], "options.datasets[0]"),
+    ("fit", "options.initial", 5, "options.initial"),
+    ("fit", "options.bounds", {"b_x_ac_hz": 5}, "options.bounds.b_x_ac_hz"),
+    ("rabi", "options.transition", "zeta", "options.transition"),
+])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
+    """A value of the wrong type or an unknown name is a config error at
+    its path (exit 2), not a Python exception out of main."""
+    cfg = small_config(command, tmp_path)
+    cfg["output"] = str(tmp_path / "out")
+    if key.startswith("options."):
+        cfg["options"] = dict(cfg.get("options", {}), **{key[len("options."):]: value})
+    else:
+        cfg[key] = value
+    assert cli.main(["--config", str(write_config(tmp_path, cfg))]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert err["path"] == path
 
 
 def test_main_success_prints_path(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from snspin.params import GAMMA_PHONON_1P7K, MagneticField, ManifoldParams, ground_defaults
 from snspin.spinmodel import manifold_eigensystem
 from snspin.coherence import (
-    CoherenceParams,
     coherence_map,
     lambda_eff,
     ridge_upsilon,
@@ -111,7 +110,7 @@ def test_t2_limits():
 
 def test_t2_increases_with_hopping():
     lam = 1e4
-    values = [t2_phonon(lam, CoherenceParams(gamma_phonon=g))
+    values = [t2_phonon(lam, gamma_phonon=g)
               for g in (0.1, 0.5, 2.0, 10.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -121,10 +120,10 @@ def test_t2_sign_insensitive():
 
 
 def test_coherence_params_validation():
-    with pytest.raises(ValueError):
-        CoherenceParams(gamma_phonon=-1.0)
     with pytest.raises(ValueError, match="gamma"):
-        t2_phonon(1e4, CoherenceParams(gamma_phonon=0.0))
+        t2_phonon(1e4, gamma_phonon=-1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        t2_phonon(1e4, gamma_phonon=0.0)
 
 
 def test_ridge_value(ground):
@@ -137,6 +136,18 @@ def test_ridge_value(ground):
 
     lam_b, _ = lambda_eff(replace(ground, upsilon_ioc=ridge))
     assert abs(lam_b) < 1e-9 * abs(LAMBDA_B_FITTED)
+
+
+@pytest.mark.parametrize("alpha", [928.4e9, 1e11, -3e11])
+def test_lambda_b_exactly_zero_on_ridge(ground, alpha):
+    """On the analytic ridge lambda_B is exactly zero, not a rounding
+    residue, in both the per-point closed form and the map."""
+    ridge = ridge_upsilon(ground.lambda_soc, ground.a_perp, alpha)
+    on_ridge = replace(ground, upsilon_ioc=ridge, strain_egx=alpha, strain_egy=0.0)
+    assert lambda_eff(on_ridge)[0] == 0.0
+    cmap = coherence_map(ground, [abs(ridge)], [abs(alpha)], "opposite")
+    assert cmap.upsilon_hz[0] == cmap.ridge_upsilon_hz[0] == ridge
+    assert cmap.t2_s[0, 0] == math.inf
 
 
 def test_coherence_map_opposite_sign_has_ridge(ground):
@@ -193,13 +204,14 @@ def test_coherence_map_matches_per_point_formulas(ground, sign_convention,
     alphas = np.array([0.0, 1e11, ground.strain_egx, 1.5e12])
     ridges = [abs(ridge_upsilon(base.lambda_soc, base.a_perp, a)) for a in alphas]
     ups = np.concatenate([np.linspace(0.0, 2.2e5, 23), ridges])
-    coh = CoherenceParams(gamma_phonon=0.5)
+    gamma = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cmap = coherence_map(base, ups, alphas, sign_convention, coh)
+        cmap = coherence_map(base, ups, alphas, sign_convention, gamma_phonon=gamma)
     expected = np.array([
         [t2_phonon(lambda_eff(replace(base, upsilon_ioc=float(u),
-                                      strain_egx=float(a), strain_egy=0.0))[0], coh)
+                                      strain_egx=float(a), strain_egy=0.0))[0],
+                   gamma_phonon=gamma)
          for a in alphas]
         for u in cmap.upsilon_hz
     ])
