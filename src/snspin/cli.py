@@ -73,12 +73,43 @@ def _number(cfg: dict, path: str, default=None, required: bool = False) -> float
     return None if val is None else _float(val, path)
 
 
-def _numbers(cfg: dict, path: str, count: int | None = None, default=None) -> list:
-    """The non-empty list at ``path`` (else ``default``) as floats."""
+def _int(val, path: str, minimum: int = 0) -> int:
+    """A count or seed: a whole number of at least ``minimum`` (a float
+    with no fractional part counts)."""
+    number = _float(val, path)
+    if not number.is_integer() or number < minimum:
+        raise ConfigError(f"expected a whole number >= {minimum}, got {val!r}", path)
+    return int(val)
+
+
+def _integer(cfg: dict, path: str, default=None, required: bool = False,
+             minimum: int = 0) -> int:
+    val = _get(cfg, path, default, required)
+    return None if val is None else _int(val, path, minimum)
+
+
+def _positive(cfg: dict, path: str) -> int:
+    return _integer(cfg, path, minimum=1)
+
+
+def _numbers(cfg: dict, path: str, count: int | None = None, default=None,
+             read=_float) -> list:
+    """The non-empty list at ``path`` (else ``default``), each entry read
+    by ``read`` (as a float by default)."""
     val = _get(cfg, path, default)
     if not isinstance(val, list) or not val or count not in (None, len(val)):
         raise ConfigError(f"expected a list of {count or 'one or more'} numbers", path)
-    return [_float(x, f"{path}[{i}]") for i, x in enumerate(val)]
+    return [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
+
+
+def _choice(*allowed):
+    """A reader of an option that must be one of ``allowed``."""
+    def read(cfg: dict, path: str):
+        val = _get(cfg, path)
+        if val not in allowed:
+            raise ConfigError(f"expected one of {', '.join(allowed)}, got {val!r}", path)
+        return val
+    return read
 
 
 def _grid(cfg: dict, path: str, required: bool = True):
@@ -94,9 +125,7 @@ def _grid(cfg: dict, path: str, required: bool = True):
     for key in ("start", "stop", "points"):
         if key not in block:
             raise ConfigError(f"grid needs start/stop/points", f"{path}.{key}")
-    n = block["points"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("points must be a positive integer", f"{path}.points")
+    n = _int(block["points"], f"{path}.points", minimum=1)
     return np.linspace(_number(cfg, f"{path}.start"), _number(cfg, f"{path}.stop"), n)
 
 
@@ -154,7 +183,8 @@ def _noise(cfg: dict, path: str):
         return None
     if not isinstance(block, dict):
         raise ConfigError("expected a noise object", path)
-    casts = {"kind": str, "sigma_hz": float, "correlation_time_s": float, "samples": int}
+    casts = {"kind": str, "sigma_hz": float, "correlation_time_s": float,
+             "samples": lambda val: _int(val, f"{path}.samples", minimum=1)}
     try:
         # keys left out take NoiseModel's defaults
         return NoiseModel(**{k: cast(block[k]) for k, cast in casts.items() if k in block})
@@ -167,10 +197,6 @@ def _given(cfg: dict, readers: dict) -> dict:
     reader; the options left out take the library function's defaults."""
     return {name: read(cfg, f"options.{name}") for name, read in readers.items()
             if _get(cfg, f"options.{name}") is not None}
-
-
-def _integer(cfg: dict, path: str) -> int:
-    return int(_number(cfg, path))
 
 
 def _plain(value):
@@ -282,13 +308,13 @@ def _cmd_fidelity_budget(cfg, seed):
         excited = _eigensystem(cfg, "excited", field)
         delta = 2.0 * np.pi * memory_detuning(ground, excited)
     every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).tolist()
-    ns = _numbers(cfg, "options.n_list", default=every_n)
+    ns = _numbers(cfg, "options.n_list", default=every_n, read=_int)
     f_min = _number(cfg, "options.f_min", 0.95)
     return {
         "delta_omega_rad_s": float(delta),
         "tau_s": float(tau),
         "budget": [
-            {"n": int(n), "fidelity": float(excitation_fidelity(delta, tau, int(n)))}
+            {"n": n, "fidelity": float(excitation_fidelity(delta, tau, n))}
             for n in ns
         ],
         "f_min": float(f_min),
@@ -348,7 +374,7 @@ def _cmd_decouple(cfg, seed):
         raise ConfigError("decouple needs an ornstein-uhlenbeck noise block",
                           "options.noise")
     result = decoupling_scan(
-        n_pulses=int(_number(cfg, "options.n_pulses", required=True)),
+        n_pulses=_integer(cfg, "options.n_pulses", required=True),
         delay_grid=_grid(cfg, "options.total_time_s"),
         noise=noise, seed=seed,
     )
@@ -361,7 +387,7 @@ def _cmd_rb(cfg, seed):
     result = rb_simulate(
         gate_fidelity=_number(cfg, "options.gate_fidelity", required=True),
         seed=seed,
-        **_given(cfg, {"lengths": _numbers, "sequences_per_length": _integer,
+        **_given(cfg, {"lengths": _numbers, "sequences_per_length": _positive,
                        "spam": lambda cfg, path: _numbers(cfg, path, 2)}),
     )
     out = _plain(result)
@@ -371,12 +397,13 @@ def _cmd_rb(cfg, seed):
 
 
 def _cmd_coherence_map(cfg, seed):
-    from .coherence import coherence_map
+    from .coherence import SIGN_CONVENTIONS, coherence_map
 
     m = coherence_map(
         _manifold(cfg, "ground"),
         _grid(cfg, "options.upsilon_hz"), _grid(cfg, "options.alpha_hz"),
-        **_given(cfg, {"gamma_phonon": _number, "sign_convention": _get}),
+        **_given(cfg, {"gamma_phonon": _number,
+                       "sign_convention": _choice(*SIGN_CONVENTIONS)}),
     )
     return m.csv_rows(), "csv"
 
@@ -444,7 +471,7 @@ def _cmd_fit(cfg, seed):
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
     result = fit_parameters(problem, seed=seed,
-                            **_given(cfg, {"max_eval": _integer}))
+                            **_given(cfg, {"max_eval": _positive}))
     return result.to_dict(), "json"
 
 
@@ -524,7 +551,7 @@ def run(config_path: str, out_override: str | None = None,
         raise ConfigError(f"unknown {command} options {unknown}; "
                           f"expected some of {', '.join(option_keys)}",
                           f"options.{unknown[0]}")
-    seed = seed_override if seed_override is not None else int(_number(cfg, "seed", 0))
+    seed = seed_override if seed_override is not None else _integer(cfg, "seed", 0)
     output = out_override or _get(cfg, "output")
     if not isinstance(output, (str, type(None))):
         raise ConfigError("expected an output path", "output")

@@ -23,6 +23,9 @@ import numpy as np
 
 from .params import ManifoldParams, GAMMA_PHONON_1P7K
 
+# Sign of the strain relative to the spin-orbit splitting; see coherence_map.
+SIGN_CONVENTIONS = ("opposite", "same")
+
 
 def _k_c(lambda_soc, a_perp, alpha):
     """K = A_perp^2 / (2 Delta) and c = lambda_soc / Delta, from scalars or
@@ -132,7 +135,7 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
     alpha), evaluated with the closed forms of :func:`lambda_eff` and
     :func:`t2_phonon` (at ``gamma_phonon``) over the whole grid at once.
     """
-    if sign_convention not in ("opposite", "same"):
+    if sign_convention not in SIGN_CONVENTIONS:
         raise ValueError("sign_convention must be 'opposite' or 'same'")
     upsilon_grid = np.asarray(upsilon_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)

@@ -7,13 +7,18 @@ The drive is the Zeeman operator of an oscillating field applied on top
 of the static bias, with amplitudes quoted as electron drive strengths
 (g mu_B B_ac / h, in Hz) like the static field table.
 
-The propagators exploit two exact structures to stay fast at map scale:
-free evolution is diagonal in the static eigenbasis, and a
+The propagators exploit three exact structures to stay fast at map scale:
+free evolution is diagonal in the static eigenbasis; a
 constant-amplitude tone is periodic (Shirley, Phys. Rev. 138, B979
 (1965)), so one drive period per tone is composed and diagonalized once,
 whole periods become powers of its eigenvalues, and only the fractional
-remainders at the pulse ends are integrated explicitly.  Every pixel of
-a map is one row of a stacked state that all its pulses act on at once.
+remainders at the pulse ends are integrated explicitly; and the midpoint
+substeps of every period sample the drive at the same phases, so the
+tones of one drive amplitude and phase share the eigensystems of their
+substep Hamiltonians and differ only in the substep length.  Every pixel
+of a map is one row of a stacked state that all its pulses act on at
+once, and the period tables of all the tones of a pulse are built side
+by side.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ ROUTING = {
     "broker_m1": (("memory",), ("memory",)),
 }
 
-_SUBSTEPS = 32          # integration samples per drive period (>= 20 required)
-_BLOCK_ROWS = 1024      # programs per stacked pass; bounds the temporaries
+_SUBSTEPS = 32          # midpoint substeps per drive period (>= 20 required)
+_BLOCK_ROWS = 1024      # programs or table substeps per stacked pass; bounds temporaries
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,14 @@ class _Engine:
     remainder r, and a pulse from t_a to t_b is W(t_b) W(t_a)^dagger,
     with M^(n_b - n_a) taken from powers of the eigenvalues.  Many
     programs run side by side as the rows of one stacked state.
+
+    Substep k of every period samples the drive at the phase
+    2 pi (k + 1/2) / _SUBSTEPS (negated for f < 0, zero for a constant
+    drive), so its Hamiltonian E + c_k V does not depend on the
+    frequency: one stacked eigh per (amplitudes, phase, sign of f)
+    serves every tone, and a tone's steps differ only in dt = T /
+    _SUBSTEPS.  The tables missing for a pulse are built together from
+    those eigensystems.  ``report`` counts what the engine has built.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
@@ -160,6 +173,9 @@ class _Engine:
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
         self._tables = {}
+        self._eigs = {}
+        self._built = dict.fromkeys(("substep_eigensystems", "tone_tables",
+                                     "end_steps"), 0)
 
     def transition_frequency(self, transition: str) -> float:
         a, b = TRANSITIONS[transition]
@@ -196,30 +212,56 @@ class _Engine:
     def free_phases(self, duration) -> np.ndarray:
         return np.exp(-2j * math.pi * self.energies * duration)
 
+    def report(self) -> dict:
+        """How many substep eigensystems, tone tables and end steps this
+        engine has built."""
+        return dict(self._built)
+
     def _steps(self, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Stacked midpoint steps exp(-2 pi i (E + c V) dt), one stacked eigh."""
+        """Stacked end steps exp(-2 pi i (E + c V) dt) over the pulse-end
+        remainders, one stacked eigh; the tables' own substeps come from
+        ``_substeps``."""
+        self._built["end_steps"] += len(c)
         h = np.diag(self.energies) + c[:, None, None] * v
         vals, vecs = np.linalg.eigh(h)
         phases = np.exp(-2j * math.pi * vals * dt[:, None])
         return (vecs * phases[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
-    def _table(self, tone: tuple) -> tuple:
-        """(P[k] Q for k = 0.._SUBSTEPS, theta) of one tone; see the class notes."""
-        table = self._tables.get(tone)
-        if table is None:
-            freq, ax, az, phase = tone
-            dt = _period(freq) / _SUBSTEPS
-            t_mid = (np.arange(_SUBSTEPS) + 0.5) * dt
-            steps = self._steps(ax * self.vx + az * self.vz,
-                                np.cos(2.0 * math.pi * freq * t_mid + phase),
-                                np.full(_SUBSTEPS, dt))
-            prefix = [np.eye(8, dtype=complex)]
-            for step in steps:
-                prefix.append(step @ prefix[-1])
-            tri, q = schur(prefix[-1], output="complex")
-            table = (np.array(prefix) @ q, np.angle(np.diag(tri)))
-            self._tables[tone] = table
-        return table
+    def _substeps(self, tone: tuple) -> tuple:
+        """Eigenvalues, eigenvectors and their adjoints of the _SUBSTEPS
+        midpoint Hamiltonians of a tone, shared by every tone of its
+        amplitudes, phase and frequency sign (see the class notes)."""
+        freq, ax, az, phase = tone
+        sign = np.sign(freq)
+        key = (ax, az, phase, sign)
+        eig = self._eigs.get(key)
+        if eig is None:
+            self._built["substep_eigensystems"] += 1
+            c = np.cos(sign * 2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS
+                       + phase)
+            vals, vecs = np.linalg.eigh(np.diag(self.energies)
+                                        + c[:, None, None] * (ax * self.vx + az * self.vz))
+            eig = self._eigs[key] = (vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
+        return eig
+
+    def _build_tables(self, tones: list):
+        """Tables of ``tones`` (see the class notes), built side by side in
+        blocks of ``_BLOCK_ROWS`` substeps."""
+        per_block = _BLOCK_ROWS // _SUBSTEPS
+        for start in range(0, len(tones), per_block):
+            block = tones[start:start + per_block]
+            vals, vecs, vecs_h = (np.array(x) for x in zip(*map(self._substeps, block)))
+            dt = _period(np.array([tone[0] for tone in block])) / _SUBSTEPS
+            phases = np.exp(-2j * math.pi * vals * dt[:, None, None])
+            steps = (vecs * phases[:, :, None, :]) @ vecs_h
+            prefix = np.empty((len(block), _SUBSTEPS + 1, 8, 8), dtype=complex)
+            prefix[:, 0] = np.eye(8)
+            for k in range(_SUBSTEPS):
+                prefix[:, k + 1] = steps[:, k] @ prefix[:, k]
+            for tone, p in zip(block, prefix):
+                tri, q = schur(p[-1], output="complex")
+                self._tables[tone] = (p @ q, np.angle(np.diag(tri)))
+            self._built["tone_tables"] += len(block)
 
     def _pulse(self, psi, tones, which, t0, dur) -> np.ndarray:
         """Row i of ``psi`` driven by ``tones[which[i]]`` from absolute time
@@ -231,7 +273,9 @@ class _Engine:
         t = 0, and any period tabulates it exactly.
         """
         freq, ax, az, phase = (np.array(x, dtype=float) for x in zip(*tones))
-        tables = [self._table(tone) for tone in tones]
+        self._build_tables([tone for tone in dict.fromkeys(tones)
+                            if tone not in self._tables])
+        tables = [self._tables[tone] for tone in tones]
         period = _period(freq)
         dc = freq[which] == 0.0
         ends = np.concatenate([np.where(dc, 0.0, t0), np.where(dc, dur, t0 + dur)])

@@ -427,6 +427,18 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("fit", "options.initial", 5, "options.initial"),
     ("fit", "options.bounds", {"b_x_ac_hz": 5}, "options.bounds.b_x_ac_hz"),
     ("rabi", "options.transition", "zeta", "options.transition"),
+    ("fit", "options.max_eval", 1.5, "options.max_eval"),
+    ("rb", "options.sequences_per_length", 1.5, "options.sequences_per_length"),
+    ("fidelity-budget", "options.n_list", [1.7, 2.2], "options.n_list[0]"),
+    ("ple", "options.detuning_hz", {"start": -1e9, "stop": 1e9, "points": True},
+     "options.detuning_hz.points"),
+    ("decouple", "options.n_pulses", 1.5, "options.n_pulses"),
+    ("decouple", "options.noise", {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
+                                   "correlation_time_s": 1e-4, "samples": 2.5},
+     "options.noise.samples"),
+    ("rb", "seed", 9.5, "seed"),
+    ("coherence-map", "options.sign_convention", [1], "options.sign_convention"),
+    ("fidelity-budget", "options.n_list", [-3], "options.n_list[0]"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

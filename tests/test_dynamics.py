@@ -133,6 +133,47 @@ def test_constant_drive_is_time_invariant(engine):
     step = (vecs * np.exp(-2j * math.pi * vals * 30e-9)) @ vecs.conj().T
     assert np.allclose(psi, step @ engine.run(PulseProgram((first,))), atol=1e-12)
 
+
+@pytest.mark.parametrize("freqs, phase, periods, eigensystems", [
+    ((2.0 ** 29, 2.0 ** 25), 0.0, (40, 3), 1),        # two frequencies, one drive
+    ((2.0 ** 29, -2.0 ** 29), math.pi / 3, (40, 40), 2),
+    ((0.0,), 0.4, (1,), 1),
+])
+def test_tables_match_propagation_over_whole_periods(ground, field, freqs, phase,
+                                                     periods, eigensystems):
+    """A pulse of whole periods from t = 0 is a power of its tone's period
+    propagator, so it matches ``propagate`` at the table's own substeps:
+    the tones of one drive amplitude and phase share the eigensystem of
+    their substep Hamiltonians whatever their frequency.  Powers of two
+    make the periods and substeps exact.  A constant drive has no period;
+    its pulse is one exact step of any duration."""
+    engine = dyn._Engine(ground, field)
+    for freq, n in zip(freqs, periods):
+        period = 1.0 / abs(freq) if freq else 150e-9
+        prog = PulseProgram((DriveSegment(freq, AX, AZ, phase, n * period),))
+        reference = propagate(engine.h0, ground, prog, timestep=period / dyn._SUBSTEPS)
+        assert np.max(np.abs(engine.system.states @ engine.run(prog) - reference)) < 1e-9
+    assert engine.report()["substep_eigensystems"] == eigensystems
+    assert engine.report()["tone_tables"] == len(freqs)
+
+
+@pytest.mark.parametrize("transition", list(dyn.TRANSITIONS))
+def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
+    """A routed chevron builds one substep eigensystem for all its tones,
+    one table per drive frequency and routing tone, and end steps."""
+    engine = dyn._Engine(ground, field)
+    freqs = engine.transition_frequency(transition) + np.array([-2.1e6, -0.3e6, 1.7e6])
+    rabi_map(ground, field, AX, AZ, freqs, [40e-9, 150e-9], transition=transition,
+             engine=engine)
+    report = engine.report()
+    routing = set(sum(dyn.ROUTING[transition], ()))
+    assert report["substep_eigensystems"] == 1
+    assert report["tone_tables"] == len(freqs) + len(routing)
+    assert report["end_steps"] > 0
+    report["tone_tables"] = 0
+    assert engine.report()["tone_tables"] == len(freqs) + len(routing)
+
+
 def test_rabi_map_resonant_column(ground, field, engine):
     times = np.linspace(0.0, 3 * PI_S["broker"], 61)
     sm = rabi_map(ground, field, AX, AZ, [F_BROKER], times)
