@@ -183,11 +183,12 @@ def _noise(cfg: dict, path: str):
         return None
     if not isinstance(block, dict):
         raise ConfigError("expected a noise object", path)
-    casts = {"kind": str, "sigma_hz": float, "correlation_time_s": float,
-             "samples": lambda val: _int(val, f"{path}.samples", minimum=1)}
+    readers = {"kind": _get, "sigma_hz": _number, "correlation_time_s": _number,
+               "samples": _positive}
     try:
         # keys left out take NoiseModel's defaults
-        return NoiseModel(**{k: cast(block[k]) for k, cast in casts.items() if k in block})
+        return NoiseModel(**{k: read(cfg, f"{path}.{k}")
+                             for k, read in readers.items() if k in block})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), path)
 
@@ -255,22 +256,16 @@ def _cmd_ple(cfg, seed):
 
 
 def _cmd_cyclicity_map(cfg, seed):
-    from .params import MagneticField
-    from .spinmodel import manifold_eigensystem
-    from .optics import cyclicity
+    import numpy as np
+    from .optics import lambda_f0_map
 
     gp = _manifold(cfg, "ground")
     ep = _manifold(cfg, "excited")
-    bx_grid = _grid(cfg, "options.bx_t")
-    bz_grid = _grid(cfg, "options.bz_t")
+    bx, bz = (axis.ravel() for axis in np.meshgrid(
+        _grid(cfg, "options.bx_t"), _grid(cfg, "options.bz_t"), indexing="ij"))
     rows = [("bx_t", "bz_t", "lambda_f0")]
-    for bx in bx_grid:
-        for bz in bz_grid:
-            field = MagneticField(bx=float(bx), bz=float(bz))
-            ground = manifold_eigensystem(gp, field)
-            excited = manifold_eigensystem(ep, field)
-            lam = cyclicity(ground, excited).lambda_f0
-            rows.append((repr(float(bx)), repr(float(bz)), repr(float(lam))))
+    rows += [(repr(float(x)), repr(float(z)), repr(float(lam)))
+             for x, z, lam in zip(bx, bz, lambda_f0_map(gp, ep, bx, bz))]
     return rows, "csv"
 
 

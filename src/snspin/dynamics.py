@@ -102,8 +102,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "quasi-static-gaussian", "ornstein-uhlenbeck"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_hz < 0 or self.samples < 1:
-            raise ValueError("sigma must be >= 0 and samples >= 1")
+        if self.sigma_hz < 0 or self.samples < 1 or not self.correlation_time_s > 0:
+            raise ValueError("sigma must be >= 0, correlation_time_s > 0 (inf for "
+                             "static noise) and samples >= 1")
 
 
 @dataclass(frozen=True)
@@ -270,11 +271,14 @@ class _Engine:
         The remainder steps at both ends of every row are taken in one
         stacked eigh, each bitwise-distinct (tone, substep, remainder)
         once.  A constant drive (f = 0) is time-invariant: it runs from
-        t = 0, and any period tabulates it exactly.
+        t = 0, and any period tabulates it exactly.  Only the tones that
+        some row uses are gathered.
         """
-        freq, ax, az, phase = (np.array(x, dtype=float) for x in zip(*tones))
         self._build_tables([tone for tone in dict.fromkeys(tones)
                             if tone not in self._tables])
+        used, which = np.unique(which, return_inverse=True)
+        tones = [tones[i] for i in used]
+        freq, ax, az, phase = (np.array(x, dtype=float) for x in zip(*tones))
         tables = [self._tables[tone] for tone in tones]
         period = _period(freq)
         dc = freq[which] == 0.0

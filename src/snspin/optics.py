@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit, linear_sum_assignment
 
-from .params import LIFETIME_S
-from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L
+from .params import LIFETIME_S, ManifoldParams
+from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L, manifold_eigensystems
 
 
 # Total cross-manifold dipole operator P = px + py + pz in the fixed
@@ -25,6 +25,12 @@ from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L
 # (identity on electron and nuclear spin): pz keeps the circular orbital
 # state while px/py swap it, with the usual circular-basis phases.
 DIPOLE = SX_L + SY_L + np.eye(8, dtype=complex)
+
+
+def _strengths(exc: np.ndarray, gnd: np.ndarray) -> np.ndarray:
+    """|<exc_i|P|gnd_j>|^2 of lower-branch states stacked as (..., 8, 4)."""
+    amp = np.conj(np.swapaxes(exc, -1, -2)) @ DIPOLE @ gnd
+    return np.abs(amp) ** 2
 
 
 def dipole_strengths(ground: EigenSystem, excited: EigenSystem) -> np.ndarray:
@@ -35,8 +41,7 @@ def dipole_strengths(ground: EigenSystem, excited: EigenSystem) -> np.ndarray:
     """
     exc = np.column_stack([excited.state(lab) for lab in LOWER_LABELS])
     gnd = np.column_stack([ground.state(lab) for lab in LOWER_LABELS])
-    amp = exc.conj().T @ DIPOLE @ gnd
-    return np.abs(amp) ** 2
+    return _strengths(exc, gnd)
 
 
 def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem) -> dict:
@@ -61,33 +66,59 @@ class CyclicityResult:
     1/(1 - max_j branching), i.e. the mean number of optical cycles on
     the dominant line before the spin leaks elsewhere; ``inf`` for a
     perfectly cycling state and ``nan`` when the state does not emit.
+    ``lambda_f0`` is the cyclicity of the f0 line: the weaker of the two
+    1B excited states.
     """
 
     branching: np.ndarray
     cyclicity: dict
+    lambda_f0: float
     excited_labels: tuple = LOWER_LABELS
     ground_labels: tuple = LOWER_LABELS
 
-    @property
-    def lambda_f0(self) -> float:
-        """Cyclicity of the f0 line: the weaker of the two 1B excited states."""
-        return min(self.cyclicity["lower.1B0M"], self.cyclicity["lower.1B1M"])
+
+def _cyclicities(strengths: np.ndarray) -> tuple:
+    """Branching (..., 4, 4), cyclicity (..., 4) and lambda_f0 (...) of
+    dipole strengths (..., 4, 4) in label order."""
+    totals = strengths.sum(axis=-1)
+    emits = totals > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        branching = np.where(emits[..., None], strengths / totals[..., None], 0.0)
+        leak = 1.0 - branching.max(axis=-1)
+        cyc = np.where(emits, np.where(leak <= 0.0, math.inf, 1.0 / leak), math.nan)
+    # the smaller of 1B0M and 1B1M, the first one if they do not compare
+    f0 = np.where(cyc[..., 3] < cyc[..., 2], cyc[..., 3], cyc[..., 2])
+    return branching, cyc, f0
 
 
 def cyclicity(ground: EigenSystem, excited: EigenSystem) -> CyclicityResult:
     """Optical cyclicity of each lower-branch excited state."""
-    strengths = dipole_strengths(ground, excited)
-    totals = strengths.sum(axis=1)
-    branching = np.zeros_like(strengths)
-    cyc = {}
-    for i, label in enumerate(LOWER_LABELS):
-        if totals[i] <= 0.0:
-            cyc[label] = math.nan
-            continue
-        branching[i] = strengths[i] / totals[i]
-        leak = 1.0 - branching[i].max()
-        cyc[label] = math.inf if leak <= 0.0 else 1.0 / leak
-    return CyclicityResult(branching=branching, cyclicity=cyc)
+    branching, cyc, f0 = _cyclicities(dipole_strengths(ground, excited))
+    return CyclicityResult(branching=branching, lambda_f0=float(f0),
+                           cyclicity=dict(zip(LOWER_LABELS, cyc.tolist())))
+
+
+# Field points per stacked pass of lambda_f0_map; bounds its temporaries.
+_BLOCK_POINTS = 256
+
+
+def lambda_f0_map(ground: ManifoldParams, excited: ManifoldParams,
+                  bx: np.ndarray, bz: np.ndarray) -> np.ndarray:
+    """lambda_f0 of :func:`cyclicity` at each field (bx[i], 0, bz[i]), T.
+
+    The points go through in stacked blocks of ``_BLOCK_POINTS``, and
+    each comes out bitwise as :func:`cyclicity` gives it at that field.
+    """
+    bx, bz = np.asarray(bx, dtype=float), np.asarray(bz, dtype=float)
+    out = np.empty(bx.shape)
+    for start in range(0, bx.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        lower = []
+        for manifold in (excited, ground):
+            _, states, columns = manifold_eigensystems(manifold, bx[block], 0.0, bz[block])
+            lower.append(np.take_along_axis(states, columns[:, None, :4], axis=-1))
+        out[block] = _cyclicities(_strengths(*lower))[2]
+    return out
 
 
 def cyclicity_from_lifetimes(tau_pol: float, tau: float) -> float:
@@ -296,7 +327,7 @@ def collection_efficiency(detected_rate: float, tau: float) -> float:
 
 __all__ = [
     "DIPOLE", "dipole_strengths", "spin_conserving_pairs",
-    "CyclicityResult", "cyclicity", "cyclicity_from_lifetimes",
+    "CyclicityResult", "cyclicity", "lambda_f0_map", "cyclicity_from_lifetimes",
     "PumpResult", "pump_dynamics",
     "excitation_fidelity", "excitation_fidelity_mc", "max_excitations",
     "collection_efficiency",

@@ -29,6 +29,12 @@ Degenerate levels are resolved by symmetry, not by a tolerance: without
 a transverse field H conserves Fz = sz_S + sz_I (Hepp et al., PRL 112,
 036405 (2014)), and ``eigensystem`` diagonalizes each Fz sector on its
 own.  Otherwise one ``eigh`` decides, down to its ~1e-3 Hz resolution.
+
+``eigensystems`` takes a stack of Hamiltonians (n, 8, 8) through the same
+routine and labeling rule: the points that couple Fz sectors share one
+stacked ``eigh``, and every point comes out bitwise as ``eigensystem``
+gives it alone.  ``manifold_eigensystems`` builds such a stack over n
+field points from the one Hamiltonian formula of ``build_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ QUBIT_LABELS = ("0B0M", "0B1M", "1B0M", "1B1M")
 # 4x4 optical matrix and of the optical transition table.
 LOWER_LABELS = tuple(f"lower.{q}" for q in QUBIT_LABELS)
 
+# Every label, lower branch first: the label order of a stacked labeling.
+LABELS = LOWER_LABELS + tuple(f"upper.{q}" for q in QUBIT_LABELS)
+
 # The three lower-branch microwave transitions, (from, to) by name:
 # 0B0M <-> 1B0M is the broker-qubit flip, 0B0M <-> 0B1M the memory-qubit
 # flip, and 0B1M <-> 1B1M the broker flip conditional on the memory being 1.
@@ -82,23 +91,31 @@ _NUCLEAR_BIT = np.array([i & 1 for i in range(8)])
 _ALIGNED = (_ELECTRON_BIT == _NUCLEAR_BIT).astype(float)
 _NUCLEAR_UP = (_NUCLEAR_BIT == 0).astype(float)
 
-# Fz = sz_S + sz_I of each basis state, its sectors -- aligned up {0, 4},
-# aligned down {3, 7}, anti-aligned {1, 2, 5, 6} -- and the entries of an
-# 8x8 matrix that couple two different sectors.
+# Fz = sz_S + sz_I of each basis state, the basis ordered by its sectors
+# -- aligned up {0, 4}, aligned down {3, 7}, anti-aligned {1, 2, 5, 6} --
+# and the entries of an 8x8 matrix that couple two different sectors.
 _FZ = 2 - 2 * (_ELECTRON_BIT + _NUCLEAR_BIT)
-_FZ_SECTORS = tuple(np.flatnonzero(_FZ == fz) for fz in (2, -2, 0))
+_SECTOR_ORDER = np.concatenate([np.flatnonzero(_FZ == fz) for fz in (2, -2, 0)])
+_ALIGNED_PAIRS = _SECTOR_ORDER[:4].reshape(2, 2)
+_ALIGNED_BLOCKS = (_ALIGNED_PAIRS[:, :, None], _ALIGNED_PAIRS[:, None, :])
+_ANTI_BLOCK = np.ix_(_SECTOR_ORDER[4:], _SECTOR_ORDER[4:])
 _CROSS_SECTOR = _FZ[:, None] != _FZ[None, :]
+
+# First column of the lower and the upper branch.
+_BRANCH_OFFSET = np.array([[0], [4]])
+
+
+def _zeeman(params: ManifoldParams, bx, by, bz) -> np.ndarray:
+    g_fac = params.g_electron * MU_B_HZ_PER_T
+    h = 0.5 * g_fac * (bx * SX_S + by * SY_S + bz * SZ_S)
+    h = h + 0.5 * params.nuclear_gyro * (bx * SX_I + by * SY_I + bz * SZ_I)
+    h = h + 0.5 * params.orbital_quench_q * g_fac * bz * SZ_L
+    return h
 
 
 def zeeman_operator(params: ManifoldParams, field: MagneticField) -> np.ndarray:
     """Zeeman Hamiltonian (Hz) of electron, nucleus and quenched orbital."""
-    g_fac = params.g_electron * MU_B_HZ_PER_T
-    h = 0.5 * g_fac * (field.bx * SX_S + field.by * SY_S + field.bz * SZ_S)
-    h = h + 0.5 * params.nuclear_gyro * (
-        field.bx * SX_I + field.by * SY_I + field.bz * SZ_I
-    )
-    h = h + 0.5 * params.orbital_quench_q * g_fac * field.bz * SZ_L
-    return h
+    return _zeeman(params, field.bx, field.by, field.bz)
 
 
 _SZ_L_SZ_S = SZ_L @ SZ_S
@@ -107,15 +124,21 @@ _FLIP_FLOP = SX_S @ SX_I + SY_S @ SY_I
 _SZ_S_SZ_I = SZ_S @ SZ_I
 
 
-def build_hamiltonian(params: ManifoldParams, field: MagneticField) -> np.ndarray:
-    """Full 8x8 manifold Hamiltonian in Hz."""
+def _hamiltonian(params: ManifoldParams, bx, by, bz) -> np.ndarray:
+    """The manifold Hamiltonian in Hz: (8, 8) for float field components,
+    (n, 8, 8) for components of shape (n, 1, 1)."""
     h = 0.5 * params.lambda_soc * _SZ_L_SZ_S
     h = h + 0.5 * params.upsilon_ioc * _SZ_L_SZ_I
     h = h - params.strain_egx * SX_L - params.strain_egy * SY_L
     h = h + 0.25 * params.a_perp * _FLIP_FLOP
     h = h + 0.25 * params.a_par * _SZ_S_SZ_I
-    h = h + zeeman_operator(params, field)
+    h = h + _zeeman(params, bx, by, bz)
     return h
+
+
+def build_hamiltonian(params: ManifoldParams, field: MagneticField) -> np.ndarray:
+    """Full 8x8 manifold Hamiltonian in Hz."""
+    return _hamiltonian(params, field.bx, field.by, field.bz)
 
 
 @dataclass(frozen=True)
@@ -150,16 +173,86 @@ class EigenSystem:
         return {lab: float(e) for lab, e in zip(self.labels, self.energies)}
 
 
+def _sector_eigh(h: np.ndarray) -> tuple:
+    """Energies and states of one 8x8 ``h`` that couples no two Fz
+    sectors, each sector diagonalized on its own and the levels sorted
+    by energy."""
+    vals2, vecs2 = np.linalg.eigh(h[_ALIGNED_BLOCKS])
+    vals4, vecs4 = np.linalg.eigh(h[_ANTI_BLOCK])
+    blocks = np.zeros((8, 8), dtype=complex)
+    blocks[:2, :2], blocks[2:4, 2:4], blocks[4:, 4:] = vecs2[0], vecs2[1], vecs4
+    energies = np.concatenate([vals2.ravel(), vals4])
+    order = np.argsort(energies, kind="stable")
+    states = np.empty((8, 8), dtype=complex)
+    states[_SECTOR_ORDER] = blocks[:, order]
+    return energies[order], states
+
+
+def _label_columns(states: np.ndarray) -> np.ndarray:
+    """Column of each of :data:`LABELS` in energy-sorted eigenvectors
+    ``states`` (..., 8, 8).
+
+    In each branch (columns 0-3 lower, 4-7 upper) the two most aligned
+    states are 1B, 1B0M the one with more nuclear-up weight (the more
+    aligned one on a tie); the other two are 0B0M and 0B1M in energy
+    order.
+    """
+    pops = np.abs(states) ** 2
+    branches = (-1, 4)  # one row per branch of each point
+    order = np.argsort(-(_ALIGNED @ pops).reshape(branches), axis=-1)
+    rows = np.arange(len(order))[:, None]
+    up = (_NUCLEAR_UP @ pops).reshape(branches)[rows, order[:, :2]]
+    one_b = np.where((up[:, 1] > up[:, 0])[:, None], order[:, 1::-1], order[:, :2])
+    zero_b = np.sort(order[:, 2:], axis=-1)
+    columns = np.concatenate([zero_b, one_b], axis=-1).reshape(-1, 2, 4) + _BRANCH_OFFSET
+    return columns.reshape(states.shape[:-1])
+
+
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     """Gauge: make the largest-magnitude component of each column real positive."""
-    idx = np.argmax(np.abs(states), axis=0)
-    pivots = states[idx, np.arange(states.shape[1])]
-    return states * (np.abs(pivots) / pivots)
+    flat = states.reshape(-1, 8, 8)
+    rows = np.argmax(np.abs(flat), axis=-2)
+    pivots = flat[np.arange(len(flat))[:, None], rows, np.arange(8)]
+    return states * (np.abs(pivots) / pivots).reshape(states.shape[:-2] + (1, 8))
+
+
+def eigensystems(h: np.ndarray) -> tuple:
+    """Diagonalize and label a stack of manifold Hamiltonians.
+
+    Returns ``(energies, states, columns)`` of shapes (n, 8), (n, 8, 8)
+    and (n, 8): point i has eigenvector ``states[i, :, k]`` at
+    ``energies[i, k]``, and ``columns[i, j]`` is the column of
+    ``LABELS[j]``.  Points whose ``h`` couples two Fz sectors share one
+    stacked ``eigh``; the others are split into their Fz sectors one at a
+    time (see :func:`eigensystem`).  Each point comes out bitwise as
+    :func:`eigensystem` gives it alone.
+
+    :param h: (n, 8, 8) Hermitian matrices in the fixed product basis (Hz).
+    """
+    h = np.asarray(h)
+    if h.ndim != 3 or h.shape[1:] != (8, 8):
+        raise ValueError(f"expected a stack of 8x8 matrices, got shape {h.shape}")
+    skew = np.abs(h - np.conj(np.swapaxes(h, 1, 2))).max(axis=(1, 2))
+    if (skew > 1e-12 * np.abs(h).max(axis=(1, 2))).any():
+        raise ValueError("Hamiltonian is not Hermitian")
+    coupled = h[:, _CROSS_SECTOR].any(axis=1)
+    if coupled.all():
+        energies, states = np.linalg.eigh(h)
+    else:
+        energies = np.empty(h.shape[:2])
+        states = np.empty(h.shape, dtype=complex)
+        if coupled.any():
+            energies[coupled], states[coupled] = np.linalg.eigh(h[coupled])
+        for i in np.flatnonzero(~coupled):
+            energies[i], states[i] = _sector_eigh(h[i])
+    return energies, _fix_phases(states), _label_columns(states)
 
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalize a manifold Hamiltonian and attach branch/qubit labels.
 
+    This is the one-point case of :func:`eigensystems`, which takes a
+    stack of Hamiltonians through the same routine and labeling rule.
     When ``h`` couples no two Fz sectors (no transverse field), each
     sector is diagonalized on its own, so every eigenvector has a definite
     Fz even inside a degenerate level: the aligned pair splits into
@@ -171,46 +264,26 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
 
     :param h: 8x8 Hermitian matrix in the fixed product basis (Hz).
     """
+    h = np.asarray(h)
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {h.shape}")
-    scale = np.abs(h).max()
-    if scale > 0 and np.abs(h - h.conj().T).max() > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not Hermitian")
-    if h[_CROSS_SECTOR].any():
-        energies, states = np.linalg.eigh(h)
-    else:
-        energies = np.empty(8)
-        states = np.zeros((8, 8), dtype=complex)
-        col = 0
-        for idx in _FZ_SECTORS:
-            vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-            energies[col:col + idx.size] = vals
-            states[idx, col:col + idx.size] = vecs
-            col += idx.size
-        order = np.argsort(energies, kind="stable")
-        energies, states = energies[order], states[:, order]
-
+    energies, states, columns = eigensystems(h[None])
     labels = [""] * 8
-    for branch, offset in (("lower", 0), ("upper", 4)):
-        pops = np.abs(states[:, offset:offset + 4]) ** 2
-        aligned_pop = _ALIGNED @ pops
-        nuclear_up_pop = _NUCLEAR_UP @ pops
-
-        order = np.argsort(-aligned_pop)
-        one_b = sorted(order[:2], key=lambda c: -nuclear_up_pop[c])
-        labels[offset + one_b[0]] = f"{branch}.1B0M"
-        labels[offset + one_b[1]] = f"{branch}.1B1M"
-        zero_b = sorted(order[2:])  # ascending energy within the branch
-        labels[offset + zero_b[0]] = f"{branch}.0B0M"
-        labels[offset + zero_b[1]] = f"{branch}.0B1M"
-
-    states = _fix_phases(states)
-    return EigenSystem(energies=energies, states=states, labels=tuple(labels))
+    for label, col in zip(LABELS, columns[0].tolist()):
+        labels[col] = label
+    return EigenSystem(energies=energies[0], states=states[0], labels=tuple(labels))
 
 
 def manifold_eigensystem(params: ManifoldParams, field: MagneticField) -> EigenSystem:
     """Build and diagonalize one manifold at the given field."""
     return eigensystem(build_hamiltonian(params, field))
+
+
+def manifold_eigensystems(params: ManifoldParams, bx, by, bz) -> tuple:
+    """:func:`eigensystems` of one manifold at the n fields (bx[i], by[i],
+    bz[i]) in T; a float component holds at every point."""
+    return eigensystems(_hamiltonian(
+        params, *(np.asarray(b, dtype=float)[..., None, None] for b in (bx, by, bz))))
 
 
 def closed_form_energies(params: ManifoldParams, order: int = 2) -> dict:
@@ -270,7 +343,8 @@ def closed_form_energies(params: ManifoldParams, order: int = 2) -> dict:
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY",
     "SX_L", "SY_L", "SZ_L", "SX_S", "SY_S", "SZ_S", "SX_I", "SY_I", "SZ_I",
-    "BRANCHES", "QUBIT_LABELS", "LOWER_LABELS", "TRANSITIONS",
+    "BRANCHES", "QUBIT_LABELS", "LOWER_LABELS", "LABELS", "TRANSITIONS",
     "zeeman_operator", "build_hamiltonian",
-    "EigenSystem", "eigensystem", "manifold_eigensystem", "closed_form_energies",
+    "EigenSystem", "eigensystem", "eigensystems", "manifold_eigensystem",
+    "manifold_eigensystems", "closed_form_energies",
 ]

@@ -165,16 +165,21 @@ def test_ple_csv(tmp_path):
 
 
 def test_cyclicity_map_matches_library(tmp_path):
-    from snspin.optics import cyclicity
+    """Every point of a map larger than one stacked block, with the
+    bx = 0 line and B = 0 among them, is the library's one-point value."""
+    from snspin.optics import _BLOCK_POINTS, cyclicity
 
-    bx_list, bz = [0.0, 2.0e-4], 5.537199046e-5
+    bx_list = np.linspace(0.0, 1e-3, 26).tolist()
+    bz_list = [0.0, 5.537199046e-5, -2e-5, 1e-6, 4e-6, 2e-5, 1e-4, 2e-4, -1e-3, 3e-4]
+    assert len(bx_list) * len(bz_list) > _BLOCK_POINTS
     cfg = {"command": "cyclicity-map",
-           "options": {"bx_t": bx_list, "bz_t": [bz]}}
+           "options": {"bx_t": bx_list, "bz_t": bz_list}}
     written, _ = run_command(tmp_path, cfg)
     _, lines = load_csv_artifact(written)
     assert lines[0] == "bx_t,bz_t,lambda_f0"
-    assert len(lines) == 3
-    for line, bx in zip(lines[1:], bx_list):
+    points = [(bx, bz) for bx in bx_list for bz in bz_list]
+    assert len(lines) == 1 + len(points)
+    for line, (bx, bz) in zip(lines[1:], points):
         ground = manifold_eigensystem(ground_defaults(), MagneticField(bx=bx, bz=bz))
         excited = manifold_eigensystem(excited_defaults(), MagneticField(bx=bx, bz=bz))
         assert float(line.split(",")[2]) == cyclicity(ground, excited).lambda_f0
@@ -439,6 +444,10 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("rb", "seed", 9.5, "seed"),
     ("coherence-map", "options.sign_convention", [1], "options.sign_convention"),
     ("fidelity-budget", "options.n_list", [-3], "options.n_list[0]"),
+    ("decouple", "options.noise", {"kind": "ornstein-uhlenbeck", "sigma_hz": True,
+                                   "correlation_time_s": 1e-4}, "options.noise.sigma_hz"),
+    ("decouple", "options.noise", {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
+                                   "correlation_time_s": 0}, "options.noise"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

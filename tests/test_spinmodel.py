@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from snspin.params import MagneticField, ManifoldParams, ground_defaults
 from snspin.spinmodel import (
     BRANCHES,
+    LABELS,
     QUBIT_LABELS,
     build_hamiltonian,
     closed_form_energies,
     eigensystem,
+    eigensystems,
     manifold_eigensystem,
+    manifold_eigensystems,
     zeeman_operator,
 )
 
@@ -87,6 +90,26 @@ def test_axial_field_eigenvectors_have_definite_fz(params, bz):
             assert inside == ["down"]
 
 
+component_strategy = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=params_strategy,
+       fields=st.lists(st.tuples(component_strategy, component_strategy,
+                                 component_strategy), min_size=1, max_size=8))
+def test_stacked_eigensystems_match_one_point(params, fields):
+    """The stacked path gives every point's energies, phase-fixed states
+    and labels bitwise as manifold_eigensystem does, on fields with
+    by != 0, on the bx = by = 0 line and at B = 0."""
+    points = [(0.0, 0.0, 0.0), (0.0, 0.0, fields[0][2])] + fields
+    energies, states, columns = manifold_eigensystems(params, *map(np.array, zip(*points)))
+    for i, (bx, by, bz) in enumerate(points):
+        one = manifold_eigensystem(params, MagneticField(bx=bx, by=by, bz=bz))
+        assert np.array_equal(energies[i], one.energies)
+        assert np.array_equal(states[i], one.states)
+        assert tuple(one.labels[c] for c in columns[i]) == LABELS
+
+
 def test_zeeman_transverse_field_leaves_orbital_alone():
     p = ground_defaults()
     h = zeeman_operator(p, MagneticField(bx=1e-3))
@@ -110,9 +133,15 @@ def test_eigensystem_rejects_bad_input():
     with pytest.raises(ValueError, match="8x8"):
         eigensystem(np.eye(4))
     h = build_hamiltonian(p, MagneticField()).astype(complex)
+    with pytest.raises(ValueError, match="8x8"):
+        eigensystems(h)
+    stack = np.stack([h, h])
     h[0, 1] += 1e6  # break Hermiticity
     with pytest.raises(ValueError, match="Hermitian"):
         eigensystem(h)
+    stack[1] = h  # at one point of a stack
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigensystems(stack)
 
 
 def test_eigensystem_unknown_label():
