@@ -112,21 +112,29 @@ def _choice(*allowed):
     return read
 
 
-def _grid(cfg: dict, path: str, required: bool = True):
+def _grid(cfg: dict, path: str, required: bool = True, times: bool = False):
+    """The grid at ``path``: a list or a start/stop/points block of
+    finite values, which must also be non-negative when they are
+    ``times``."""
     import numpy as np
 
     block = _get(cfg, path, required=required)
     if block is None:
         return None
     if isinstance(block, list):
-        return np.asarray(_numbers(cfg, path))
-    if not isinstance(block, dict):
+        grid = np.asarray(_numbers(cfg, path))
+    elif not isinstance(block, dict):
         raise ConfigError("expected a grid list or a start/stop/points object", path)
-    for key in ("start", "stop", "points"):
-        if key not in block:
-            raise ConfigError(f"grid needs start/stop/points", f"{path}.{key}")
-    n = _int(block["points"], f"{path}.points", minimum=1)
-    return np.linspace(_number(cfg, f"{path}.start"), _number(cfg, f"{path}.stop"), n)
+    else:
+        for key in ("start", "stop", "points"):
+            if key not in block:
+                raise ConfigError(f"grid needs start/stop/points", f"{path}.{key}")
+        n = _int(block["points"], f"{path}.points", minimum=1)
+        grid = np.linspace(_number(cfg, f"{path}.start"), _number(cfg, f"{path}.stop"), n)
+    if not np.all(np.isfinite(grid)) or (times and np.any(grid < 0)):
+        raise ConfigError("expected finite " + ("non-negative times" if times else "values"),
+                          path)
+    return grid
 
 
 def _manifold(cfg: dict, key: str):
@@ -342,7 +350,7 @@ def _cmd_rabi(cfg, seed):
 
     params, field, ax, az, transition, meta = _map_common(cfg, "rabi")
     m = rabi_map(params, field, ax, az,
-                 _grid(cfg, "options.freq_hz"), _grid(cfg, "options.duration_s"),
+                 _grid(cfg, "options.freq_hz"), _grid(cfg, "options.duration_s", times=True),
                  transition=transition)
     return (m.csv_rows(), meta), "signal-csv"
 
@@ -352,8 +360,11 @@ def _cmd_ramsey(cfg, seed):
 
     params, field, ax, az, transition, meta = _map_common(cfg, "ramsey")
     pi_half = _number(cfg, "options.pi_half_s")
+    if pi_half is not None and not 0.0 <= pi_half < float("inf"):
+        raise ConfigError(f"expected a finite non-negative time, got {pi_half!r}",
+                          "options.pi_half_s")
     m = ramsey_map(params, field, ax, az,
-                   _grid(cfg, "options.freq_hz"), _grid(cfg, "options.delay_s"),
+                   _grid(cfg, "options.freq_hz"), _grid(cfg, "options.delay_s", times=True),
                    noise=_noise(cfg, "options.noise"),
                    transition=transition, pi_half_s=pi_half)
     if pi_half is not None:

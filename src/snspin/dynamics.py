@@ -17,8 +17,11 @@ substeps of every period sample the drive at the same phases, so the
 tones of one drive amplitude and phase share the eigensystems of their
 substep Hamiltonians and differ only in the substep length.  Every pixel
 of a map is one row of a stacked state that all its pulses act on at
-once, and the period tables of all the tones of a pulse are built side
-by side.
+once.  Pulse times do not depend on the state, so the engine plans every
+pulse of a call before it runs any: the period tables of all its tones
+are built side by side, and the pulse ends of a group of rows -- which
+may come from several maps, such as every map of one fit evaluation --
+are deduplicated once and integrated in a few stacked passes.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ ROUTING = {
 }
 
 _SUBSTEPS = 32          # midpoint substeps per drive period (>= 20 required)
-_BLOCK_ROWS = 1024      # programs or table substeps per stacked pass; bounds temporaries
+_BLOCK_ROWS = 1024      # programs per group of rows run together; bounds temporaries
+_END_STEPS = 256        # pulse-end steps per stacked eigh; bounds the temporaries of _steps
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,11 @@ class _Engine:
     drive), so its Hamiltonian E + c_k V does not depend on the
     frequency: one stacked eigh per (amplitudes, phase, sign of f)
     serves every tone, and a tone's steps differ only in dt = T /
-    _SUBSTEPS.  The tables missing for a pulse are built together from
-    those eigensystems.  ``report`` counts what the engine has built.
+    _SUBSTEPS.  The tables missing for a call of ``_sweep`` are built
+    together from those eigensystems, and the end steps F P[k] of each
+    group of rows in stacked passes of at most ``_END_STEPS``.
+    ``report`` counts the substep eigensystems, tone tables, end steps
+    and end-step passes the engine has built.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
@@ -174,9 +181,11 @@ class _Engine:
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
         self._tables = {}
+        self._pq = np.empty((0, _SUBSTEPS + 1, 8, 8), dtype=complex)
+        self._theta = np.empty((0, 8))
         self._eigs = {}
         self._built = dict.fromkeys(("substep_eigensystems", "tone_tables",
-                                     "end_steps"), 0)
+                                     "end_steps", "end_step_passes"), 0)
 
     def transition_frequency(self, transition: str) -> float:
         a, b = TRANSITIONS[transition]
@@ -214,114 +223,158 @@ class _Engine:
         return np.exp(-2j * math.pi * self.energies * duration)
 
     def report(self) -> dict:
-        """How many substep eigensystems, tone tables and end steps this
-        engine has built."""
+        """How many substep eigensystems, tone tables, end steps and
+        stacked end-step passes this engine has built."""
         return dict(self._built)
 
     def _steps(self, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Stacked end steps exp(-2 pi i (E + c V) dt) over the pulse-end
-        remainders, one stacked eigh; the tables' own substeps come from
+        """Stacked end steps exp(-2 pi i (E + c V) dt) over pulse-end
+        remainders, one stacked eigh; ``v`` holds one drive operator per
+        end and is overwritten.  The tables' own substeps come from
         ``_substeps``."""
         self._built["end_steps"] += len(c)
-        h = np.diag(self.energies) + c[:, None, None] * v
+        self._built["end_step_passes"] += 1
+        # E + c V in place, with no temporary beside ``v``; dropped after eigh
+        h = np.add(np.diag(self.energies), np.multiply(c[:, None, None], v, out=v), out=v)
         vals, vecs = np.linalg.eigh(h)
-        phases = np.exp(-2j * math.pi * vals * dt[:, None])
-        return (vecs * phases[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+        del h, v
+        vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
+        vecs *= np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]
+        return vecs @ vecs_h
 
-    def _substeps(self, tone: tuple) -> tuple:
+    def _substeps(self, drive: tuple) -> tuple:
         """Eigenvalues, eigenvectors and their adjoints of the _SUBSTEPS
-        midpoint Hamiltonians of a tone, shared by every tone of its
-        amplitudes, phase and frequency sign (see the class notes)."""
-        freq, ax, az, phase = tone
-        sign = np.sign(freq)
-        key = (ax, az, phase, sign)
-        eig = self._eigs.get(key)
+        midpoint Hamiltonians of a drive (ax, az, phase, sign of f), shared
+        by every tone of that drive (see the class notes)."""
+        eig = self._eigs.get(drive)
         if eig is None:
             self._built["substep_eigensystems"] += 1
+            ax, az, phase, sign = drive
             c = np.cos(sign * 2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS
                        + phase)
             vals, vecs = np.linalg.eigh(np.diag(self.energies)
                                         + c[:, None, None] * (ax * self.vx + az * self.vz))
-            eig = self._eigs[key] = (vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
+            eig = self._eigs[drive] = (vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
         return eig
 
     def _build_tables(self, tones: list):
-        """Tables of ``tones`` (see the class notes), built side by side in
-        blocks of ``_BLOCK_ROWS`` substeps."""
-        per_block = _BLOCK_ROWS // _SUBSTEPS
-        for start in range(0, len(tones), per_block):
-            block = tones[start:start + per_block]
-            vals, vecs, vecs_h = (np.array(x) for x in zip(*map(self._substeps, block)))
-            dt = _period(np.array([tone[0] for tone in block])) / _SUBSTEPS
+        """Tables of ``tones`` (see the class notes), the tones of one drive
+        side by side, appended to the stacks ``_pq`` and ``_theta``;
+        ``_tables`` maps a tone to its row there."""
+        if not tones:
+            return
+        row = len(self._tables)
+        pq = np.empty((row + len(tones), _SUBSTEPS + 1, 8, 8), dtype=complex)
+        theta = np.empty((row + len(tones), 8))
+        pq[:row], theta[:row] = self._pq, self._theta
+        drives = {}
+        for tone in tones:
+            freq, ax, az, phase = tone
+            drives.setdefault((ax, az, phase, np.sign(freq)), []).append(tone)
+        for drive, group in drives.items():
+            vals, vecs, vecs_h = self._substeps(drive)
+            dt = _period(np.array([tone[0] for tone in group])) / _SUBSTEPS
             phases = np.exp(-2j * math.pi * vals * dt[:, None, None])
-            steps = (vecs * phases[:, :, None, :]) @ vecs_h
-            prefix = np.empty((len(block), _SUBSTEPS + 1, 8, 8), dtype=complex)
+            prefix = pq[row:row + len(group)]
             prefix[:, 0] = np.eye(8)
             for k in range(_SUBSTEPS):
-                prefix[:, k + 1] = steps[:, k] @ prefix[:, k]
-            for tone, p in zip(block, prefix):
+                step = (vecs[k] * phases[:, k, None, :]) @ vecs_h[k]
+                np.matmul(step, prefix[:, k], out=prefix[:, k + 1])
+            for tone, p in zip(group, prefix):
                 tri, q = schur(p[-1], output="complex")
-                self._tables[tone] = (p @ q, np.angle(np.diag(tri)))
-            self._built["tone_tables"] += len(block)
+                self._tables[tone] = row
+                pq[row], theta[row] = p @ q, np.angle(np.diag(tri))
+                row += 1
+            self._built["tone_tables"] += len(group)
+        self._pq, self._theta = pq, theta
 
-    def _pulse(self, psi, tones, which, t0, dur) -> np.ndarray:
-        """Row i of ``psi`` driven by ``tones[which[i]]`` from absolute time
-        ``t0[i]`` for ``dur[i]``.
+    def _sweep(self, programs) -> np.ndarray:
+        """Final states of the rows of every program set, in order.
 
-        The remainder steps at both ends of every row are taken in one
-        stacked eigh, each bitwise-distinct (tone, substep, remainder)
-        once.  A constant drive (f = 0) is time-invariant: it runs from
-        t = 0, and any period tabulates it exactly.  Only the tones that
-        some row uses are gathered.
-        """
-        self._build_tables([tone for tone in dict.fromkeys(tones)
-                            if tone not in self._tables])
-        used, which = np.unique(which, return_inverse=True)
-        tones = [tones[i] for i in used]
-        freq, ax, az, phase = (np.array(x, dtype=float) for x in zip(*tones))
-        tables = [self._tables[tone] for tone in tones]
-        period = _period(freq)
-        dc = freq[which] == 0.0
-        ends = np.concatenate([np.where(dc, 0.0, t0), np.where(dc, dur, t0 + dur)])
-        rows = np.concatenate([which, which])
-        n_per, rem = np.divmod(ends, period[rows])
-        k, frac = np.divmod(rem, period[rows] / _SUBSTEPS)
-        keys, inv = np.unique(np.column_stack([rows, k, frac]), axis=0,
-                              return_inverse=True)
-        tone, k, frac = keys[:, 0].astype(int), keys[:, 1].astype(int), keys[:, 2]
-        t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
-        c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
-        v = ax[:, None, None] * self.vx + az[:, None, None] * self.vz
-        pq = np.array([table[0] for table in tables])
-        g = self._steps(v[tone], c, frac) @ pq[tone, k]   # W(t) without M^n
-        n = len(which)
-        theta = np.array([table[1] for table in tables])[which]
-        psi = np.einsum("nji,nj->ni", g[inv[:n]].conj(), psi)
-        psi *= np.exp(1j * theta * (n_per[n:] - n_per[:n])[:, None])
-        return np.einsum("nij,nj->ni", g[inv[n:]], psi)
-
-    def _sweep(self, init_label: str, n: int, layers) -> np.ndarray:
-        """Final states of ``n`` programs run side by side.
-
-        Each layer is (tones, which, durations): row i is driven by
+        A program set (init_label, n, layers) runs n programs side by
+        side.  Each layer is (tones, which, durations): row i is driven by
         ``tones[which[i]]`` for its duration, or evolves freely when
         ``tones`` is None; a layer starts where the previous one ended.
-        Rows go through in blocks of ``_BLOCK_ROWS``.
+        Pulse times do not depend on the state, so the whole call is
+        planned before any state moves: the tables missing for any of its
+        tones are built together, then the rows of all sets go through in
+        groups of ``_BLOCK_ROWS`` (a group may hold rows of several sets),
+        each group planning its end steps at once (``_group``).
         """
-        psi = np.zeros((n, 8), dtype=complex)
-        psi[:, self.system.index(init_label)] = 1.0
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            t = 0.0
-            for tones, which, dur in layers:
-                dur = np.broadcast_to(np.asarray(dur, dtype=float), (n,))[rows]
-                if tones is None:
-                    psi[rows] = self.free_phases(dur[:, None]) * psi[rows]
-                else:
-                    psi[rows] = self._pulse(psi[rows], tones,
-                                            np.broadcast_to(which, (n,))[rows], t, dur)
-                t = t + dur
+        index = {}
+        depth = max(len(layers) for _, _, layers in programs)
+        size = sum(n for _, n, _ in programs)
+        kind = np.full((depth, size), -2)   # tone index, -1 free, -2 past the end
+        dur = np.zeros((depth, size))
+        psi = np.zeros((size, 8), dtype=complex)
+        row = 0
+        for label, n, layers in programs:
+            rows = slice(row, row + n)
+            psi[rows, self.system.index(label)] = 1.0
+            for j, (tones, which, d) in enumerate(layers):
+                dur[j, rows] = d
+                kind[j, rows] = -1 if tones is None else np.array(
+                    [index.setdefault(tone, len(index)) for tone in tones])[which]
+            row += n
+        tones = list(index)
+        self._build_tables([tone for tone in tones if tone not in self._tables])
+        start = np.zeros_like(dur)
+        start[1:] = np.cumsum(dur[:-1], axis=0)
+        for first in range(0, size, _BLOCK_ROWS):
+            rows = slice(first, first + _BLOCK_ROWS)
+            self._group(psi[rows], tones, kind[:, rows], start[:, rows], dur[:, rows])
         return psi
+
+    def _group(self, psi, tones, kind, start, dur):
+        """Apply the layers of one group of rows to ``psi`` in place (see
+        ``_sweep``).
+
+        Plan: the ends of every driven layer of every row are collected,
+        each bitwise-distinct (tone, substep, remainder) once, and their
+        end steps F P[k] taken in stacked eigh passes of at most
+        ``_END_STEPS``.  A constant drive (f = 0) is time-invariant: it
+        runs from t = 0, and any period tabulates it exactly.  Run: each
+        layer gathers its rows' end steps and applies W(t_b) W(t_a)^dagger.
+        """
+        freq, ax, az, phase = np.array(tones, dtype=float).reshape(-1, 4).T
+        period = _period(freq)
+        driven = [np.flatnonzero(layer >= 0) for layer in kind]
+        tone, ends = [], []
+        for layer, t0, d, rows in zip(kind, start, dur, driven):
+            which, t0, d = layer[rows], t0[rows], d[rows]
+            dc = freq[which] == 0.0
+            tone += [which, which]
+            ends += [np.where(dc, 0.0, t0), np.where(dc, d, t0 + d)]
+        if tone:
+            tone, ends = np.concatenate(tone), np.concatenate(ends)
+            n_per, rem = np.divmod(ends, period[tone])
+            k, frac = np.divmod(rem, period[tone] / _SUBSTEPS)
+            # k runs to _SUBSTEPS inclusive when a remainder rounds up
+            keys, inv = np.unique(tone * (_SUBSTEPS + 1) + k + 1j * frac,
+                                  return_inverse=True)
+            (tone, k), frac = np.divmod(keys.real.astype(int), _SUBSTEPS + 1), keys.imag
+            t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
+            c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
+            v = ax[:, None, None] * self.vx + az[:, None, None] * self.vz
+            table = np.array([self._tables[t] for t in tones])
+            g = np.empty((len(keys), 8, 8), dtype=complex)   # W(t) without M^n
+            for first in range(0, len(keys), _END_STEPS):
+                part = slice(first, first + _END_STEPS)
+                step = self._steps(v[tone[part]], c[part], frac[part])
+                np.matmul(step, self._pq[table[tone[part]], k[part]], out=g[part])
+        pos = 0
+        for layer, d, rows in zip(kind, dur, driven):
+            free = np.flatnonzero(layer == -1)
+            psi[free] = self.free_phases(d[free][:, None]) * psi[free]
+            if rows.size:
+                a = slice(pos, pos + rows.size)
+                b = slice(a.stop, a.stop + rows.size)
+                pos = b.stop
+                g_a = g[inv[a]]
+                theta = self._theta[table[layer[rows]]]
+                out = np.einsum("nji,nj->ni", np.conj(g_a, out=g_a), psi[rows])
+                out *= np.exp(1j * theta * (n_per[b] - n_per[a])[:, None])
+                psi[rows] = np.einsum("nij,nj->ni", g[inv[b]], out)
 
     def _routing(self, transition: str, ax: float, az: float) -> tuple:
         """Layers of the pre- and post-mapping pi-pulses of a transition."""
@@ -334,7 +387,7 @@ class _Engine:
         layers = [(None if seg.is_gap else [(seg.frequency_hz, seg.amplitude_x_hz,
                                              seg.amplitude_z_hz, seg.phase_rad)],
                    0, seg.duration_s) for seg in program.segments]
-        return self._sweep(program.init_label, 1, layers)[0]
+        return self._sweep([(program.init_label, 1, layers)])[0]
 
 
 def _period(freq):
@@ -405,13 +458,24 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
     return psi
 
 
-def _map_setup(params, field, engine, freq_grid, time_grid, transition) -> tuple:
-    """A map's grids as arrays, its engine, and its transition: the one
-    nearest the mean drive frequency when none is named."""
+def _grids(freq_grid, time_grid) -> tuple:
+    """A map's frequency and time grids as arrays: non-empty, finite, and
+    with no negative time, so no pulse runs backwards."""
     freq_grid = np.asarray(freq_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     if freq_grid.size == 0 or time_grid.size == 0:
         raise ValueError("grids must be non-empty")
+    if not (np.all(np.isfinite(freq_grid)) and np.all(np.isfinite(time_grid))):
+        raise ValueError("grids must be finite")
+    if np.any(time_grid < 0):
+        raise ValueError("durations and delays must be non-negative")
+    return freq_grid, time_grid
+
+
+def _map_setup(params, field, engine, freq_grid, time_grid, transition) -> tuple:
+    """A map's checked grids, its engine, and its transition: the one
+    nearest the mean drive frequency when none is named."""
+    freq_grid, time_grid = _grids(freq_grid, time_grid)
     if engine is not None and (engine.params != params or engine.bias != field):
         raise ValueError("the engine was built for other parameters or another field")
     engine = engine or _Engine(params, field)
@@ -420,6 +484,45 @@ def _map_setup(params, field, engine, freq_grid, time_grid, transition) -> tuple
         transition = min(TRANSITIONS, key=lambda k: abs(
             engine.transition_frequency(k) - f_mean))
     return freq_grid, time_grid, engine, transition
+
+
+def _rabi_set(engine, ax, az, freq_grid, time_grid, transition) -> tuple:
+    """The program set of a chevron (see ``_Engine._sweep``) and the
+    (frequency, noise shift, time) shape of its rows."""
+    pre, post = engine._routing(transition, ax, az)
+    n_f, n_t = freq_grid.size, time_grid.size
+    drive = ([(float(f), ax, az, 0.0) for f in freq_grid],
+             np.repeat(np.arange(n_f), n_t), np.tile(time_grid, n_f))
+    return ("lower.0B0M", n_f * n_t, pre + [drive] + post), (n_f, 1, n_t)
+
+
+def _ramsey_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
+                noise: NoiseModel = NoiseModel()) -> tuple:
+    """The program set of a Ramsey map, one row per (frequency, noise
+    shift, delay), and the shape of its rows."""
+    if noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0:
+        shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples)
+    else:
+        shifts = np.zeros(1)
+    pre, post = engine._routing(transition, ax, az)
+    tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq_grid, shifts).ravel()]
+    n_d = delay_grid.size
+    half = (tones, np.repeat(np.arange(len(tones)), n_d), float(pi_half_s))
+    gap = (None, 0, np.tile(delay_grid, len(tones)))
+    return (("lower.0B0M", len(tones) * n_d, pre + [half, gap, half] + post),
+            (freq_grid.size, shifts.size, n_d))
+
+
+def _signals(engine, sets) -> list:
+    """The 1B signals of map program sets, run in one ``_sweep``, each
+    averaged over its noise shifts (a single shift is exact)."""
+    psi = engine._sweep([program for program, _ in sets])
+    signals, row = [], 0
+    for (_, n, _), shape in sets:
+        signal = engine.bright_population(psi[row:row + n]).reshape(shape)
+        signals.append(np.clip(signal.mean(axis=1), 0.0, 1.0))
+        row += n
+    return signals
 
 
 def rabi_map(params: ManifoldParams, field: MagneticField,
@@ -435,15 +538,9 @@ def rabi_map(params: ManifoldParams, field: MagneticField,
     """
     freq_grid, time_grid, engine, transition = _map_setup(
         params, field, engine, freq_grid, time_grid, transition)
-    ax, az = amplitude_x_hz, amplitude_z_hz
-    pre, post = engine._routing(transition, ax, az)
-
-    n_f, n_t = freq_grid.size, time_grid.size
-    drive = ([(float(f), ax, az, 0.0) for f in freq_grid],
-             np.repeat(np.arange(n_f), n_t), np.tile(time_grid, n_f))
-    psi = engine._sweep("lower.0B0M", n_f * n_t, pre + [drive] + post)
-    signal = engine.bright_population(psi).reshape(n_f, n_t)
-    return SignalMap(freq_grid, time_grid, np.clip(signal, 0.0, 1.0))
+    chevron = _rabi_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
+                        transition)
+    return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0])
 
 
 def ramsey_map(params: ManifoldParams, field: MagneticField,
@@ -455,35 +552,26 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     """Ramsey map: pi/2 -- free delay -- pi/2 per (frequency, delay).
 
     The pi/2 duration is calibrated once on resonance (or given
-    explicitly) and held fixed while the frequency is swept, as in the
-    measurement.  Quasi-static noise shifts the drive frequency per
-    repetition and is averaged deterministically over Gaussian quantiles.
-    ``engine`` shares one system of (params, field) between maps.
+    explicitly, finite and non-negative) and held fixed while the
+    frequency is swept, as in the measurement.  Quasi-static noise shifts
+    the drive frequency per repetition and is averaged deterministically
+    over Gaussian quantiles.  ``engine`` shares one system of (params,
+    field) between maps.
     """
     noise = noise or NoiseModel()
     if noise.kind == "ornstein-uhlenbeck":
         raise ValueError("ramsey_map supports quasi-static noise; "
                          "use decoupling_scan for OU noise")
+    if pi_half_s is not None and not 0.0 <= pi_half_s < math.inf:
+        raise ValueError("pi_half_s must be finite and non-negative")
     freq_grid, delay_grid, engine, transition = _map_setup(
         params, field, engine, freq_grid, delay_grid, transition)
     ax, az = amplitude_x_hz, amplitude_z_hz
     if pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
-    pre, post = engine._routing(transition, ax, az)
-
-    if noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0:
-        shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples)
-    else:
-        shifts = np.zeros(1)
-
-    # one row per (frequency, noise shift, delay)
-    tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq_grid, shifts).ravel()]
-    n_d = delay_grid.size
-    half = (tones, np.repeat(np.arange(len(tones)), n_d), float(pi_half_s))
-    gap = (None, 0, np.tile(delay_grid, len(tones)))
-    psi = engine._sweep("lower.0B0M", len(tones) * n_d, pre + [half, gap, half] + post)
-    signal = engine.bright_population(psi).reshape(freq_grid.size, shifts.size, n_d)
-    return SignalMap(freq_grid, delay_grid, np.clip(signal.mean(axis=1), 0.0, 1.0))
+    fringe = _ramsey_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
+                         noise)
+    return SignalMap(freq_grid, delay_grid, _signals(engine, [fringe])[0])
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.transition not in dynamics.TRANSITIONS:
             raise ValueError(f"unknown transition {self.transition!r}")
-        if len(self.freq_hz) == 0 or len(self.time_s) == 0:
-            raise ValueError("grids must be non-empty")
+        dynamics._grids(self.freq_hz, self.time_s)
         if self.kind == "ramsey" and self.pi_half_s is None:
             raise ValueError("a ramsey spec needs its calibrated pi_half_s")
+        if self.pi_half_s is not None and not 0.0 <= self.pi_half_s < math.inf:
+            raise ValueError("pi_half_s must be finite and non-negative")
 
     @property
     def size(self) -> int:
@@ -142,26 +143,36 @@ class ExperimentSpec:
         return meta
 
 
-def simulate_experiment(theta: FitParams, spec: ExperimentSpec,
-                        engine=None) -> dynamics.SignalMap:
-    """Model map for one spec, delegated to the dynamics engine.
+def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.SignalMap:
+    """Model map for one spec, through the public map of its kind.
 
-    ``engine`` optionally shares the system of ``theta`` between specs
-    (see :func:`_simulate_all`).
+    A fit evaluation plans all its specs at once instead (see
+    :func:`_simulate_all`); both give the same signal bit for bit.
     """
     params, field, (ax, az) = theta.to_model()
     if spec.kind == "rabi":
         return dynamics.rabi_map(params, field, ax, az, spec.freq_hz, spec.time_s,
-                                 transition=spec.transition, engine=engine)
+                                 transition=spec.transition)
     return dynamics.ramsey_map(params, field, ax, az, spec.freq_hz, spec.time_s,
-                               transition=spec.transition,
-                               pi_half_s=spec.pi_half_s, engine=engine)
+                               transition=spec.transition, pi_half_s=spec.pi_half_s)
 
 
-def _simulate_all(theta: FitParams, specs) -> list:
-    """Model signals of every spec from one shared system of ``theta``."""
-    engine = dynamics._Engine(*theta.to_model()[:2])
-    return [simulate_experiment(theta, spec, engine).signal for spec in specs]
+def _simulate_all(theta: FitParams, specs, engine=None) -> list:
+    """Model signals of every spec from one system of ``theta`` (or
+    ``engine``, built for it), in one planned engine run: the tone tables
+    of all their pulses are built together, and their pulse ends share
+    the stacked end-step passes."""
+    params, field, (ax, az) = theta.to_model()
+    engine = engine or dynamics._Engine(params, field)
+    sets = []
+    for spec in specs:
+        freq = np.asarray(spec.freq_hz, dtype=float)
+        times = np.asarray(spec.time_s, dtype=float)
+        sets.append(dynamics._rabi_set(engine, ax, az, freq, times, spec.transition)
+                    if spec.kind == "rabi" else
+                    dynamics._ramsey_set(engine, ax, az, freq, times, spec.transition,
+                                         spec.pi_half_s))
+    return dynamics._signals(engine, sets)
 
 
 def _nuisance_rescale(sim: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -328,7 +339,9 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
     only sees flat loss.  This stage reads the transition frequency off
     each measured chevron (weighted centroid) and adjusts the hyperfine
     and drive-amplitude parameters until the model reproduces both that
-    frequency and the measured resonant column.
+    frequency and the measured resonant column.  Each evaluation builds
+    one system and runs the resonant columns of all chevrons, as
+    single-column specs, in one planned engine run (:func:`_simulate_all`).
 
     Only parameters in ``problem.free`` are touched; returns the
     calibrated parameter set (the problem itself is immutable).
@@ -341,24 +354,23 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
         d = np.asarray(d, dtype=float)
         f_hat = estimate_transition_frequency(spec, d)
         col = int(np.argmin(np.abs(np.asarray(spec.freq_hz) - f_hat)))
-        targets.append((spec, float(spec.freq_hz[col]), f_hat, d[col]))
+        targets.append((replace(spec, freq_hz=(float(spec.freq_hz[col]),)), f_hat, d[col]))
     if not free or not targets:
         return problem.initial
 
     initial = problem.initial
     base = initial.free_values(free)
+    columns = [column for column, _, _ in targets]
 
     def objective(x):
         theta = initial.with_free_values(x * base, free)
-        params, field, (ax, az) = theta.to_model()
-        engine = dynamics._Engine(params, field)
+        engine = dynamics._Engine(*theta.to_model()[:2])
         total = 0.0
-        for spec, f_col, f_hat, col_data in targets:
-            f_model = engine.transition_frequency(spec.transition)
+        for (column, f_hat, col_data), sim in zip(targets,
+                                                  _simulate_all(theta, columns, engine)):
+            f_model = engine.transition_frequency(column.transition)
             total += _CALIBRATION_FREQ_WEIGHT * ((f_model - f_hat) / f_hat) ** 2
-            sim = dynamics.rabi_map(params, field, ax, az, (f_col,), spec.time_s,
-                                    transition=spec.transition, engine=engine)
-            diff = sim.signal[0] - col_data
+            diff = sim[0] - col_data
             total += float(diff @ diff)
         return total
 

@@ -448,6 +448,12 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
                                    "correlation_time_s": 1e-4}, "options.noise.sigma_hz"),
     ("decouple", "options.noise", {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
                                    "correlation_time_s": 0}, "options.noise"),
+    ("rabi", "options.duration_s", {"start": -1e-7, "stop": 2.4e-7, "points": 5},
+     "options.duration_s"),
+    ("ramsey", "options.delay_s", {"start": -1e-6, "stop": 2e-6, "points": 9},
+     "options.delay_s"),
+    ("ramsey", "options.pi_half_s", -1e-8, "options.pi_half_s"),
+    ("rabi", "options.freq_hz", [6.44e8, float("nan")], "options.freq_hz"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

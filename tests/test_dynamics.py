@@ -432,6 +432,27 @@ def test_segment_and_program_validation():
     assert DriveSegment(1e6, 0.0, 0.0, 0.0, 1e-9).is_gap
 
 
+def test_maps_reject_negative_times_and_non_finite_grids(ground, field, engine):
+    """A map runs no pulse backwards in time and takes no NaN or infinite
+    grid value."""
+    times = [0.0, 50e-9]
+    with pytest.raises(ValueError, match="non-negative"):
+        rabi_map(ground, field, AX, AZ, [F_BROKER], [-1e-7, 0.0], engine=engine)
+    with pytest.raises(ValueError, match="non-negative"):
+        ramsey_map(ground, field, AX, AZ, [F_BROKER], [-1e-6, 0.0], engine=engine)
+    with pytest.raises(ValueError, match="pi_half_s"):
+        ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=-1e-8,
+                   engine=engine)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rabi_map(ground, field, AX, AZ, [F_BROKER, bad], times, engine=engine)
+        with pytest.raises(ValueError, match="finite"):
+            rabi_map(ground, field, AX, AZ, [F_BROKER], [0.0, bad], engine=engine)
+        with pytest.raises(ValueError, match="pi_half_s"):
+            ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=bad,
+                       engine=engine)
+
+
 def test_signal_map_csv_and_shape():
     with pytest.raises(ValueError, match="shape"):
         SignalMap(np.arange(3.0), np.arange(2.0), np.zeros((2, 3)))

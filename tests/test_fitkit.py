@@ -21,7 +21,7 @@ from snspin.fitkit import (
     save_signal_csv,
     simulate_experiment,
 )
-from snspin.fitkit import _curriculum
+from snspin.fitkit import _curriculum, _simulate_all
 
 F_BROKER = 6.440462e8
 F_MEMORY = 6.123066e8
@@ -73,6 +73,12 @@ def test_spec_validation():
         ExperimentSpec("rabi", "broker", (), (1.0,))
     with pytest.raises(ValueError, match="pi_half"):
         ExperimentSpec("ramsey", "broker", (1.0,), (1.0,))
+    with pytest.raises(ValueError, match="non-negative"):
+        ExperimentSpec("rabi", "broker", (1.0,), (-1e-7, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentSpec("rabi", "broker", (math.nan,), (1.0,))
+    with pytest.raises(ValueError, match="pi_half_s"):
+        ExperimentSpec("ramsey", "broker", (1.0,), (1.0,), pi_half_s=-1e-8)
     spec = ExperimentSpec("ramsey", "memory", (1.0, 2.0), (1.0,) * 3,
                           pi_half_s=50e-9, label="scan")
     assert spec.size == 6
@@ -99,6 +105,65 @@ def test_simulate_experiment_delegates():
                                  pi_half_s=61e-9)
     via = simulate_experiment(theta, rspec)
     np.testing.assert_array_equal(via.signal, direct.signal)
+
+
+def _alternating(theta, sign):
+    """``theta`` with the default free parameters moved by +-5%, alternating."""
+    signs = sign * np.where(np.arange(len(DEFAULT_FREE)) % 2 == 0, 1.0, -1.0)
+    return theta.with_free_values(theta.free_values(DEFAULT_FREE) * (1 + 0.05 * signs),
+                                  DEFAULT_FREE)
+
+
+@pytest.mark.parametrize("block_rows", [None, 37])
+def test_planned_specs_equal_their_own_maps(monkeypatch, block_rows):
+    """All specs of a parameter point planned and run together give each
+    spec's own map bit for bit, also when a spec spans several row
+    groups and a group holds rows of several specs."""
+    if block_rows is not None:
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+    prob = reference_problem(noise_rel=0.05)
+    sizes = [s.size for s in prob.specs]
+    assert np.any(np.cumsum(sizes)[:-1] % dynamics._BLOCK_ROWS)
+    assert block_rows is None or max(sizes) > block_rows
+    truth = FitParams.reference()
+    for theta in (truth, _alternating(truth, 1.0)):
+        planned = _simulate_all(theta, prob.specs)
+        for spec, signal in zip(prob.specs, planned):
+            assert signal.tobytes() == simulate_experiment(theta, spec).signal.tobytes()
+
+
+@pytest.mark.parametrize("end_steps", [None, 100])
+def test_one_loss_plans_its_pulses_at_once(monkeypatch, end_steps):
+    """One residual evaluation builds one system, its one substep
+    eigensystem and each distinct tone table once, and takes its pulse
+    ends in as few stacked end-step passes as the pass bound allows; the
+    bound does not change a bit of the residuals."""
+    prob = reference_problem()
+    theta = _alternating(FitParams.reference(), -1.0)
+    expected = prob.residuals(theta)
+    if end_steps is not None:
+        monkeypatch.setattr(dynamics, "_END_STEPS", end_steps)
+    engines = []
+
+    class Recorded(dynamics._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(dynamics, "_Engine", Recorded)
+    assert prob.residuals(theta).tobytes() == expected.tobytes()
+    assert len(engines) == 1
+    engine = engines[0]
+    ax, az = theta.b_x_ac_hz, theta.b_z_ac_hz
+    tones = {f for s in prob.specs for f in s.freq_hz} | {
+        engine.transition_frequency(k) for s in prob.specs
+        for k in sum(dynamics.ROUTING[s.transition], ())}
+    report = engine.report()
+    assert report["substep_eigensystems"] == 1
+    assert report["tone_tables"] == len(tones) == len(engine._tables)
+    assert report["end_steps"] > dynamics._END_STEPS
+    assert report["end_step_passes"] == math.ceil(report["end_steps"] / dynamics._END_STEPS)
+    assert all(engine._tables.get((f, ax, az, 0.0)) is not None for f in tones)
 
 
 def test_problem_validation():
