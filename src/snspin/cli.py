@@ -476,8 +476,7 @@ def _cmd_fit(cfg, seed):
                              nuisance=bool(_get(cfg, "options.nuisance", False)))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
-    result = fit_parameters(problem, seed=seed,
-                            **_given(cfg, {"max_eval": _positive}))
+    result = fit_parameters(problem, **_given(cfg, {"max_eval": _positive}))
     return result.to_dict(), "json"
 
 

@@ -15,11 +15,13 @@ lower-branch Hamiltonian unchanged to first order, and the maps cannot
 tell the strain apart.  It stays freeable by name for data that pin the
 ground-state splitting Delta, such as optical spectra.
 
-Fitting is trust-region least squares on the residual vector, over
-parameters normalized by their starting values, since the raw scales
-span Hz to THz.  It is staged from the chevrons to the longest fringes.
-Parameter uncertainties are the Gauss-Newton curvature errors of the
-sum-of-squares loss at the optimum, reported relative.
+Calibration reads the chevron frequencies and the memory Rabi rate in
+closed form, with no map simulated.  Fitting is trust-region least
+squares on the residual vector, over parameters normalized by their
+starting values, since the raw scales span Hz to THz.  It is staged
+from the chevrons to the longest fringes.  Parameter uncertainties are
+the Gauss-Newton curvature errors of the sum-of-squares loss at the
+optimum, reported relative.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from .params import (ManifoldParams, MagneticField, electron_larmor_hz,
                      field_for_larmor, ground_defaults, reference_field)
@@ -157,13 +159,12 @@ def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.Sign
                                transition=spec.transition, pi_half_s=spec.pi_half_s)
 
 
-def _simulate_all(theta: FitParams, specs, engine=None) -> list:
-    """Model signals of every spec from one system of ``theta`` (or
-    ``engine``, built for it), in one planned engine run: the tone tables
-    of all their pulses are built together, and their pulse ends share
-    the stacked end-step passes."""
+def _simulate_all(theta: FitParams, specs) -> list:
+    """Model signals of every spec from one system of ``theta``, in one
+    planned engine run: the tone tables of all their pulses are built
+    together, and their pulse ends share the stacked end-step passes."""
     params, field, (ax, az) = theta.to_model()
-    engine = engine or dynamics._Engine(params, field)
+    engine = dynamics._Engine(params, field)
     sets = []
     for spec in specs:
         freq = np.asarray(spec.freq_hz, dtype=float)
@@ -315,78 +316,83 @@ def estimate_transition_frequency(spec: ExperimentSpec, data) -> float:
     return float(weights @ freqs / total)
 
 
-# Parameters that set transition frequencies and Rabi rates; the DC field
-# components barely move either (< 0.03% per 1%), so the coarse
-# calibration leaves them alone.  The strain is deliberately excluded:
-# it only enters the lower branch through the mixing angle, so a_perp
-# and the transverse field and drive (each entering as coupling x
-# sin(theta)) compensate any change of it, and freeing it here lets the
-# calibration wander along that degenerate family.  No microwave map
-# resolves it; see the module notes.
-_CALIBRATION_NAMES = ("a_par_hz", "a_perp_hz", "b_x_ac_hz", "b_z_ac_hz")
+# What the calibration sets: the hyperfine constants from the chevron
+# frequencies and the z drive from the memory Rabi rate.  The DC fields
+# barely move either (< 0.03% per 1%), the 1B doublet beats in the other
+# chevrons' columns (a cosine read of their rates is 5-7% high), and the
+# transverse couplings compensate the strain (module notes), so the
+# fields, the x drive and the strain are left to the fit.
+_CALIBRATION_NAMES = ("a_par_hz", "a_perp_hz", "b_z_ac_hz")
 
-# Relative frequency residuals are worth roughly this many squared
-# signal units in the calibration loss (0.1% off-frequency ~ one 10%
-# signal mismatch).
-_CALIBRATION_FREQ_WEIGHT = 1e4
+
+def _rabi_rate_read(times, column, detuning_hz: float) -> float:
+    """On-resonance Rabi rate of one chevron column, Hz.
+
+    The best W of a + b cos(2 pi W t), least squares in a and b, on a
+    1 kHz grid from 0.5 MHz up to 10 MHz or the column's Nyquist
+    frequency, whichever is lower (above it a cosine aliases onto the
+    samples); less the detuning delta, as sqrt(W^2 - delta^2).  0 when
+    the grid is empty or W does not exceed the detuning.
+    """
+    t = np.asarray(times, dtype=float)
+    w = np.arange(0.5e6, min(10e6, 0.5 / np.diff(np.sort(t)).max()), 1e3)
+    if not w.size:
+        return 0.0
+    c = np.cos(2 * math.pi * np.outer(w, t))
+    c -= c.mean(axis=1, keepdims=True)
+    # the best W explains the most variance, (c.d)^2 / (c.c)
+    explained = (c @ (column - np.mean(column))) ** 2 / np.einsum("ij,ij->i", c, c)
+    return math.sqrt(max(w[np.argmax(explained)] ** 2 - detuning_hz ** 2, 0.0))
 
 
 def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
-    """Coarse spectroscopic calibration before the full fit.
+    """Spectroscopic calibration before the full fit, in closed form.
 
     A ±5% parameter offset moves the microwave transitions by tens of
     MHz -- several chevron windows -- so a local descent started there
-    only sees flat loss.  This stage reads the transition frequency off
-    each measured chevron (weighted centroid) and adjusts the hyperfine
-    and drive-amplitude parameters until the model reproduces both that
-    frequency and the measured resonant column.  Each evaluation builds
-    one system and runs the resonant columns of all chevrons, as
-    single-column specs, in one planned engine run (:func:`_simulate_all`).
+    only sees flat loss.  This reads each chevron's transition frequency
+    (:func:`estimate_transition_frequency`) and the memory chevron's
+    Rabi rate in its column nearest that frequency
+    (:func:`_rabi_rate_read`).  Trust-region least squares (at most
+    ``max_eval`` evaluations) then matches the hyperfine constants to the
+    frequencies and the z drive to the rate, through the static system's
+    transition frequencies and Rabi rates: no map is simulated.
 
     Only parameters in ``problem.free`` are touched; returns the
     calibrated parameter set (the problem itself is immutable).
     """
+    return _calibrated(problem, max_eval)
+
+
+def _calibrated(problem: FitProblem, max_eval: int = 2000) -> FitParams:
+    """:func:`calibrate_initial`, under the name the fit calls it by."""
     free = tuple(n for n in _CALIBRATION_NAMES if n in problem.free)
-    targets = []
+    targets = []  # (transition, measured frequency, memory rate or 0)
     for spec, d in zip(problem.specs, problem.data):
-        if spec.kind != "rabi":
-            continue
-        d = np.asarray(d, dtype=float)
-        f_hat = estimate_transition_frequency(spec, d)
-        col = int(np.argmin(np.abs(np.asarray(spec.freq_hz) - f_hat)))
-        targets.append((replace(spec, freq_hz=(float(spec.freq_hz[col]),)), f_hat, d[col]))
+        if spec.kind == "rabi":
+            f_hat = estimate_transition_frequency(spec, d)
+            col = int(np.argmin(np.abs(np.asarray(spec.freq_hz) - f_hat)))
+            rate = (_rabi_rate_read(spec.time_s, np.asarray(d)[col],
+                                    spec.freq_hz[col] - f_hat)
+                    if spec.transition == "memory" else 0.0)
+            targets.append((spec.transition, f_hat, rate))
     if not free or not targets:
         return problem.initial
+    initial, base = problem.initial, problem.initial.free_values(free)
 
-    initial = problem.initial
-    base = initial.free_values(free)
-    columns = [column for column, _, _ in targets]
-
-    def objective(x):
+    def residuals(x):
         theta = initial.with_free_values(x * base, free)
-        engine = dynamics._Engine(*theta.to_model()[:2])
-        total = 0.0
-        for (column, f_hat, col_data), sim in zip(targets,
-                                                  _simulate_all(theta, columns, engine)):
-            f_model = engine.transition_frequency(column.transition)
-            total += _CALIBRATION_FREQ_WEIGHT * ((f_model - f_hat) / f_hat) ** 2
-            diff = sim[0] - col_data
-            total += float(diff @ diff)
-        return total
+        params, field, (ax, az) = theta.to_model()
+        engine = dynamics._Engine(params, field)
+        # a 1% frequency error weighs as much as a 100% rate error
+        return np.array(
+            [100.0 * (engine.transition_frequency(key) / f_hat - 1.0)
+             for key, f_hat, _ in targets]
+            + [engine.rabi_rate(key, ax, az) / rate - 1.0
+               for key, _, rate in targets if rate > 0])
 
-    res = minimize(
-        objective, np.ones(len(free)), method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-12, "maxfev": max_eval,
-                 "adaptive": True},
-    )
+    res = least_squares(residuals, np.ones(len(free)), method="trf", max_nfev=max_eval)
     return initial.with_free_values(res.x * base, free)
-
-
-# The first fit stage screens this relative span around its start (the
-# uncertainty of a start from a coarse calibration or a previous fit)
-# with this many points per free parameter.
-_SCREEN_SPAN = 0.05
-_SCREEN_PER_PARAM = 16
 
 
 class _BudgetExhausted(Exception):
@@ -425,11 +431,13 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     initial point, so all directions have comparable scale, and stops at
     a step of ``_XTOL`` in those units.  It follows :func:`_curriculum`:
     the chevrons first, then ever longer Ramsey fringes, each stage
-    starting from the previous optimum.  The first stage also screens
-    the box of +-5% around the start with a Latin hypercube drawn from
-    ``seed``, and the last stage tries the problem's own initial point;
-    either candidate is run only if it already beats the stage's best
-    loss, and the best point of a stage goes on to the next.
+    starting from the previous optimum.  The first stage also tries the
+    problem's initial point as :func:`calibrate_initial` leaves it,
+    clipped into ``bounds``, and the last stage the initial point
+    itself; either candidate is scored by one evaluation and run only
+    if that already beats the stage's best loss, and the best point of
+    a stage goes on to the next.  Nothing reads ``seed``; it stays for
+    the callers that pass it until the benchmark next changes.
 
     ``max_eval`` (at least 1) bounds every residual evaluation of the
     fit, finite-difference Jacobian columns included, and ``n_eval``
@@ -463,7 +471,6 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
             lo[k], hi[k] = sorted(b / start[k] for b in problem.bounds[n])
 
     state = {"n": 0, "limit": max_eval}
-    rng = np.random.default_rng(seed)
 
     def evaluate(sub, x):
         if state["n"] >= state["limit"]:
@@ -498,15 +505,6 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
                             xtol=_XTOL)
         best.update(success=bool(res.success), message=str(res.message))
 
-    def screen(sub, x):
-        """The best (loss, point) of a seeded Latin-hypercube screen of the
-        box ``x * (1 +- _SCREEN_SPAN)``."""
-        m = _SCREEN_PER_PARAM * x.size
-        u = (np.argsort(rng.random((m, x.size)), axis=0)
-             + rng.random((m, x.size))) / m
-        points = np.clip(x * (1 + _SCREEN_SPAN * (2 * u - 1)), lo, hi)
-        return min(((score(sub, p), p) for p in points), key=lambda c: c[0])
-
     x = np.ones(len(names))
     exhausted = False
     for k, sub in enumerate(_curriculum(problem)):
@@ -517,7 +515,9 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
             run(sub, x, runs)
             val = math.inf
             if k == 0:
-                val, x0 = screen(sub, x)
+                # the closed-form calibration of the caller's start
+                x0 = np.clip(_calibrated(problem).free_values(names) / start, lo, hi)
+                val = score(sub, x0)
             elif sub is problem:
                 # the caller's own start, which earlier stages may have lost
                 x0 = np.ones(len(names))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snspin import dynamics
+from snspin import dynamics, fitkit
 from snspin.fitkit import (
     DEFAULT_FREE,
     FIT_PARAM_NAMES,
@@ -21,7 +21,7 @@ from snspin.fitkit import (
     save_signal_csv,
     simulate_experiment,
 )
-from snspin.fitkit import _curriculum, _simulate_all
+from snspin.fitkit import _curriculum, _rabi_rate_read, _simulate_all
 
 F_BROKER = 6.440462e8
 F_MEMORY = 6.123066e8
@@ -248,6 +248,63 @@ def test_calibrate_initial_passthrough():
     assert calibrate_initial(prob2) is truth  # no calibratable free params
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"noise_rel": 0.05, "seed": 3}, {"n_time": 7}])
+def test_calibration_reads_closed_forms(monkeypatch, kwargs):
+    """From the +-5% start the calibration brings the hyperfine constants
+    within 0.2% and the z drive within 1% without simulating a map, and
+    leaves the x drive and the DC fields exactly at their start."""
+    truth = FitParams.reference()
+    full = reference_problem(**kwargs)
+    start = _alternating(truth, 1.0)
+
+    def no_maps(*args, **kw):
+        raise AssertionError("the calibration simulated a map")
+
+    monkeypatch.setattr(fitkit, "_simulate_all", no_maps)
+    cal = calibrate_initial(FitProblem(full.specs, full.data, start))
+    assert cal.a_par_hz == pytest.approx(truth.a_par_hz, rel=2e-3)
+    assert cal.a_perp_hz == pytest.approx(truth.a_perp_hz, rel=2e-3)
+    assert cal.b_z_ac_hz == pytest.approx(truth.b_z_ac_hz, rel=1e-2)
+    for name in ("b_x_ac_hz", "b_x_dc_hz", "b_z_dc_hz", "alpha_hz"):
+        assert getattr(cal, name) == getattr(start, name)
+
+
+@pytest.mark.parametrize("n_time", [14, 7])
+def test_memory_rate_read_matches_the_engine(n_time):
+    """The cosine read of the memory chevron's resonant column is within
+    1% of the engine's Rabi rate, also at 7 samples over 900 ns, whose
+    Nyquist frequency (3.4 MHz) is not far above the 2.3 MHz rate."""
+    truth = FitParams.reference()
+    params, field, (ax, az) = truth.to_model()
+    prob = reference_problem(n_time=n_time)
+    spec, data = prob.specs[1], prob.data[1]
+    assert spec.transition == "memory"
+    f_hat = estimate_transition_frequency(spec, data)
+    freqs = np.asarray(spec.freq_hz)
+    col = int(np.argmin(np.abs(freqs - f_hat)))
+    rate = _rabi_rate_read(spec.time_s, data[col], freqs[col] - f_hat)
+    expected = dynamics._Engine(params, field).rabi_rate("memory", ax, az)
+    assert rate == pytest.approx(expected, rel=1e-2)
+
+
+def test_rate_read_stays_below_nyquist():
+    """A scan above the Nyquist frequency aliases (a 30 MHz scan read a
+    4.0 MHz rate at 26 MHz): a cosine faster than the samples resolve
+    reads at or below their Nyquist frequency, never at its own rate."""
+    times = np.linspace(20e-9, 900e-9, 7)
+    nyquist = 0.5 / (times[1] - times[0])
+    assert nyquist < 3.5e6
+    for w in (2.3e6, 5e6, 9e6):
+        rate = _rabi_rate_read(times, np.cos(2 * math.pi * w * times), 0.0)
+        assert 0.5e6 <= rate < nyquist
+    # on resonance the read is the cosine's own rate
+    assert _rabi_rate_read(times, np.cos(2 * math.pi * 2.3e6 * times), 0.0) == \
+        pytest.approx(2.3e6, rel=1e-3)
+    # off resonance the detuning comes out of the generalized rate
+    assert _rabi_rate_read(times, np.cos(2 * math.pi * 2.5e6 * times), 1.0e6) == \
+        pytest.approx(math.sqrt(2.5e6 ** 2 - 1.0e6 ** 2), rel=1e-3)
+
+
 def test_fit_no_free_parameters():
     prob = small_problem(free=())
     res = fit_parameters(prob)
@@ -268,15 +325,17 @@ def test_fit_rejects_zero_scale_start():
         fit_parameters(prob)
 
 
+def two_parameter_problem(**kwargs):
+    """The broker chevron from b_x_ac_hz 3% high and a_par_hz 3% low."""
+    truth = FitParams.reference()
+    names = ("b_x_ac_hz", "a_par_hz")
+    start = truth.with_free_values(truth.free_values(names) * [1.03, 0.97], names)
+    return small_problem(initial=start, free=names, **kwargs)
+
+
 def test_small_fit_recovers_two_parameters():
     truth = FitParams.reference()
-    spec = small_chevron_spec()
-    data = simulate_experiment(truth, spec).signal
-    start = truth.with_free_values(
-        [truth.b_x_ac_hz * 1.03, truth.a_par_hz * 0.97],
-        ("b_x_ac_hz", "a_par_hz"))
-    prob = FitProblem((spec,), (data,), initial=start,
-                      free=("b_x_ac_hz", "a_par_hz"))
+    prob = two_parameter_problem()
     res = fit_parameters(prob, max_eval=400)
     assert res.success
     assert res.loss < 1e-6
@@ -289,6 +348,58 @@ def test_small_fit_recovers_two_parameters():
     d = res.to_dict()
     assert d["params"]["a_par_hz"] == res.params.a_par_hz
     assert d["success"] is True
+
+
+def test_fit_does_not_depend_on_seed():
+    prob = two_parameter_problem()
+    a = fit_parameters(prob, seed=0, max_eval=400)
+    b = fit_parameters(prob, seed=7, max_eval=400)
+    assert a.to_dict() == b.to_dict()
+
+
+def _recorded_thetas(monkeypatch):
+    """Every parameter point ``FitProblem.residuals`` is called at."""
+    thetas = []
+    residuals = FitProblem.residuals
+    monkeypatch.setattr(
+        FitProblem, "residuals",
+        lambda self, theta: thetas.append(theta) or residuals(self, theta))
+    return thetas
+
+
+def test_calibrated_candidate_costs_one_evaluation(monkeypatch):
+    """The first stage scores its calibrated candidate once and, when it
+    does not beat the first run, spends nothing more on it."""
+    prob = two_parameter_problem()
+    names = prob.free
+    # a candidate far worse than where the first run ends
+    worse = prob.initial.with_free_values(prob.initial.free_values(names) * 1.04, names)
+    monkeypatch.setattr(fitkit, "_calibrated", lambda problem: worse)
+    thetas = _recorded_thetas(monkeypatch)
+    res = fit_parameters(prob, max_eval=400)
+    at_candidate = [t for t in thetas
+                    if np.allclose(t.free_values(names), worse.free_values(names),
+                                   rtol=1e-12, atol=0)]
+    assert len(at_candidate) == 1
+    assert res.n_eval == len(thetas)
+    monkeypatch.setattr(fitkit, "_calibrated", lambda problem: problem.initial)
+    assert fit_parameters(prob, max_eval=400).n_eval == res.n_eval
+
+
+def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch):
+    """A calibration that lands outside the bounds gives a candidate on
+    them, not the calibrated point itself."""
+    truth = FitParams.reference()
+    lo, hi = truth.a_par_hz * 0.96, truth.a_par_hz * 0.98
+    prob = two_parameter_problem(bounds={"a_par_hz": (lo, hi)})
+    cal = fitkit._calibrated(prob)
+    assert cal.a_par_hz > hi
+    thetas = _recorded_thetas(monkeypatch)
+    res = fit_parameters(prob, max_eval=400)
+    assert any(t.a_par_hz == pytest.approx(hi, rel=1e-12)
+               and t.b_x_ac_hz == pytest.approx(cal.b_x_ac_hz, rel=1e-12) for t in thetas)
+    assert not any(t.a_par_hz > hi * (1 + 1e-5) for t in thetas)
+    assert lo <= res.params.a_par_hz <= hi
 
 
 def test_fit_respects_bounds():
