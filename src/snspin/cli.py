@@ -24,7 +24,10 @@ Grids are {"start": lo, "stop": hi, "points": n} blocks.  Unset
 parameter blocks fall back to the package's fitted defaults.
 
 Each command accepts only the option keys its handler reads and rejects
-any other.  ``decouple`` models ideal instantaneous pulses against pure
+any other; a ``fit`` dataset block likewise takes only ``path``,
+``kind``, ``transition``, ``pi_half_s`` and ``label``.  Switches such as
+``include_optical`` and ``nuisance`` take JSON ``true`` or ``false``
+only.  ``decouple`` models ideal instantaneous pulses against pure
 dephasing, so it reads only ``options.noise``, ``options.n_pulses`` and
 ``options.total_time_s``: no parameter block, field or transition.
 """
@@ -100,6 +103,15 @@ def _numbers(cfg: dict, path: str, count: int | None = None, default=None,
     if not isinstance(val, list) or not val or count not in (None, len(val)):
         raise ConfigError(f"expected a list of {count or 'one or more'} numbers", path)
     return [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
+
+
+def _flag(cfg: dict, path: str, default: bool) -> bool:
+    """The JSON boolean at ``path`` (else ``default``); nothing else
+    stands in for one."""
+    val = _get(cfg, path, default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"expected true or false, got {val!r}", path)
+    return val
 
 
 def _choice(*allowed):
@@ -240,7 +252,7 @@ def _cmd_transitions(cfg, seed):
     field = _field(cfg)
     ground = _eigensystem(cfg, "ground", field)
     rows = mw_transitions(ground).csv_rows()
-    if _get(cfg, "options.include_optical", True):
+    if _flag(cfg, "options.include_optical", True):
         excited = _eigensystem(cfg, "excited", field)
         zpl = _number(cfg, "options.zpl_hz", 0.0)
         rows.extend(optical_transitions(ground, excited, zpl=zpl).csv_rows()[1:])
@@ -414,6 +426,9 @@ def _cmd_coherence_map(cfg, seed):
     return m.csv_rows(), "csv"
 
 
+_DATASET_KEYS = ("path", "kind", "transition", "pi_half_s", "label")
+
+
 def _cmd_fit(cfg, seed):
     from .fitkit import (
         DEFAULT_FREE, FitParams, ExperimentSpec, FitProblem,
@@ -428,6 +443,16 @@ def _cmd_fit(cfg, seed):
     for i, block in enumerate(blocks):
         if not isinstance(block, dict):
             raise ConfigError("expected a dataset object", f"options.datasets[{i}]")
+        unknown = sorted(set(block) - set(_DATASET_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown dataset keys {unknown}; expected some of "
+                              f"{', '.join(_DATASET_KEYS)}",
+                              f"options.datasets[{i}].{unknown[0]}")
+        for key in ("kind", "transition", "label"):
+            if not isinstance(block.get(key, ""), str):
+                raise ConfigError("expected a string", f"options.datasets[{i}].{key}")
+        if "pi_half_s" in block:
+            _float(block["pi_half_s"], f"options.datasets[{i}].pi_half_s")
         path = block.get("path")
         if not isinstance(path, str) or not path:
             raise ConfigError("dataset needs a csv path", f"options.datasets[{i}].path")
@@ -473,7 +498,7 @@ def _cmd_fit(cfg, seed):
     try:
         problem = FitProblem(tuple(specs), tuple(data), initial, free=tuple(free),
                              bounds=bounds or None,
-                             nuisance=bool(_get(cfg, "options.nuisance", False)))
+                             nuisance=_flag(cfg, "options.nuisance", False))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
     result = fit_parameters(problem, **_given(cfg, {"max_eval": _positive}))

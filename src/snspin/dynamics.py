@@ -158,16 +158,15 @@ class _Engine:
     drive), so its Hamiltonian E + c_k V does not depend on the
     frequency: one stacked eigh per (amplitudes, phase, sign of f)
     serves every tone, and a tone's steps differ only in dt = T /
-    _SUBSTEPS.  The tables missing for a call of ``_sweep`` are built
-    together from those eigensystems, and the end steps F P[k] of each
-    group of rows in stacked passes of at most ``_END_STEPS``.
-    ``report`` counts the substep eigensystems, tone tables, end steps
-    and end-step passes the engine has built.
+    _SUBSTEPS.  The tables of a call of ``_sweep`` are built together
+    from those eigensystems and dropped after it, and the end steps
+    F P[k] of each group of rows are taken in stacked passes of at most
+    ``_END_STEPS``.  ``report`` counts the substep eigensystems, tone
+    tables, end steps and end-step passes the engine has built, summed
+    over its calls.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
-        self.params = params
-        self.bias = bias
         self.h0 = build_hamiltonian(params, bias)
         self.system = eigensystem(self.h0)
         self.energies = self.system.energies
@@ -180,10 +179,6 @@ class _Engine:
         self.bright_mask = np.array(
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
-        self._tables = {}
-        self._pq = np.empty((0, _SUBSTEPS + 1, 8, 8), dtype=complex)
-        self._theta = np.empty((0, 8))
-        self._eigs = {}
         self._built = dict.fromkeys(("substep_eigensystems", "tone_tables",
                                      "end_steps", "end_step_passes"), 0)
 
@@ -224,14 +219,14 @@ class _Engine:
 
     def report(self) -> dict:
         """How many substep eigensystems, tone tables, end steps and
-        stacked end-step passes this engine has built."""
+        stacked end-step passes this engine has built over all its calls."""
         return dict(self._built)
 
     def _steps(self, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Stacked end steps exp(-2 pi i (E + c V) dt) over pulse-end
         remainders, one stacked eigh; ``v`` holds one drive operator per
-        end and is overwritten.  The tables' own substeps come from
-        ``_substeps``."""
+        end and is overwritten.  The tables' own substeps are taken in
+        ``_tables``."""
         self._built["end_steps"] += len(c)
         self._built["end_step_passes"] += 1
         # E + c V in place, with no temporary beside ``v``; dropped after eigh
@@ -242,51 +237,35 @@ class _Engine:
         vecs *= np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]
         return vecs @ vecs_h
 
-    def _substeps(self, drive: tuple) -> tuple:
-        """Eigenvalues, eigenvectors and their adjoints of the _SUBSTEPS
-        midpoint Hamiltonians of a drive (ax, az, phase, sign of f), shared
-        by every tone of that drive (see the class notes)."""
-        eig = self._eigs.get(drive)
-        if eig is None:
-            self._built["substep_eigensystems"] += 1
-            ax, az, phase, sign = drive
+    def _tables(self, tones: list) -> tuple:
+        """Tables of ``tones`` (see the class notes): the stacks of P[k] Q
+        and of theta, row i for tone i.  The tones of one drive (ax, az,
+        phase, sign of f) share one stacked eigh of its substep
+        Hamiltonians and are composed side by side."""
+        pq = np.empty((len(tones), _SUBSTEPS + 1, 8, 8), dtype=complex)
+        theta = np.empty((len(tones), 8))
+        drives = {}
+        for i, (freq, ax, az, phase) in enumerate(tones):
+            drives.setdefault((ax, az, phase, np.sign(freq)), []).append(i)
+        for (ax, az, phase, sign), rows in drives.items():
             c = np.cos(sign * 2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS
                        + phase)
             vals, vecs = np.linalg.eigh(np.diag(self.energies)
                                         + c[:, None, None] * (ax * self.vx + az * self.vz))
-            eig = self._eigs[drive] = (vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
-        return eig
-
-    def _build_tables(self, tones: list):
-        """Tables of ``tones`` (see the class notes), the tones of one drive
-        side by side, appended to the stacks ``_pq`` and ``_theta``;
-        ``_tables`` maps a tone to its row there."""
-        if not tones:
-            return
-        row = len(self._tables)
-        pq = np.empty((row + len(tones), _SUBSTEPS + 1, 8, 8), dtype=complex)
-        theta = np.empty((row + len(tones), 8))
-        pq[:row], theta[:row] = self._pq, self._theta
-        drives = {}
-        for tone in tones:
-            freq, ax, az, phase = tone
-            drives.setdefault((ax, az, phase, np.sign(freq)), []).append(tone)
-        for drive, group in drives.items():
-            vals, vecs, vecs_h = self._substeps(drive)
-            dt = _period(np.array([tone[0] for tone in group])) / _SUBSTEPS
+            vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
+            dt = _period(np.array([tones[i][0] for i in rows])) / _SUBSTEPS
             phases = np.exp(-2j * math.pi * vals * dt[:, None, None])
-            prefix = pq[row:row + len(group)]
+            prefix = np.empty((len(rows), _SUBSTEPS + 1, 8, 8), dtype=complex)
             prefix[:, 0] = np.eye(8)
             for k in range(_SUBSTEPS):
                 step = (vecs[k] * phases[:, k, None, :]) @ vecs_h[k]
                 np.matmul(step, prefix[:, k], out=prefix[:, k + 1])
-            for tone, p in zip(group, prefix):
+            for i, p in zip(rows, prefix):
                 tri, q = schur(p[-1], output="complex")
-                self._tables[tone] = row
-                pq[row], theta[row] = p @ q, np.angle(np.diag(tri))
-                row += 1
-            self._built["tone_tables"] += len(group)
-        self._pq, self._theta = pq, theta
+                pq[i], theta[i] = p @ q, np.angle(np.diag(tri))
+            self._built["substep_eigensystems"] += 1
+            self._built["tone_tables"] += len(rows)
+        return pq, theta
 
     def _sweep(self, programs) -> np.ndarray:
         """Final states of the rows of every program set, in order.
@@ -296,10 +275,11 @@ class _Engine:
         ``tones[which[i]]`` for its duration, or evolves freely when
         ``tones`` is None; a layer starts where the previous one ended.
         Pulse times do not depend on the state, so the whole call is
-        planned before any state moves: the tables missing for any of its
-        tones are built together, then the rows of all sets go through in
-        groups of ``_BLOCK_ROWS`` (a group may hold rows of several sets),
-        each group planning its end steps at once (``_group``).
+        planned before any state moves: the tables of all its tones are
+        built together and dropped after the call, and the rows of all
+        sets go through in groups of ``_BLOCK_ROWS`` (a group may hold
+        rows of several sets), each group planning its end steps at once
+        (``_group``).
         """
         index = {}
         depth = max(len(layers) for _, _, layers in programs)
@@ -317,17 +297,18 @@ class _Engine:
                     [index.setdefault(tone, len(index)) for tone in tones])[which]
             row += n
         tones = list(index)
-        self._build_tables([tone for tone in tones if tone not in self._tables])
+        pq, theta = self._tables(tones)
         start = np.zeros_like(dur)
         start[1:] = np.cumsum(dur[:-1], axis=0)
         for first in range(0, size, _BLOCK_ROWS):
             rows = slice(first, first + _BLOCK_ROWS)
-            self._group(psi[rows], tones, kind[:, rows], start[:, rows], dur[:, rows])
+            self._group(psi[rows], tones, pq, theta, kind[:, rows], start[:, rows],
+                        dur[:, rows])
         return psi
 
-    def _group(self, psi, tones, kind, start, dur):
-        """Apply the layers of one group of rows to ``psi`` in place (see
-        ``_sweep``).
+    def _group(self, psi, tones, pq, theta, kind, start, dur):
+        """Apply the layers of one group of rows to ``psi`` in place, with
+        the call's tone tables ``pq`` and ``theta`` (see ``_sweep``).
 
         Plan: the ends of every driven layer of every row are collected,
         each bitwise-distinct (tone, substep, remainder) once, and their
@@ -356,12 +337,11 @@ class _Engine:
             t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
             c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
             v = ax[:, None, None] * self.vx + az[:, None, None] * self.vz
-            table = np.array([self._tables[t] for t in tones])
             g = np.empty((len(keys), 8, 8), dtype=complex)   # W(t) without M^n
             for first in range(0, len(keys), _END_STEPS):
                 part = slice(first, first + _END_STEPS)
                 step = self._steps(v[tone[part]], c[part], frac[part])
-                np.matmul(step, self._pq[table[tone[part]], k[part]], out=g[part])
+                np.matmul(step, pq[tone[part], k[part]], out=g[part])
         pos = 0
         for layer, d, rows in zip(kind, dur, driven):
             free = np.flatnonzero(layer == -1)
@@ -371,9 +351,8 @@ class _Engine:
                 b = slice(a.stop, a.stop + rows.size)
                 pos = b.stop
                 g_a = g[inv[a]]
-                theta = self._theta[table[layer[rows]]]
                 out = np.einsum("nji,nj->ni", np.conj(g_a, out=g_a), psi[rows])
-                out *= np.exp(1j * theta * (n_per[b] - n_per[a])[:, None])
+                out *= np.exp(1j * theta[layer[rows]] * (n_per[b] - n_per[a])[:, None])
                 psi[rows] = np.einsum("nij,nj->ni", g[inv[b]], out)
 
     def _routing(self, transition: str, ax: float, az: float) -> tuple:
@@ -472,13 +451,11 @@ def _grids(freq_grid, time_grid) -> tuple:
     return freq_grid, time_grid
 
 
-def _map_setup(params, field, engine, freq_grid, time_grid, transition) -> tuple:
+def _map_setup(params, field, freq_grid, time_grid, transition) -> tuple:
     """A map's checked grids, its engine, and its transition: the one
     nearest the mean drive frequency when none is named."""
     freq_grid, time_grid = _grids(freq_grid, time_grid)
-    if engine is not None and (engine.params != params or engine.bias != field):
-        raise ValueError("the engine was built for other parameters or another field")
-    engine = engine or _Engine(params, field)
+    engine = _Engine(params, field)
     if transition is None:
         f_mean = float(freq_grid.mean())
         transition = min(TRANSITIONS, key=lambda k: abs(
@@ -527,17 +504,16 @@ def _signals(engine, sets) -> list:
 
 def rabi_map(params: ManifoldParams, field: MagneticField,
              amplitude_x_hz: float, amplitude_z_hz: float,
-             freq_grid, time_grid, transition: str | None = None,
-             engine: _Engine | None = None) -> SignalMap:
+             freq_grid, time_grid, transition: str | None = None) -> SignalMap:
     """Chevron map: drive for each (frequency, duration), read the 1B signal.
 
     The drive tone is applied to the initialized 0B0M state after the
     transition's pre-mapping pulses (if any) and followed by its
-    post-mapping pulses, mirroring the measurement sequence.  ``engine``
-    shares one system of (params, field) between maps.
+    post-mapping pulses, mirroring the measurement sequence.  The map
+    builds its own engine, whose tables live for this one call.
     """
     freq_grid, time_grid, engine, transition = _map_setup(
-        params, field, engine, freq_grid, time_grid, transition)
+        params, field, freq_grid, time_grid, transition)
     chevron = _rabi_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
                         transition)
     return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0])
@@ -547,16 +523,15 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
                amplitude_x_hz: float, amplitude_z_hz: float,
                freq_grid, delay_grid, noise: NoiseModel | None = None,
                transition: str | None = None,
-               pi_half_s: float | None = None,
-               engine: _Engine | None = None) -> SignalMap:
+               pi_half_s: float | None = None) -> SignalMap:
     """Ramsey map: pi/2 -- free delay -- pi/2 per (frequency, delay).
 
     The pi/2 duration is calibrated once on resonance (or given
     explicitly, finite and non-negative) and held fixed while the
     frequency is swept, as in the measurement.  Quasi-static noise shifts
     the drive frequency per repetition and is averaged deterministically
-    over Gaussian quantiles.  ``engine`` shares one system of (params,
-    field) between maps.
+    over Gaussian quantiles.  The map builds its own engine, whose
+    tables live for this one call.
     """
     noise = noise or NoiseModel()
     if noise.kind == "ornstein-uhlenbeck":
@@ -565,7 +540,7 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     if pi_half_s is not None and not 0.0 <= pi_half_s < math.inf:
         raise ValueError("pi_half_s must be finite and non-negative")
     freq_grid, delay_grid, engine, transition = _map_setup(
-        params, field, engine, freq_grid, delay_grid, transition)
+        params, field, freq_grid, delay_grid, transition)
     ax, az = amplitude_x_hz, amplitude_z_hz
     if pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)

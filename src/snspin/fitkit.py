@@ -146,17 +146,10 @@ class ExperimentSpec:
 
 
 def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.SignalMap:
-    """Model map for one spec, through the public map of its kind.
-
-    A fit evaluation plans all its specs at once instead (see
-    :func:`_simulate_all`); both give the same signal bit for bit.
-    """
-    params, field, (ax, az) = theta.to_model()
-    if spec.kind == "rabi":
-        return dynamics.rabi_map(params, field, ax, az, spec.freq_hz, spec.time_s,
-                                 transition=spec.transition)
-    return dynamics.ramsey_map(params, field, ax, az, spec.freq_hz, spec.time_s,
-                               transition=spec.transition, pi_half_s=spec.pi_half_s)
+    """Model map for one spec: :func:`_simulate_all` of that spec alone."""
+    return dynamics.SignalMap(np.asarray(spec.freq_hz, dtype=float),
+                              np.asarray(spec.time_s, dtype=float),
+                              _simulate_all(theta, (spec,))[0])
 
 
 def _simulate_all(theta: FitParams, specs) -> list:

@@ -153,6 +153,11 @@ def test_transitions_csv(tmp_path):
     assert rows["broker"] == pytest.approx(644.05e6, rel=1e-3)
     assert rows["memory"] == pytest.approx(612.31e6, rel=1e-3)
 
+    cfg = {"command": "transitions", "output": str(tmp_path / "mw.csv"),
+           "options": {"include_optical": False}}
+    _, mw_lines = load_csv_artifact(cli.run(str(write_config(tmp_path, cfg, "mw.json"))))
+    assert mw_lines == lines[:4]
+
 
 def test_ple_csv(tmp_path):
     cfg = {"command": "ple"}  # default grid spans the named lines
@@ -454,6 +459,17 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
      "options.delay_s"),
     ("ramsey", "options.pi_half_s", -1e-8, "options.pi_half_s"),
     ("rabi", "options.freq_hz", [6.44e8, float("nan")], "options.freq_hz"),
+    ("transitions", "options.include_optical", "false", "options.include_optical"),
+    ("transitions", "options.include_optical", 0, "options.include_optical"),
+    ("transitions", "options.include_optical", None, "options.include_optical"),
+    ("fit", "options.nuisance", "false", "options.nuisance"),
+    ("fit", "options.nuisance", 1, "options.nuisance"),
+    ("fit", "options.datasets", [{"path": "chevron.csv", "transiton": "memory"}],
+     "options.datasets[0].transiton"),
+    ("fit", "options.datasets", [{"path": "chevron.csv", "transition": ["memory"]}],
+     "options.datasets[0].transition"),
+    ("fit", "options.datasets", [{"path": "chevron.csv", "pi_half_s": True}],
+     "options.datasets[0].pi_half_s"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

@@ -138,6 +138,7 @@ def test_constant_drive_is_time_invariant(engine):
     ((2.0 ** 29, 2.0 ** 25), 0.0, (40, 3), 1),        # two frequencies, one drive
     ((2.0 ** 29, -2.0 ** 29), math.pi / 3, (40, 40), 2),
     ((0.0,), 0.4, (1,), 1),
+    ((2.0 ** 29, -2.0 ** 29, 2.0 ** 25), 0.0, (40, 40, 3), 2),   # drives interleaved
 ])
 def test_tables_match_propagation_over_whole_periods(ground, field, freqs, phase,
                                                      periods, eigensystems):
@@ -146,13 +147,18 @@ def test_tables_match_propagation_over_whole_periods(ground, field, freqs, phase
     the tones of one drive amplitude and phase share the eigensystem of
     their substep Hamiltonians whatever their frequency.  Powers of two
     make the periods and substeps exact.  A constant drive has no period;
-    its pulse is one exact step of any duration."""
+    its pulse is one exact step of any duration.  All pulses run in one
+    call, so the shared eigensystems are counted within it."""
     engine = dyn._Engine(ground, field)
+    programs, references = [], []
     for freq, n in zip(freqs, periods):
         period = 1.0 / abs(freq) if freq else 150e-9
+        programs.append(("lower.0B0M", 1, [([(freq, AX, AZ, phase)], 0, n * period)]))
         prog = PulseProgram((DriveSegment(freq, AX, AZ, phase, n * period),))
-        reference = propagate(engine.h0, ground, prog, timestep=period / dyn._SUBSTEPS)
-        assert np.max(np.abs(engine.system.states @ engine.run(prog) - reference)) < 1e-9
+        references.append(propagate(engine.h0, ground, prog,
+                                    timestep=period / dyn._SUBSTEPS))
+    for psi, reference in zip(engine._sweep(programs), references):
+        assert np.max(np.abs(engine.system.states @ psi - reference)) < 1e-9
     assert engine.report()["substep_eigensystems"] == eigensystems
     assert engine.report()["tone_tables"] == len(freqs)
 
@@ -163,8 +169,8 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     one table per drive frequency and routing tone, and end steps."""
     engine = dyn._Engine(ground, field)
     freqs = engine.transition_frequency(transition) + np.array([-2.1e6, -0.3e6, 1.7e6])
-    rabi_map(ground, field, AX, AZ, freqs, [40e-9, 150e-9], transition=transition,
-             engine=engine)
+    dyn._signals(engine, [dyn._rabi_set(engine, AX, AZ, freqs, np.array([40e-9, 150e-9]),
+                                        transition)])
     report = engine.report()
     routing = set(sum(dyn.ROUTING[transition], ()))
     assert report["substep_eigensystems"] == 1
@@ -172,6 +178,25 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     assert report["end_steps"] > 0
     report["tone_tables"] = 0
     assert engine.report()["tone_tables"] == len(freqs) + len(routing)
+
+
+def test_each_sweep_builds_its_own_tables(ground, field):
+    """Tables live for one call: a second identical call on the same
+    engine builds them again and gives bitwise the same states."""
+    engine = dyn._Engine(ground, field)
+    freqs = F_MEMORY + np.array([-1.3e6, 0.0, 2.2e6])
+    programs = [dyn._rabi_set(engine, AX, AZ, freqs, np.array([30e-9, 170e-9]),
+                              "memory")[0],
+                ("lower.0B0M", 2, [([(F_BROKER, AX, AZ, 0.0)], 0, 80e-9),
+                                   (None, 0, np.array([0.0, 1e-6]))])]
+    first = engine._sweep(programs)
+    once = engine.report()
+    second = engine._sweep(programs)
+    twice = engine.report()
+    assert second.tobytes() == first.tobytes()
+    assert once["tone_tables"] > 0 and once["substep_eigensystems"] == 1
+    for key in ("tone_tables", "substep_eigensystems"):
+        assert twice[key] == 2 * once[key]
 
 
 def test_rabi_map_resonant_column(ground, field, engine):
@@ -432,25 +457,23 @@ def test_segment_and_program_validation():
     assert DriveSegment(1e6, 0.0, 0.0, 0.0, 1e-9).is_gap
 
 
-def test_maps_reject_negative_times_and_non_finite_grids(ground, field, engine):
+def test_maps_reject_negative_times_and_non_finite_grids(ground, field):
     """A map runs no pulse backwards in time and takes no NaN or infinite
     grid value."""
     times = [0.0, 50e-9]
     with pytest.raises(ValueError, match="non-negative"):
-        rabi_map(ground, field, AX, AZ, [F_BROKER], [-1e-7, 0.0], engine=engine)
+        rabi_map(ground, field, AX, AZ, [F_BROKER], [-1e-7, 0.0])
     with pytest.raises(ValueError, match="non-negative"):
-        ramsey_map(ground, field, AX, AZ, [F_BROKER], [-1e-6, 0.0], engine=engine)
+        ramsey_map(ground, field, AX, AZ, [F_BROKER], [-1e-6, 0.0])
     with pytest.raises(ValueError, match="pi_half_s"):
-        ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=-1e-8,
-                   engine=engine)
+        ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=-1e-8)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            rabi_map(ground, field, AX, AZ, [F_BROKER, bad], times, engine=engine)
+            rabi_map(ground, field, AX, AZ, [F_BROKER, bad], times)
         with pytest.raises(ValueError, match="finite"):
-            rabi_map(ground, field, AX, AZ, [F_BROKER], [0.0, bad], engine=engine)
+            rabi_map(ground, field, AX, AZ, [F_BROKER], [0.0, bad])
         with pytest.raises(ValueError, match="pi_half_s"):
-            ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=bad,
-                       engine=engine)
+            ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=bad)
 
 
 def test_signal_map_csv_and_shape():
