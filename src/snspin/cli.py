@@ -20,15 +20,20 @@ Config layout::
       "options": { ... per-command options ... }
     }
 
-Grids are {"start": lo, "stop": hi, "points": n} blocks.  Unset
+Grids are lists or {"start": lo, "stop": hi, "points": n} blocks.  Unset
 parameter blocks fall back to the package's fitted defaults.
 
-Each command accepts only the option keys its handler reads and rejects
-any other; a ``fit`` dataset block likewise takes only ``path``,
-``kind``, ``transition``, ``pi_half_s`` and ``label``.  Switches such as
-``include_optical`` and ``nuisance`` take JSON ``true`` or ``false``
-only.  ``decouple`` models ideal instantaneous pulses against pure
-dephasing, so it reads only ``options.noise``, ``options.n_pulses`` and
+Each command has one table of readers, one per option key it takes
+(``_COMMANDS``).  Every config object -- ``options``, ``field``, the
+``ground`` and ``excited`` blocks, grid and noise blocks, ``fit``
+datasets, ``options.initial`` and ``options.bounds`` -- is read through
+one helper, ``_object``: a key with no reader, or a value its reader
+cannot read, is a ``ConfigError`` at that key's path (exit 2).  A number
+is never a boolean, and switches such as ``include_optical`` and
+``nuisance`` take JSON ``true`` or ``false`` only.  ``null`` is a value
+of the wrong type for every key: to take a default, leave the key out.
+``decouple`` models ideal instantaneous pulses against pure dephasing,
+so it reads only ``options.noise``, ``options.n_pulses`` and
 ``options.total_time_s``: no parameter block, field or transition.
 """
 
@@ -38,6 +43,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -52,28 +58,15 @@ class ConfigError(Exception):
         self.path = path
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    node = cfg
-    walked = []
-    for part in path.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required entry", ".".join(walked))
-            return default
-        node = node[part]
-    return node
-
+# --- readers -----------------------------------------------------------------
+# Each takes (value, path), returns what it read and raises a ConfigError at
+# ``path`` for a value it cannot read.  Readers that need a library constant
+# import it when they run, so that loading this module loads no numpy.
 
 def _float(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"expected a number, got {val!r}", path)
     return float(val)
-
-
-def _number(cfg: dict, path: str, default=None, required: bool = False) -> float:
-    val = _get(cfg, path, default, required)
-    return None if val is None else _float(val, path)
 
 
 def _int(val, path: str, minimum: int = 0) -> int:
@@ -85,83 +78,156 @@ def _int(val, path: str, minimum: int = 0) -> int:
     return int(val)
 
 
-def _integer(cfg: dict, path: str, default=None, required: bool = False,
-             minimum: int = 0) -> int:
-    val = _get(cfg, path, default, required)
-    return None if val is None else _int(val, path, minimum)
+def _count(val, path: str) -> int:
+    return _int(val, path, minimum=1)
 
 
-def _positive(cfg: dict, path: str) -> int:
-    return _integer(cfg, path, minimum=1)
+def _time(val, path: str) -> float:
+    time = _float(val, path)
+    if not 0.0 <= time < math.inf:
+        raise ConfigError(f"expected a finite non-negative time, got {val!r}", path)
+    return time
 
 
-def _numbers(cfg: dict, path: str, count: int | None = None, default=None,
-             read=_float) -> list:
-    """The non-empty list at ``path`` (else ``default``), each entry read
-    by ``read`` (as a float by default)."""
-    val = _get(cfg, path, default)
-    if not isinstance(val, list) or not val or count not in (None, len(val)):
-        raise ConfigError(f"expected a list of {count or 'one or more'} numbers", path)
-    return [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
-
-
-def _flag(cfg: dict, path: str, default: bool) -> bool:
-    """The JSON boolean at ``path`` (else ``default``); nothing else
-    stands in for one."""
-    val = _get(cfg, path, default)
+def _flag(val, path: str) -> bool:
+    """A JSON boolean; nothing else stands in for one."""
     if not isinstance(val, bool):
         raise ConfigError(f"expected true or false, got {val!r}", path)
     return val
 
 
+def _text(val, path: str) -> str:
+    if not isinstance(val, str):
+        raise ConfigError(f"expected a string, got {val!r}", path)
+    return val
+
+
 def _choice(*allowed):
-    """A reader of an option that must be one of ``allowed``."""
-    def read(cfg: dict, path: str):
-        val = _get(cfg, path)
+    """A reader of a value that must be one of ``allowed``."""
+    def read(val, path: str):
         if val not in allowed:
-            raise ConfigError(f"expected one of {', '.join(allowed)}, got {val!r}", path)
+            raise ConfigError(f"got {val!r}; expected one of {', '.join(allowed)}", path)
         return val
     return read
 
 
-def _grid(cfg: dict, path: str, required: bool = True, times: bool = False):
-    """The grid at ``path``: a list or a start/stop/points block of
-    finite values, which must also be non-negative when they are
-    ``times``."""
+def _transition(val, path: str) -> str:
+    from .spinmodel import TRANSITIONS
+
+    return _choice(*TRANSITIONS)(val, path)
+
+
+def _sign_convention(val, path: str) -> str:
+    from .coherence import SIGN_CONVENTIONS
+
+    return _choice(*SIGN_CONVENTIONS)(val, path)
+
+
+def _line(val, path: str):
+    """A pump line: a peak id, or a laser frequency in Hz."""
+    return val if isinstance(val, str) else _float(val, path)
+
+
+def _list(read=_float, count: int | None = None):
+    """A reader of a non-empty list (of ``count`` entries when given), each
+    entry read by ``read``."""
+    def read_list(val, path: str) -> list:
+        if not isinstance(val, list) or not val or count not in (None, len(val)):
+            raise ConfigError(f"expected a list of {count or 'one or more'} entries", path)
+        return [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
+    return read_list
+
+
+def _names(val, path: str) -> list:
+    """Parameter names; ``[]`` frees none, for a loss-only fit."""
+    return [] if val == [] else _list(_text)(val, path)
+
+
+def _grid(val, path: str, times: bool = False):
+    """A list or a start/stop/points block of finite values, which must
+    also be non-negative when they are ``times``."""
     import numpy as np
 
-    block = _get(cfg, path, required=required)
-    if block is None:
-        return None
-    if isinstance(block, list):
-        grid = np.asarray(_numbers(cfg, path))
-    elif not isinstance(block, dict):
-        raise ConfigError("expected a grid list or a start/stop/points object", path)
+    if isinstance(val, dict):
+        block = _object(val, path, {"start": _float, "stop": _float, "points": _count})
+        grid = np.linspace(*(_need(block, key, path) for key in ("start", "stop", "points")))
+    elif isinstance(val, list):
+        grid = np.asarray(_list()(val, path))
     else:
-        for key in ("start", "stop", "points"):
-            if key not in block:
-                raise ConfigError(f"grid needs start/stop/points", f"{path}.{key}")
-        n = _int(block["points"], f"{path}.points", minimum=1)
-        grid = np.linspace(_number(cfg, f"{path}.start"), _number(cfg, f"{path}.stop"), n)
+        raise ConfigError("expected a grid list or a start/stop/points object", path)
     if not np.all(np.isfinite(grid)) or (times and np.any(grid < 0)):
         raise ConfigError("expected finite " + ("non-negative times" if times else "values"),
                           path)
     return grid
 
 
+def _times(val, path: str):
+    return _grid(val, path, times=True)
+
+
+def _object(val, path: str, readers: dict) -> dict:
+    """The JSON object at ``path`` with each key read by its reader in
+    ``readers``; a key with no reader is a ConfigError at ``path.key``."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"expected an object, got {val!r}", path)
+    unknown = sorted(set(val) - set(readers))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}; expected some of {', '.join(readers)}",
+                          f"{path}.{unknown[0]}")
+    return {key: readers[key](item, f"{path}.{key}") for key, item in val.items()}
+
+
+def _need(block: dict, key: str, path: str = "options"):
+    """``block[key]``, which the config must give."""
+    if key not in block:
+        raise ConfigError(f"missing required entry {key!r}", f"{path}.{key}")
+    return block[key]
+
+
+def _record(cls, val, path: str, readers: dict | None = None):
+    """A ``cls`` from the object at ``path``, each field read by ``readers``
+    (by ``_float`` when not given)."""
+    block = _object(val, path, readers or {f.name: _float for f in dataclasses.fields(cls)})
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:  # a missing field or a value out of range
+        raise ConfigError(str(exc), path)
+
+
+def _noise(val, path: str):
+    from .dynamics import NoiseModel
+
+    return _record(NoiseModel, val, path, {"kind": _text, "sigma_hz": _float,
+                                           "correlation_time_s": _float, "samples": _count})
+
+
+def _initial(val, path: str):
+    from .fitkit import FitParams
+
+    return _record(FitParams, val, path)
+
+
+def _bounds(val, path: str) -> dict:
+    from .fitkit import FIT_PARAM_NAMES
+
+    return _object(val, path, dict.fromkeys(FIT_PARAM_NAMES, _list(_float, 2)))
+
+
+def _dataset(val, path: str) -> dict:
+    """A ``fit`` dataset block: a signal CSV and what its header may lack."""
+    return _object(val, path, {"path": _text, "kind": _text, "transition": _text,
+                               "pi_half_s": _time, "label": _text})
+
+
+# --- top-level blocks --------------------------------------------------------
+
 def _manifold(cfg: dict, key: str):
     """The ``ground`` or ``excited`` parameter block, else its defaults."""
     from .params import ManifoldParams, excited_defaults, ground_defaults
 
-    block = _get(cfg, key)
-    if block is None:
+    if key not in cfg:
         return {"ground": ground_defaults, "excited": excited_defaults}[key]()
-    if not isinstance(block, dict):
-        raise ConfigError("expected a parameter object", key)
-    try:
-        return ManifoldParams.from_dict(block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), key)
+    return _record(ManifoldParams, cfg[key], key)
 
 
 def _eigensystem(cfg: dict, key: str, field):
@@ -174,50 +240,21 @@ def _eigensystem(cfg: dict, key: str, field):
 def _field(cfg: dict):
     from .params import MagneticField, field_for_larmor, reference_field
 
-    block = _get(cfg, "field")
-    if block is None:
+    if "field" not in cfg:
         return reference_field()
-    if not isinstance(block, dict):
-        raise ConfigError("expected a field object", "field")
+    keys = [f"b{axis}_t" for axis in "xyz"] + [f"b_{axis}_hz" for axis in "xyz"]
+    block = _object(cfg["field"], "field", dict.fromkeys(keys, _float))
     components = {}
-    for axis in ("x", "y", "z"):
+    for axis in "xyz":
         tesla_key, hz_key = f"b{axis}_t", f"b_{axis}_hz"
         if tesla_key in block and hz_key in block:
             raise ConfigError(f"give either {tesla_key} or {hz_key}, not both",
                               f"field.{tesla_key}")
         if tesla_key in block:
-            components[f"b{axis}"] = _number(cfg, f"field.{tesla_key}")
+            components[f"b{axis}"] = block[tesla_key]
         elif hz_key in block:
-            components[f"b{axis}"] = field_for_larmor(_number(cfg, f"field.{hz_key}"))
-    unknown = set(block) - {f"b{a}_t" for a in "xyz"} - {f"b_{a}_hz" for a in "xyz"}
-    if unknown:
-        raise ConfigError(f"unknown field keys {sorted(unknown)}", "field")
+            components[f"b{axis}"] = field_for_larmor(block[hz_key])
     return MagneticField(**components)
-
-
-def _noise(cfg: dict, path: str):
-    from .dynamics import NoiseModel
-
-    block = _get(cfg, path)
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ConfigError("expected a noise object", path)
-    readers = {"kind": _get, "sigma_hz": _number, "correlation_time_s": _number,
-               "samples": _positive}
-    try:
-        # keys left out take NoiseModel's defaults
-        return NoiseModel(**{k: read(cfg, f"{path}.{k}")
-                             for k, read in readers.items() if k in block})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), path)
-
-
-def _given(cfg: dict, readers: dict) -> dict:
-    """Each option named in ``readers`` that the config gives, read by its
-    reader; the options left out take the library function's defaults."""
-    return {name: read(cfg, f"options.{name}") for name, read in readers.items()
-            if _get(cfg, f"options.{name}") is not None}
 
 
 def _plain(value):
@@ -232,241 +269,187 @@ def _plain(value):
 
 
 # --- command handlers --------------------------------------------------------
-# Each returns (payload, flavor): a dict for "json", rows for "csv", or
-# (rows, header metadata) for "signal-csv".
+# Each takes (cfg, opts, seed), where ``opts`` holds the options the config
+# gives, already read, and returns (payload, flavor): a dict for "json", rows
+# for "csv", or (rows, header metadata) for "signal-csv".
 
-def _cmd_levels(cfg, seed):
+def _cmd_levels(cfg, opts, seed):
     field = _field(cfg)
-    which = _get(cfg, "options.manifold", "ground")
-    out = {key: _eigensystem(cfg, key, field).level_dict()
-           for key in ("ground", "excited") if which in (key, "both")}
-    if not out:
-        raise ConfigError("manifold must be ground, excited, or both",
-                          "options.manifold")
-    return out, "json"
+    which = opts.get("manifold", "ground")
+    return {key: _eigensystem(cfg, key, field).level_dict()
+            for key in ("ground", "excited") if which in (key, "both")}, "json"
 
 
-def _cmd_transitions(cfg, seed):
+def _cmd_transitions(cfg, opts, seed):
     from .spectrum import mw_transitions, optical_transitions
 
     field = _field(cfg)
     ground = _eigensystem(cfg, "ground", field)
     rows = mw_transitions(ground).csv_rows()
-    if _flag(cfg, "options.include_optical", True):
+    if opts.get("include_optical", True):
         excited = _eigensystem(cfg, "excited", field)
-        zpl = _number(cfg, "options.zpl_hz", 0.0)
+        zpl = opts.get("zpl_hz", 0.0)
         rows.extend(optical_transitions(ground, excited, zpl=zpl).csv_rows()[1:])
     return rows, "csv"
 
 
-def _cmd_ple(cfg, seed):
+def _cmd_ple(cfg, opts, seed):
     from .params import OPTICAL_LINEWIDTH_HZ
     from .spectrum import optical_transitions, ple_spectrum
 
     field = _field(cfg)
     ground = _eigensystem(cfg, "ground", field)
     excited = _eigensystem(cfg, "excited", field)
-    table = optical_transitions(ground, excited, zpl=_number(cfg, "options.zpl_hz", 0.0))
+    table = optical_transitions(ground, excited, zpl=opts.get("zpl_hz", 0.0))
     trace = ple_spectrum(
         table,
-        linewidth=_number(cfg, "options.linewidth_hz", OPTICAL_LINEWIDTH_HZ),
-        grid=_grid(cfg, "options.detuning_hz", required=False),
+        linewidth=opts.get("linewidth_hz", OPTICAL_LINEWIDTH_HZ),
+        grid=opts.get("detuning_hz"),
     )
     return trace.csv_rows(), "csv"
 
 
-def _cmd_cyclicity_map(cfg, seed):
+def _cmd_cyclicity_map(cfg, opts, seed):
     import numpy as np
     from .optics import lambda_f0_map
 
     gp = _manifold(cfg, "ground")
     ep = _manifold(cfg, "excited")
     bx, bz = (axis.ravel() for axis in np.meshgrid(
-        _grid(cfg, "options.bx_t"), _grid(cfg, "options.bz_t"), indexing="ij"))
+        _need(opts, "bx_t"), _need(opts, "bz_t"), indexing="ij"))
     rows = [("bx_t", "bz_t", "lambda_f0")]
     rows += [(repr(float(x)), repr(float(z)), repr(float(lam)))
              for x, z, lam in zip(bx, bz, lambda_f0_map(gp, ep, bx, bz))]
     return rows, "csv"
 
 
-def _cmd_pump(cfg, seed):
-    from .params import OPTICAL_LINEWIDTH_HZ
+def _cmd_pump(cfg, opts, seed):
+    from .params import LIFETIME_S, OPTICAL_LINEWIDTH_HZ
     from .optics import pump_dynamics
 
     field = _field(cfg)
     ground = _eigensystem(cfg, "ground", field)
     excited = _eigensystem(cfg, "excited", field)
-    line = _get(cfg, "options.line", "f2")
-    if not isinstance(line, str):
-        line = _number(cfg, "options.line")
     result = pump_dynamics(
-        ground, excited, pump_line=line,
-        rabi_hz=_number(cfg, "options.rabi_hz", required=True),
-        linewidth_hz=_number(cfg, "options.linewidth_hz", OPTICAL_LINEWIDTH_HZ),
-        duration_s=_number(cfg, "options.duration_s", 10e-6),
-        **_given(cfg, {"lifetime_s": _number}),
+        ground, excited, pump_line=opts.get("line", "f2"),
+        rabi_hz=_need(opts, "rabi_hz"),
+        linewidth_hz=opts.get("linewidth_hz", OPTICAL_LINEWIDTH_HZ),
+        duration_s=opts.get("duration_s", 10e-6),
+        lifetime_s=opts.get("lifetime_s", LIFETIME_S),
     )
     return _plain(result), "json"
 
 
-def _cmd_fidelity_budget(cfg, seed):
+def _cmd_fidelity_budget(cfg, opts, seed):
     import numpy as np
     from .params import LIFETIME_S
     from .spectrum import memory_detuning
     from .optics import excitation_fidelity, max_excitations
 
-    tau = _number(cfg, "options.tau_s", LIFETIME_S)
-    delta = _number(cfg, "options.delta_omega_rad_s")
+    tau = opts.get("tau_s", LIFETIME_S)
+    delta = opts.get("delta_omega_rad_s")
     if delta is None:
         field = _field(cfg)
         ground = _eigensystem(cfg, "ground", field)
         excited = _eigensystem(cfg, "excited", field)
         delta = 2.0 * np.pi * memory_detuning(ground, excited)
-    every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).tolist()
-    ns = _numbers(cfg, "options.n_list", default=every_n, read=_int)
-    f_min = _number(cfg, "options.f_min", 0.95)
+    every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).astype(int).tolist()
+    f_min = opts.get("f_min", 0.95)
     return {
         "delta_omega_rad_s": float(delta),
         "tau_s": float(tau),
         "budget": [
             {"n": n, "fidelity": float(excitation_fidelity(delta, tau, n))}
-            for n in ns
+            for n in opts.get("n_list", every_n)
         ],
         "f_min": float(f_min),
         "n_max": float(max_excitations(delta, tau, f_min)),
     }, "json"
 
 
-def _map_common(cfg, kind):
+def _map_common(cfg, opts, kind):
     """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map;
     the drive defaults to the reference device's."""
-    from .dynamics import TRANSITIONS
     from .fitkit import FitParams
 
-    params = _manifold(cfg, "ground")
-    field = _field(cfg)
     reference = FitParams.reference()
-    ax = _number(cfg, "options.amplitude_x_hz", reference.b_x_ac_hz)
-    az = _number(cfg, "options.amplitude_z_hz", reference.b_z_ac_hz)
-    transition = _get(cfg, "options.transition")
-    if transition not in (None, *TRANSITIONS):
-        raise ConfigError(f"unknown transition {transition!r}", "options.transition")
+    ax = opts.get("amplitude_x_hz", reference.b_x_ac_hz)
+    az = opts.get("amplitude_z_hz", reference.b_z_ac_hz)
+    transition = opts.get("transition")
     meta = {"kind": kind}
     if transition:
         meta["transition"] = transition
-    return params, field, ax, az, transition, meta
+    return _manifold(cfg, "ground"), _field(cfg), ax, az, transition, meta
 
 
-def _cmd_rabi(cfg, seed):
+def _cmd_rabi(cfg, opts, seed):
     from .dynamics import rabi_map
 
-    params, field, ax, az, transition, meta = _map_common(cfg, "rabi")
-    m = rabi_map(params, field, ax, az,
-                 _grid(cfg, "options.freq_hz"), _grid(cfg, "options.duration_s", times=True),
+    params, field, ax, az, transition, meta = _map_common(cfg, opts, "rabi")
+    m = rabi_map(params, field, ax, az, _need(opts, "freq_hz"), _need(opts, "duration_s"),
                  transition=transition)
     return (m.csv_rows(), meta), "signal-csv"
 
 
-def _cmd_ramsey(cfg, seed):
+def _cmd_ramsey(cfg, opts, seed):
     from .dynamics import ramsey_map
 
-    params, field, ax, az, transition, meta = _map_common(cfg, "ramsey")
-    pi_half = _number(cfg, "options.pi_half_s")
-    if pi_half is not None and not 0.0 <= pi_half < float("inf"):
-        raise ConfigError(f"expected a finite non-negative time, got {pi_half!r}",
-                          "options.pi_half_s")
-    m = ramsey_map(params, field, ax, az,
-                   _grid(cfg, "options.freq_hz"), _grid(cfg, "options.delay_s", times=True),
-                   noise=_noise(cfg, "options.noise"),
-                   transition=transition, pi_half_s=pi_half)
+    params, field, ax, az, transition, meta = _map_common(cfg, opts, "ramsey")
+    pi_half = opts.get("pi_half_s")
+    m = ramsey_map(params, field, ax, az, _need(opts, "freq_hz"), _need(opts, "delay_s"),
+                   noise=opts.get("noise"), transition=transition, pi_half_s=pi_half)
     if pi_half is not None:
-        meta["pi_half_s"] = repr(float(pi_half))
+        meta["pi_half_s"] = repr(pi_half)
     return (m.csv_rows(), meta), "signal-csv"
 
 
-def _cmd_decouple(cfg, seed):
+def _cmd_decouple(cfg, opts, seed):
     from .dynamics import decoupling_scan
 
-    noise = _noise(cfg, "options.noise")
-    if noise is None:
-        raise ConfigError("decouple needs an ornstein-uhlenbeck noise block",
-                          "options.noise")
-    result = decoupling_scan(
-        n_pulses=_integer(cfg, "options.n_pulses", required=True),
-        delay_grid=_grid(cfg, "options.total_time_s"),
-        noise=noise, seed=seed,
-    )
+    result = decoupling_scan(noise=_need(opts, "noise"), n_pulses=_need(opts, "n_pulses"),
+                             delay_grid=_need(opts, "total_time_s"), seed=seed)
     return _plain(result), "json"
 
 
-def _cmd_rb(cfg, seed):
+def _cmd_rb(cfg, opts, seed):
     from .dynamics import rb_simulate, clifford_adjust
 
-    result = rb_simulate(
-        gate_fidelity=_number(cfg, "options.gate_fidelity", required=True),
-        seed=seed,
-        **_given(cfg, {"lengths": _numbers, "sequences_per_length": _positive,
-                       "spam": lambda cfg, path: _numbers(cfg, path, 2)}),
-    )
+    _need(opts, "gate_fidelity")
+    result = rb_simulate(seed=seed, **opts)  # the option keys are rb_simulate's keywords
     out = _plain(result)
     if result.fit_ok:
         out["clifford_fidelity"] = clifford_adjust(result.fidelity)
     return out, "json"
 
 
-def _cmd_coherence_map(cfg, seed):
-    from .coherence import SIGN_CONVENTIONS, coherence_map
+def _cmd_coherence_map(cfg, opts, seed):
+    from .coherence import coherence_map
 
     m = coherence_map(
-        _manifold(cfg, "ground"),
-        _grid(cfg, "options.upsilon_hz"), _grid(cfg, "options.alpha_hz"),
-        **_given(cfg, {"gamma_phonon": _number,
-                       "sign_convention": _choice(*SIGN_CONVENTIONS)}),
+        _manifold(cfg, "ground"), _need(opts, "upsilon_hz"), _need(opts, "alpha_hz"),
+        **{k: opts[k] for k in ("gamma_phonon", "sign_convention") if k in opts},
     )
     return m.csv_rows(), "csv"
 
 
-_DATASET_KEYS = ("path", "kind", "transition", "pi_half_s", "label")
-
-
-def _cmd_fit(cfg, seed):
+def _cmd_fit(cfg, opts, seed):
     from .fitkit import (
-        DEFAULT_FREE, FitParams, ExperimentSpec, FitProblem,
-        fit_parameters, load_signal_csv,
+        DEFAULT_FREE, ExperimentSpec, FitProblem, fit_parameters, load_signal_csv,
     )
 
-    blocks = _get(cfg, "options.datasets", required=True)
-    if not isinstance(blocks, list) or not blocks:
-        raise ConfigError("datasets must be a non-empty list", "options.datasets")
     specs, data = [], []
-    base = os.path.dirname(os.path.abspath(cfg["_config_path"]))
-    for i, block in enumerate(blocks):
-        if not isinstance(block, dict):
-            raise ConfigError("expected a dataset object", f"options.datasets[{i}]")
-        unknown = sorted(set(block) - set(_DATASET_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown dataset keys {unknown}; expected some of "
-                              f"{', '.join(_DATASET_KEYS)}",
-                              f"options.datasets[{i}].{unknown[0]}")
-        for key in ("kind", "transition", "label"):
-            if not isinstance(block.get(key, ""), str):
-                raise ConfigError("expected a string", f"options.datasets[{i}].{key}")
-        if "pi_half_s" in block:
-            _float(block["pi_half_s"], f"options.datasets[{i}].pi_half_s")
-        path = block.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("dataset needs a csv path", f"options.datasets[{i}].path")
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
-        meta, m = load_signal_csv(path)
+    base = os.path.dirname(cfg["_config_path"])
+    for i, block in enumerate(_need(opts, "datasets")):
+        where = f"options.datasets[{i}]"
+        if not block.get("path"):
+            raise ConfigError("dataset needs a csv path", f"{where}.path")
+        meta, m = load_signal_csv(os.path.join(base, block["path"]))
         kind = block.get("kind", meta.get("kind"))
         transition = block.get("transition", meta.get("transition"))
         pi_half = block.get("pi_half_s", meta.get("pi_half_s"))
         if kind is None or transition is None:
             raise ConfigError(
-                "dataset needs kind and transition (in the block or the csv header)",
-                f"options.datasets[{i}]",
-            )
+                "dataset needs kind and transition (in the block or the csv header)", where)
         try:
             spec = ExperimentSpec(
                 kind=kind, transition=transition,
@@ -476,54 +459,47 @@ def _cmd_fit(cfg, seed):
                 label=block.get("label", ""),
             )
         except ValueError as exc:
-            raise ConfigError(str(exc), f"options.datasets[{i}]")
+            raise ConfigError(str(exc), where)
         specs.append(spec)
         data.append(m.signal)
 
-    initial_block = _get(cfg, "options.initial", required=True)
-    if not isinstance(initial_block, dict):
-        raise ConfigError("expected a parameter object", "options.initial")
+    initial = _need(opts, "initial")
+    bounds = {k: tuple(pair) for k, pair in opts.get("bounds", {}).items()}
     try:
-        initial = FitParams(**{k: _float(v, f"options.initial.{k}")
-                               for k, v in initial_block.items()})
-    except TypeError as exc:
-        raise ConfigError(str(exc), "options.initial")
-    free = _get(cfg, "options.free", list(DEFAULT_FREE))
-    if not isinstance(free, list) or not all(isinstance(n, str) for n in free):
-        raise ConfigError("expected a list of parameter names", "options.free")
-    bounds_block = _get(cfg, "options.bounds", {}) or {}
-    if not isinstance(bounds_block, dict):
-        raise ConfigError("expected an object of (low, high) pairs", "options.bounds")
-    bounds = {k: tuple(_numbers(cfg, f"options.bounds.{k}", 2)) for k in bounds_block}
-    try:
-        problem = FitProblem(tuple(specs), tuple(data), initial, free=tuple(free),
-                             bounds=bounds or None,
-                             nuisance=_flag(cfg, "options.nuisance", False))
+        problem = FitProblem(tuple(specs), tuple(data), initial,
+                             free=tuple(opts.get("free", DEFAULT_FREE)),
+                             bounds=bounds or None, nuisance=opts.get("nuisance", False))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
-    result = fit_parameters(problem, **_given(cfg, {"max_eval": _positive}))
+    result = fit_parameters(problem, **{k: opts[k] for k in ("max_eval",) if k in opts})
     return result.to_dict(), "json"
 
 
-# Each command's handler and the option keys it reads; run rejects any
-# other key under ``options``.
+# Each command's handler and its option readers; run rejects any other key
+# under ``options``.
+_MAP_OPTIONS = {"amplitude_x_hz": _float, "amplitude_z_hz": _float,
+                "transition": _transition, "freq_hz": _grid}
 _COMMANDS = {
-    "levels": (_cmd_levels, ("manifold",)),
-    "transitions": (_cmd_transitions, ("include_optical", "zpl_hz")),
-    "ple": (_cmd_ple, ("zpl_hz", "linewidth_hz", "detuning_hz")),
-    "cyclicity-map": (_cmd_cyclicity_map, ("bx_t", "bz_t")),
-    "pump": (_cmd_pump, ("line", "rabi_hz", "linewidth_hz", "duration_s", "lifetime_s")),
+    "levels": (_cmd_levels, {"manifold": _choice("ground", "excited", "both")}),
+    "transitions": (_cmd_transitions, {"include_optical": _flag, "zpl_hz": _float}),
+    "ple": (_cmd_ple, {"zpl_hz": _float, "linewidth_hz": _float, "detuning_hz": _grid}),
+    "cyclicity-map": (_cmd_cyclicity_map, {"bx_t": _grid, "bz_t": _grid}),
+    "pump": (_cmd_pump, {"line": _line, "rabi_hz": _float, "linewidth_hz": _float,
+                         "duration_s": _float, "lifetime_s": _float}),
     "fidelity-budget": (_cmd_fidelity_budget,
-                        ("tau_s", "delta_omega_rad_s", "n_list", "f_min")),
-    "rabi": (_cmd_rabi, ("amplitude_x_hz", "amplitude_z_hz", "transition",
-                         "freq_hz", "duration_s")),
-    "ramsey": (_cmd_ramsey, ("amplitude_x_hz", "amplitude_z_hz", "transition",
-                             "freq_hz", "delay_s", "pi_half_s", "noise")),
-    "decouple": (_cmd_decouple, ("noise", "n_pulses", "total_time_s")),
-    "rb": (_cmd_rb, ("gate_fidelity", "lengths", "sequences_per_length", "spam")),
+                        {"tau_s": _float, "delta_omega_rad_s": _float,
+                         "n_list": _list(_int), "f_min": _float}),
+    "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _times}),
+    "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _times, "pi_half_s": _time,
+                             "noise": _noise}),
+    "decouple": (_cmd_decouple, {"noise": _noise, "n_pulses": _int, "total_time_s": _times}),
+    "rb": (_cmd_rb, {"gate_fidelity": _float, "lengths": _list(_int),
+                     "sequences_per_length": _count, "spam": _list(_float, 2)}),
     "coherence-map": (_cmd_coherence_map,
-                      ("upsilon_hz", "alpha_hz", "gamma_phonon", "sign_convention")),
-    "fit": (_cmd_fit, ("datasets", "initial", "free", "bounds", "nuisance", "max_eval")),
+                      {"upsilon_hz": _grid, "alpha_hz": _grid, "gamma_phonon": _float,
+                       "sign_convention": _sign_convention}),
+    "fit": (_cmd_fit, {"datasets": _list(_dataset), "initial": _initial, "free": _names,
+                       "bounds": _bounds, "nuisance": _flag, "max_eval": _count}),
 }
 
 
@@ -566,27 +542,15 @@ def run(config_path: str, out_override: str | None = None,
         raise ConfigError("config must be a JSON object")
     cfg["_config_path"] = os.path.abspath(config_path)
 
-    command = _get(cfg, "command", required=True)
-    if command not in _COMMANDS:
-        raise ConfigError(
-            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}",
-            "command",
-        )
-    handler, option_keys = _COMMANDS[command]
-    options = _get(cfg, "options") or {}
-    if not isinstance(options, dict):
-        raise ConfigError("expected an options object", "options")
-    unknown = sorted(set(options) - set(option_keys))
-    if unknown:
-        raise ConfigError(f"unknown {command} options {unknown}; "
-                          f"expected some of {', '.join(option_keys)}",
-                          f"options.{unknown[0]}")
-    seed = seed_override if seed_override is not None else _integer(cfg, "seed", 0)
-    output = out_override or _get(cfg, "output")
-    if not isinstance(output, (str, type(None))):
-        raise ConfigError("expected an output path", "output")
+    if "command" not in cfg:
+        raise ConfigError("missing required entry 'command'", "command")
+    command = _choice(*_COMMANDS)(cfg["command"], "command")
+    handler, readers = _COMMANDS[command]
+    opts = _object(cfg.get("options", {}), "options", readers)
+    seed = seed_override if seed_override is not None else _int(cfg.get("seed", 0), "seed")
+    output = out_override or (_text(cfg["output"], "output") if "output" in cfg else None)
 
-    payload, flavor = handler(cfg, seed)
+    payload, flavor = handler(cfg, opts, seed)
     if output is None:
         output = f"{command}.{'json' if flavor == 'json' else 'csv'}"
     if not os.path.isabs(output):
@@ -607,6 +571,8 @@ def main(argv=None) -> int:
                         help="BLAS/OpenMP thread budget (default: the environment's, "
                              "else 1, deterministic)")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be at least 0")
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
 

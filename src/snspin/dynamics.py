@@ -596,7 +596,8 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
     refocus identically for pure dephasing), noise is frozen during
     them, and the curve is the noise-averaged Ramsey contrast
     E[cos(accumulated filtered phase)].  ``delay_grid`` is the total
-    free-evolution time; pulses sit at the standard CPMG positions.
+    free-evolution time, finite and non-negative; pulses sit at the
+    standard CPMG positions.
 
     Because the pulses are ideal and the noise is pure dephasing, the
     curve depends on the noise alone, not on the spin model or on which
@@ -607,6 +608,8 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
     if n_pulses < 0:
         raise ValueError("pulse count must be non-negative")
     delay_grid = np.asarray(delay_grid, dtype=float)
+    if not np.all(np.isfinite(delay_grid)) or np.any(delay_grid < 0):
+        raise ValueError("total times must be finite and non-negative")
     rng = np.random.default_rng(seed)
     sigma, tau_c = noise.sigma_hz, noise.correlation_time_s
 
@@ -695,7 +698,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     bright pole; each applied gate depolarizes the qubit by
     ``1 - gate_fidelity``.  Survival is the exact bright population (no
     shot noise), fit to A p^N + B, so ``lengths`` needs at least three
-    distinct values; the extracted average gate fidelity is 1 - (1 - p)/2.
+    distinct whole numbers >= 0; the extracted average gate fidelity is
+    1 - (1 - p)/2.
 
     ``spam`` = (bright level, dark level) mixes in preparation/readout
     imperfection; the default is ideal.
@@ -704,7 +708,10 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
         raise ValueError("gate fidelity must be in [0, 1]")
     if lengths is None:
         lengths = np.unique(np.round(np.geomspace(1, 128, 12)).astype(int))
-    lengths = np.asarray(lengths, dtype=int)
+    lengths = np.asarray(lengths, dtype=float)
+    if not np.all(np.isfinite(lengths) & (lengths >= 0) & (np.round(lengths) == lengths)):
+        raise ValueError("sequence lengths must be whole numbers >= 0")
+    lengths = lengths.astype(int)
     if np.unique(lengths).size < 3:
         raise ValueError("the decay A p^N + B needs at least three distinct lengths")
     rng = np.random.default_rng(seed)

@@ -413,6 +413,18 @@ def test_main_exit_codes_and_error_json(tmp_path, capsys):
     assert err["error"]["type"] == "runtime"
     assert "gate fidelity" in err["error"]["message"]
 
+    # a negative seed is refused, in the config (exit 2) and on the command line
+    rb = {"command": "rb", "seed": -1, "output": str(tmp_path / "s.json"),
+          "options": {"gate_fidelity": 0.9, "lengths": [1, 4, 16],
+                      "sequences_per_length": 2}}
+    assert cli.main(["--config", str(write_config(tmp_path, rb, "seed.json"))]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["path"] == "seed"
+    rb["seed"] = 1
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--config", str(write_config(tmp_path, rb, "seed.json")), "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, key", [
     ("rb", "sequence_per_length"),
@@ -470,6 +482,20 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
      "options.datasets[0].transition"),
     ("fit", "options.datasets", [{"path": "chevron.csv", "pi_half_s": True}],
      "options.datasets[0].pi_half_s"),
+    ("transitions", "options.zpl_hz", None, "options.zpl_hz"),
+    ("ple", "options.linewidth_hz", None, "options.linewidth_hz"),
+    ("fidelity-budget", "options.tau_s", None, "options.tau_s"),
+    ("fidelity-budget", "options.f_min", None, "options.f_min"),
+    ("pump", "options.duration_s", None, "options.duration_s"),
+    ("rabi", "options.amplitude_x_hz", None, "options.amplitude_x_hz"),
+    ("ramsey", "options.pi_half_s", None, "options.pi_half_s"),
+    ("levels", "options", None, "options"),
+    ("ramsey", "options.noise", {"kind": "quasi-static-gaussian", "sigma": 5e5},
+     "options.noise.sigma"),
+    ("levels", "field", {"bx_t": None}, "field.bx_t"),
+    ("levels", "ground", dict(ground_defaults().to_dict(), a_par=True), "ground.a_par"),
+    ("decouple", "options.total_time_s", [-5e-6, 1e-5, 2e-5], "options.total_time_s"),
+    ("rb", "options.lengths", [1.5, 4, 16], "options.lengths[0]"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

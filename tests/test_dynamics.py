@@ -395,6 +395,9 @@ def test_decoupling_validation():
                     correlation_time_s=1e-4)
     with pytest.raises(ValueError, match="non-negative"):
         decoupling_scan(-1, [1e-6], ou)
+    for delays in ([-5e-6, 1e-5, 2e-5], [1e-5, float("inf")], [float("nan")]):
+        with pytest.raises(ValueError, match="total times"):
+            decoupling_scan(1, delays, ou)
 
 
 def test_rb_recovers_gate_fidelity():
@@ -418,6 +421,9 @@ def test_rb_spam_insensitive():
 def test_rb_validation_and_csv():
     with pytest.raises(ValueError, match="fidelity"):
         rb_simulate(1.2)
+    for lengths in ([1.5, 4.7, 16.2], [-1, 4, 16], [1, 4, float("inf")]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            rb_simulate(0.95, lengths=lengths, sequences_per_length=5)
     res = rb_simulate(0.95, lengths=[1, 4, 16, 64], sequences_per_length=30, seed=0)
     rows = res.csv_rows()
     assert rows[0] == ("length", "mean_survival", "stderr")
