@@ -20,32 +20,42 @@ Config layout::
       "options": { ... per-command options ... }
     }
 
-Grids are lists or {"start": lo, "stop": hi, "points": n} blocks.  Unset
-parameter blocks fall back to the package's fitted defaults.
+Grids are lists or {"start": lo, "stop": hi, "points": n} blocks.
 
-Each command has one table of readers, one per option key it takes
-(``_COMMANDS``).  Every config object -- ``options``, ``field``, the
-``ground`` and ``excited`` blocks, grid and noise blocks, ``fit``
-datasets, ``options.initial`` and ``options.bounds`` -- is read through
-one helper, ``_object``: a key with no reader, or a value its reader
-cannot read, is a ``ConfigError`` at that key's path (exit 2).  A number
-is never a boolean, and switches such as ``include_optical`` and
-``nuisance`` take JSON ``true`` or ``false`` only.  ``null`` is a value
-of the wrong type for every key: to take a default, leave the key out.
-``decouple`` models ideal instantaneous pulses against pure dephasing,
-so it reads only ``options.noise``, ``options.n_pulses`` and
-``options.total_time_s``: no parameter block, field or transition.
+``run`` reads the whole config in one pass, before any command runs: it
+reads ``command``, then the config object through ``_CONFIG``, one reader
+per top-level key, with ``options`` read by that command's own table
+(``_COMMANDS``).  Every config object -- the config itself, ``options``,
+``field``, the ``ground`` and ``excited`` blocks, grid and noise blocks,
+``fit`` datasets, ``options.initial`` and ``options.bounds`` -- is read
+through one helper, ``_object``: a key with no reader, or a value its
+reader cannot read, is a ``ConfigError`` at that key's path (exit 2).
+Blocks are read eagerly, so a malformed block, ``seed`` or ``output`` is
+an error for every command and whatever ``--seed`` or ``--out`` say,
+while a well-formed block that a command does not use is accepted.  An
+unset parameter block or field takes the package's fitted defaults.  A
+number is finite (JSON's ``NaN`` and ``Infinity`` are refused) and never a
+boolean, and switches such as ``include_optical`` and ``nuisance`` take
+JSON ``true`` or ``false`` only.  ``null`` is a value of the wrong type
+for every key: to take a default, leave the key out.  ``decouple`` models
+ideal instantaneous pulses against pure dephasing, so it uses only
+``options.noise``, ``options.n_pulses`` and ``options.total_time_s``: no
+parameter block, field or transition.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+
+from .params import (LIFETIME_S, OPTICAL_LINEWIDTH_HZ, MagneticField, ManifoldParams,
+                     excited_defaults, field_for_larmor, ground_defaults, reference_field)
 
 ENV_OUT_DIR = "SNSPIN_OUT_DIR"
 
@@ -61,12 +71,21 @@ class ConfigError(Exception):
 # --- readers -----------------------------------------------------------------
 # Each takes (value, path), returns what it read and raises a ConfigError at
 # ``path`` for a value it cannot read.  Readers that need a library constant
-# import it when they run, so that loading this module loads no numpy.
+# outside ``params`` import it when they run, so that loading this module
+# loads no numpy.
 
-def _float(val, path: str) -> float:
+def _number(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"expected a number, got {val!r}", path)
     return float(val)
+
+
+def _float(val, path: str) -> float:
+    """A finite number: JSON's NaN and Infinity are refused."""
+    number = _number(val, path)
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {val!r}", path)
+    return number
 
 
 def _int(val, path: str, minimum: int = 0) -> int:
@@ -84,7 +103,7 @@ def _count(val, path: str) -> int:
 
 def _time(val, path: str) -> float:
     time = _float(val, path)
-    if not 0.0 <= time < math.inf:
+    if time < 0.0:
         raise ConfigError(f"expected a finite non-negative time, got {val!r}", path)
     return time
 
@@ -152,7 +171,7 @@ def _grid(val, path: str, times: bool = False):
         block = _object(val, path, {"start": _float, "stop": _float, "points": _count})
         grid = np.linspace(*(_need(block, key, path) for key in ("start", "stop", "points")))
     elif isinstance(val, list):
-        grid = np.asarray(_list()(val, path))
+        grid = np.asarray(_list(_number)(val, path))
     else:
         raise ConfigError("expected a grid list or a start/stop/points object", path)
     if not np.all(np.isfinite(grid)) or (times and np.any(grid < 0)):
@@ -167,20 +186,21 @@ def _times(val, path: str):
 
 def _object(val, path: str, readers: dict) -> dict:
     """The JSON object at ``path`` with each key read by its reader in
-    ``readers``; a key with no reader is a ConfigError at ``path.key``."""
+    ``readers``; a key with no reader is a ConfigError at that key.  The
+    config itself is at ``path`` "", and its keys at their bare names."""
     if not isinstance(val, dict):
         raise ConfigError(f"expected an object, got {val!r}", path)
     unknown = sorted(set(val) - set(readers))
     if unknown:
         raise ConfigError(f"unknown keys {unknown}; expected some of {', '.join(readers)}",
-                          f"{path}.{unknown[0]}")
-    return {key: readers[key](item, f"{path}.{key}") for key, item in val.items()}
+                          f"{path}.{unknown[0]}".lstrip("."))
+    return {key: readers[key](item, f"{path}.{key}".lstrip(".")) for key, item in val.items()}
 
 
 def _need(block: dict, key: str, path: str = "options"):
     """``block[key]``, which the config must give."""
     if key not in block:
-        raise ConfigError(f"missing required entry {key!r}", f"{path}.{key}")
+        raise ConfigError(f"missing required entry {key!r}", f"{path}.{key}".lstrip("."))
     return block[key]
 
 
@@ -221,40 +241,33 @@ def _dataset(val, path: str) -> dict:
 
 # --- top-level blocks --------------------------------------------------------
 
-def _manifold(cfg: dict, key: str):
-    """The ``ground`` or ``excited`` parameter block, else its defaults."""
-    from .params import ManifoldParams, excited_defaults, ground_defaults
-
-    if key not in cfg:
-        return {"ground": ground_defaults, "excited": excited_defaults}[key]()
-    return _record(ManifoldParams, cfg[key], key)
+def _manifold(val, path: str):
+    """A ``ground`` or ``excited`` parameter block."""
+    return _record(ManifoldParams, val, path)
 
 
-def _eigensystem(cfg: dict, key: str, field):
-    """Labeled eigensystem of the ``key`` parameter block at ``field``."""
-    from .spinmodel import manifold_eigensystem
-
-    return manifold_eigensystem(_manifold(cfg, key), field)
-
-
-def _field(cfg: dict):
-    from .params import MagneticField, field_for_larmor, reference_field
-
-    if "field" not in cfg:
-        return reference_field()
+def _field(val, path: str):
+    """A bias field, each axis in tesla or as an electron Larmor frequency."""
     keys = [f"b{axis}_t" for axis in "xyz"] + [f"b_{axis}_hz" for axis in "xyz"]
-    block = _object(cfg["field"], "field", dict.fromkeys(keys, _float))
+    block = _object(val, path, dict.fromkeys(keys, _float))
     components = {}
     for axis in "xyz":
         tesla_key, hz_key = f"b{axis}_t", f"b_{axis}_hz"
         if tesla_key in block and hz_key in block:
             raise ConfigError(f"give either {tesla_key} or {hz_key}, not both",
-                              f"field.{tesla_key}")
+                              f"{path}.{tesla_key}")
         if tesla_key in block:
             components[f"b{axis}"] = block[tesla_key]
         elif hz_key in block:
             components[f"b{axis}"] = field_for_larmor(block[hz_key])
     return MagneticField(**components)
+
+
+def _eigensystem(cfg: dict, key: str):
+    """Labeled eigensystem of the ``key`` parameter block at the config's field."""
+    from .spinmodel import manifold_eigensystem
+
+    return manifold_eigensystem(cfg[key], cfg["field"])
 
 
 def _plain(value):
@@ -269,38 +282,34 @@ def _plain(value):
 
 
 # --- command handlers --------------------------------------------------------
-# Each takes (cfg, opts, seed), where ``opts`` holds the options the config
-# gives, already read, and returns (payload, flavor): a dict for "json", rows
-# for "csv", or (rows, header metadata) for "signal-csv".
+# Each takes (cfg, opts, seed, base): the config as read, with every block
+# given or defaulted; its options as read; the run's seed; and the config's
+# directory.  It returns (payload, flavor): a dict for "json", rows for "csv",
+# or (rows, header metadata) for "signal-csv".
 
-def _cmd_levels(cfg, opts, seed):
-    field = _field(cfg)
+def _cmd_levels(cfg, opts, seed, base):
     which = opts.get("manifold", "ground")
-    return {key: _eigensystem(cfg, key, field).level_dict()
+    return {key: _eigensystem(cfg, key).level_dict()
             for key in ("ground", "excited") if which in (key, "both")}, "json"
 
 
-def _cmd_transitions(cfg, opts, seed):
+def _cmd_transitions(cfg, opts, seed, base):
     from .spectrum import mw_transitions, optical_transitions
 
-    field = _field(cfg)
-    ground = _eigensystem(cfg, "ground", field)
+    ground = _eigensystem(cfg, "ground")
     rows = mw_transitions(ground).csv_rows()
     if opts.get("include_optical", True):
-        excited = _eigensystem(cfg, "excited", field)
+        excited = _eigensystem(cfg, "excited")
         zpl = opts.get("zpl_hz", 0.0)
         rows.extend(optical_transitions(ground, excited, zpl=zpl).csv_rows()[1:])
     return rows, "csv"
 
 
-def _cmd_ple(cfg, opts, seed):
-    from .params import OPTICAL_LINEWIDTH_HZ
+def _cmd_ple(cfg, opts, seed, base):
     from .spectrum import optical_transitions, ple_spectrum
 
-    field = _field(cfg)
-    ground = _eigensystem(cfg, "ground", field)
-    excited = _eigensystem(cfg, "excited", field)
-    table = optical_transitions(ground, excited, zpl=opts.get("zpl_hz", 0.0))
+    table = optical_transitions(_eigensystem(cfg, "ground"), _eigensystem(cfg, "excited"),
+                                zpl=opts.get("zpl_hz", 0.0))
     trace = ple_spectrum(
         table,
         linewidth=opts.get("linewidth_hz", OPTICAL_LINEWIDTH_HZ),
@@ -309,30 +318,24 @@ def _cmd_ple(cfg, opts, seed):
     return trace.csv_rows(), "csv"
 
 
-def _cmd_cyclicity_map(cfg, opts, seed):
+def _cmd_cyclicity_map(cfg, opts, seed, base):
     import numpy as np
     from .optics import lambda_f0_map
 
-    gp = _manifold(cfg, "ground")
-    ep = _manifold(cfg, "excited")
     bx, bz = (axis.ravel() for axis in np.meshgrid(
         _need(opts, "bx_t"), _need(opts, "bz_t"), indexing="ij"))
     rows = [("bx_t", "bz_t", "lambda_f0")]
-    rows += [(repr(float(x)), repr(float(z)), repr(float(lam)))
-             for x, z, lam in zip(bx, bz, lambda_f0_map(gp, ep, bx, bz))]
+    rows += [(repr(float(x)), repr(float(z)), repr(float(lam))) for x, z, lam
+             in zip(bx, bz, lambda_f0_map(cfg["ground"], cfg["excited"], bx, bz))]
     return rows, "csv"
 
 
-def _cmd_pump(cfg, opts, seed):
-    from .params import LIFETIME_S, OPTICAL_LINEWIDTH_HZ
+def _cmd_pump(cfg, opts, seed, base):
     from .optics import pump_dynamics
 
-    field = _field(cfg)
-    ground = _eigensystem(cfg, "ground", field)
-    excited = _eigensystem(cfg, "excited", field)
     result = pump_dynamics(
-        ground, excited, pump_line=opts.get("line", "f2"),
-        rabi_hz=_need(opts, "rabi_hz"),
+        _eigensystem(cfg, "ground"), _eigensystem(cfg, "excited"),
+        pump_line=opts.get("line", "f2"), rabi_hz=_need(opts, "rabi_hz"),
         linewidth_hz=opts.get("linewidth_hz", OPTICAL_LINEWIDTH_HZ),
         duration_s=opts.get("duration_s", 10e-6),
         lifetime_s=opts.get("lifetime_s", LIFETIME_S),
@@ -340,19 +343,16 @@ def _cmd_pump(cfg, opts, seed):
     return _plain(result), "json"
 
 
-def _cmd_fidelity_budget(cfg, opts, seed):
+def _cmd_fidelity_budget(cfg, opts, seed, base):
     import numpy as np
-    from .params import LIFETIME_S
     from .spectrum import memory_detuning
     from .optics import excitation_fidelity, max_excitations
 
     tau = opts.get("tau_s", LIFETIME_S)
     delta = opts.get("delta_omega_rad_s")
     if delta is None:
-        field = _field(cfg)
-        ground = _eigensystem(cfg, "ground", field)
-        excited = _eigensystem(cfg, "excited", field)
-        delta = 2.0 * np.pi * memory_detuning(ground, excited)
+        delta = 2.0 * np.pi * memory_detuning(_eigensystem(cfg, "ground"),
+                                              _eigensystem(cfg, "excited"))
     every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).astype(int).tolist()
     f_min = opts.get("f_min", 0.95)
     return {
@@ -367,43 +367,44 @@ def _cmd_fidelity_budget(cfg, opts, seed):
     }, "json"
 
 
-def _map_common(cfg, opts, kind):
-    """Model, drive, transition and CSV header of a ``rabi`` or ``ramsey`` map;
-    the drive defaults to the reference device's."""
+def _map_common(opts, kind):
+    """Drive, transition and CSV header of a ``rabi`` or ``ramsey`` map; the
+    drive defaults to the reference device's."""
     from .fitkit import FitParams
 
     reference = FitParams.reference()
-    ax = opts.get("amplitude_x_hz", reference.b_x_ac_hz)
-    az = opts.get("amplitude_z_hz", reference.b_z_ac_hz)
+    drive = (opts.get("amplitude_x_hz", reference.b_x_ac_hz),
+             opts.get("amplitude_z_hz", reference.b_z_ac_hz))
     transition = opts.get("transition")
     meta = {"kind": kind}
     if transition:
         meta["transition"] = transition
-    return _manifold(cfg, "ground"), _field(cfg), ax, az, transition, meta
+    return drive, transition, meta
 
 
-def _cmd_rabi(cfg, opts, seed):
+def _cmd_rabi(cfg, opts, seed, base):
     from .dynamics import rabi_map
 
-    params, field, ax, az, transition, meta = _map_common(cfg, opts, "rabi")
-    m = rabi_map(params, field, ax, az, _need(opts, "freq_hz"), _need(opts, "duration_s"),
-                 transition=transition)
+    drive, transition, meta = _map_common(opts, "rabi")
+    m = rabi_map(cfg["ground"], cfg["field"], *drive, _need(opts, "freq_hz"),
+                 _need(opts, "duration_s"), transition=transition)
     return (m.csv_rows(), meta), "signal-csv"
 
 
-def _cmd_ramsey(cfg, opts, seed):
+def _cmd_ramsey(cfg, opts, seed, base):
     from .dynamics import ramsey_map
 
-    params, field, ax, az, transition, meta = _map_common(cfg, opts, "ramsey")
+    drive, transition, meta = _map_common(opts, "ramsey")
     pi_half = opts.get("pi_half_s")
-    m = ramsey_map(params, field, ax, az, _need(opts, "freq_hz"), _need(opts, "delay_s"),
-                   noise=opts.get("noise"), transition=transition, pi_half_s=pi_half)
+    m = ramsey_map(cfg["ground"], cfg["field"], *drive, _need(opts, "freq_hz"),
+                   _need(opts, "delay_s"), noise=opts.get("noise"), transition=transition,
+                   pi_half_s=pi_half)
     if pi_half is not None:
         meta["pi_half_s"] = repr(pi_half)
     return (m.csv_rows(), meta), "signal-csv"
 
 
-def _cmd_decouple(cfg, opts, seed):
+def _cmd_decouple(cfg, opts, seed, base):
     from .dynamics import decoupling_scan
 
     result = decoupling_scan(noise=_need(opts, "noise"), n_pulses=_need(opts, "n_pulses"),
@@ -411,7 +412,7 @@ def _cmd_decouple(cfg, opts, seed):
     return _plain(result), "json"
 
 
-def _cmd_rb(cfg, opts, seed):
+def _cmd_rb(cfg, opts, seed, base):
     from .dynamics import rb_simulate, clifford_adjust
 
     _need(opts, "gate_fidelity")
@@ -422,23 +423,22 @@ def _cmd_rb(cfg, opts, seed):
     return out, "json"
 
 
-def _cmd_coherence_map(cfg, opts, seed):
+def _cmd_coherence_map(cfg, opts, seed, base):
     from .coherence import coherence_map
 
     m = coherence_map(
-        _manifold(cfg, "ground"), _need(opts, "upsilon_hz"), _need(opts, "alpha_hz"),
+        cfg["ground"], _need(opts, "upsilon_hz"), _need(opts, "alpha_hz"),
         **{k: opts[k] for k in ("gamma_phonon", "sign_convention") if k in opts},
     )
     return m.csv_rows(), "csv"
 
 
-def _cmd_fit(cfg, opts, seed):
+def _cmd_fit(cfg, opts, seed, base):
     from .fitkit import (
         DEFAULT_FREE, ExperimentSpec, FitProblem, fit_parameters, load_signal_csv,
     )
 
     specs, data = [], []
-    base = os.path.dirname(cfg["_config_path"])
     for i, block in enumerate(_need(opts, "datasets")):
         where = f"options.datasets[{i}]"
         if not block.get("path"):
@@ -501,6 +501,10 @@ _COMMANDS = {
     "fit": (_cmd_fit, {"datasets": _list(_dataset), "initial": _initial, "free": _names,
                        "bounds": _bounds, "nuisance": _flag, "max_eval": _count}),
 }
+# Readers of the config's top-level keys; run reads ``command`` first and adds
+# ``options``, read by that command's table.
+_CONFIG = {"command": _text, "seed": _int, "output": _text, "ground": _manifold,
+           "excited": _manifold, "field": _field}
 
 
 def _provenance(config_bytes: bytes, seed: int) -> dict:
@@ -540,17 +544,15 @@ def run(config_path: str, out_override: str | None = None,
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    cfg["_config_path"] = os.path.abspath(config_path)
-
-    if "command" not in cfg:
-        raise ConfigError("missing required entry 'command'", "command")
-    command = _choice(*_COMMANDS)(cfg["command"], "command")
+    command = _choice(*_COMMANDS)(_need(cfg, "command", ""), "command")
     handler, readers = _COMMANDS[command]
-    opts = _object(cfg.get("options", {}), "options", readers)
-    seed = seed_override if seed_override is not None else _int(cfg.get("seed", 0), "seed")
-    output = out_override or (_text(cfg["output"], "output") if "output" in cfg else None)
-
-    payload, flavor = handler(cfg, opts, seed)
+    cfg = _object(cfg, "", dict(_CONFIG, options=functools.partial(_object, readers=readers)))
+    cfg = {"seed": 0, "options": {}, "ground": ground_defaults(),
+           "excited": excited_defaults(), "field": reference_field(), **cfg}
+    seed = seed_override if seed_override is not None else cfg["seed"]
+    payload, flavor = handler(cfg, cfg["options"], seed,
+                              os.path.dirname(os.path.abspath(config_path)))
+    output = out_override or cfg.get("output")
     if output is None:
         output = f"{command}.{'json' if flavor == 'json' else 'csv'}"
     if not os.path.isabs(output):

@@ -170,12 +170,7 @@ class _Engine:
         self.h0 = build_hamiltonian(params, bias)
         self.system = eigensystem(self.h0)
         self.energies = self.system.energies
-        basis = self.system.states
-        scale = params.g_electron * MU_B_HZ_PER_T
-        vx = zeeman_operator(params, MagneticField(bx=1.0 / scale))
-        vz = zeeman_operator(params, MagneticField(bz=1.0 / scale))
-        self.vx = basis.conj().T @ vx @ basis
-        self.vz = basis.conj().T @ vz @ basis
+        self.vx, self.vz = _drive_operators(params, self.system.states)
         self.bright_mask = np.array(
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
@@ -374,6 +369,13 @@ def _period(freq):
     return 1.0 / np.where(freq == 0.0, 1.0, np.abs(freq))
 
 
+def _drive_operators(params: ManifoldParams, basis: np.ndarray) -> tuple:
+    """The x and z drive operators per Hz of Larmor amplitude, in ``basis``."""
+    scale = params.g_electron * MU_B_HZ_PER_T
+    return tuple(basis.conj().T @ zeeman_operator(params, MagneticField(**{b: 1.0 / scale}))
+                 @ basis for b in ("bx", "bz"))
+
+
 def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
               timestep: float | None = None, return_unitary: bool = False):
     """Reference piecewise integrator for arbitrary programs.
@@ -400,9 +402,7 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
             )
     basis = system.states
     energies = system.energies
-    scale = params.g_electron * MU_B_HZ_PER_T
-    vx = basis.conj().T @ zeeman_operator(params, MagneticField(bx=1.0 / scale)) @ basis
-    vz = basis.conj().T @ zeeman_operator(params, MagneticField(bz=1.0 / scale)) @ basis
+    vx, vz = _drive_operators(params, basis)
     diag = np.diag(energies).astype(complex)
 
     def step_u(v, c, dt):
@@ -463,31 +463,27 @@ def _map_setup(params, field, freq_grid, time_grid, transition) -> tuple:
     return freq_grid, time_grid, engine, transition
 
 
-def _rabi_set(engine, ax, az, freq_grid, time_grid, transition) -> tuple:
-    """The program set of a chevron (see ``_Engine._sweep``) and the
-    (frequency, noise shift, time) shape of its rows."""
-    pre, post = engine._routing(transition, ax, az)
-    n_f, n_t = freq_grid.size, time_grid.size
-    drive = ([(float(f), ax, az, 0.0) for f in freq_grid],
-             np.repeat(np.arange(n_f), n_t), np.tile(time_grid, n_f))
-    return ("lower.0B0M", n_f * n_t, pre + [drive] + post), (n_f, 1, n_t)
-
-
-def _ramsey_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
-                noise: NoiseModel = NoiseModel()) -> tuple:
-    """The program set of a Ramsey map, one row per (frequency, noise
-    shift, delay), and the shape of its rows."""
+def _program_set(engine, ax, az, freq_grid, time_grid, transition, pi_half_s=None,
+                 noise: NoiseModel = NoiseModel()) -> tuple:
+    """The program set of a map (see ``_Engine._sweep``), one row per
+    (frequency, noise shift, time), and the shape of its rows: a chevron
+    driven for each time or, given ``pi_half_s``, a Ramsey map with a free
+    delay of each time between two pi/2 pulses."""
     if noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0:
         shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples)
     else:
         shifts = np.zeros(1)
     pre, post = engine._routing(transition, ax, az)
     tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq_grid, shifts).ravel()]
-    n_d = delay_grid.size
-    half = (tones, np.repeat(np.arange(len(tones)), n_d), float(pi_half_s))
-    gap = (None, 0, np.tile(delay_grid, len(tones)))
-    return (("lower.0B0M", len(tones) * n_d, pre + [half, gap, half] + post),
-            (freq_grid.size, shifts.size, n_d))
+    n_t = time_grid.size
+    which, times = np.repeat(np.arange(len(tones)), n_t), np.tile(time_grid, len(tones))
+    if pi_half_s is None:
+        core = [(tones, which, times)]
+    else:
+        half = (tones, which, float(pi_half_s))
+        core = [half, (None, 0, times), half]
+    return (("lower.0B0M", len(tones) * n_t, pre + core + post),
+            (freq_grid.size, shifts.size, n_t))
 
 
 def _signals(engine, sets) -> list:
@@ -514,8 +510,8 @@ def rabi_map(params: ManifoldParams, field: MagneticField,
     """
     freq_grid, time_grid, engine, transition = _map_setup(
         params, field, freq_grid, time_grid, transition)
-    chevron = _rabi_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
-                        transition)
+    chevron = _program_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
+                           transition)
     return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0])
 
 
@@ -544,8 +540,8 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     ax, az = amplitude_x_hz, amplitude_z_hz
     if pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
-    fringe = _ramsey_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
-                         noise)
+    fringe = _program_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
+                          noise)
     return SignalMap(freq_grid, delay_grid, _signals(engine, [fringe])[0])
 
 

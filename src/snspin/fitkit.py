@@ -162,10 +162,9 @@ def _simulate_all(theta: FitParams, specs) -> list:
     for spec in specs:
         freq = np.asarray(spec.freq_hz, dtype=float)
         times = np.asarray(spec.time_s, dtype=float)
-        sets.append(dynamics._rabi_set(engine, ax, az, freq, times, spec.transition)
-                    if spec.kind == "rabi" else
-                    dynamics._ramsey_set(engine, ax, az, freq, times, spec.transition,
-                                         spec.pi_half_s))
+        pi_half = spec.pi_half_s if spec.kind == "ramsey" else None
+        sets.append(dynamics._program_set(engine, ax, az, freq, times, spec.transition,
+                                          pi_half))
     return dynamics._signals(engine, sets)
 
 

@@ -496,6 +496,13 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("levels", "ground", dict(ground_defaults().to_dict(), a_par=True), "ground.a_par"),
     ("decouple", "options.total_time_s", [-5e-6, 1e-5, 2e-5], "options.total_time_s"),
     ("rb", "options.lengths", [1.5, 4, 16], "options.lengths[0]"),
+    ("levels", "feild", {"bx_t": 1e-3}, "feild"),
+    ("decouple", "ground", 5, "ground"),
+    ("cyclicity-map", "field", 5, "field"),
+    ("transitions", "options.zpl_hz", float("nan"), "options.zpl_hz"),
+    ("fidelity-budget", "options.delta_omega_rad_s", float("inf"),
+     "options.delta_omega_rad_s"),
+    ("levels", "ground", dict(ground_defaults().to_dict(), a_par=float("inf")), "ground.a_par"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

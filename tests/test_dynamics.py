@@ -169,8 +169,8 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     one table per drive frequency and routing tone, and end steps."""
     engine = dyn._Engine(ground, field)
     freqs = engine.transition_frequency(transition) + np.array([-2.1e6, -0.3e6, 1.7e6])
-    dyn._signals(engine, [dyn._rabi_set(engine, AX, AZ, freqs, np.array([40e-9, 150e-9]),
-                                        transition)])
+    dyn._signals(engine, [dyn._program_set(engine, AX, AZ, freqs, np.array([40e-9, 150e-9]),
+                                           transition)])
     report = engine.report()
     routing = set(sum(dyn.ROUTING[transition], ()))
     assert report["substep_eigensystems"] == 1
@@ -185,8 +185,8 @@ def test_each_sweep_builds_its_own_tables(ground, field):
     engine builds them again and gives bitwise the same states."""
     engine = dyn._Engine(ground, field)
     freqs = F_MEMORY + np.array([-1.3e6, 0.0, 2.2e6])
-    programs = [dyn._rabi_set(engine, AX, AZ, freqs, np.array([30e-9, 170e-9]),
-                              "memory")[0],
+    programs = [dyn._program_set(engine, AX, AZ, freqs, np.array([30e-9, 170e-9]),
+                                 "memory")[0],
                 ("lower.0B0M", 2, [([(F_BROKER, AX, AZ, 0.0)], 0, 80e-9),
                                    (None, 0, np.array([0.0, 1e-6]))])]
     first = engine._sweep(programs)
