@@ -77,7 +77,11 @@ class ConfigError(Exception):
 def _number(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"expected a number, got {val!r}", path)
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError("expected a number, got an integer too large for a float",
+                          path) from None
 
 
 def _float(val, path: str) -> float:
@@ -570,8 +574,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output path (overrides config)")
     parser.add_argument("--seed", type=int, help="seed (overrides config)")
     parser.add_argument("--threads", type=int,
-                        help="BLAS/OpenMP thread budget (default: the environment's, "
-                             "else 1, deterministic)")
+                        help="BLAS/OpenMP threads of each process, a fit's Jacobian "
+                             "workers included (default: the environment's, else 1, "
+                             "deterministic)")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be at least 0")

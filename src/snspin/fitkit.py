@@ -22,11 +22,24 @@ starting values, since the raw scales span Hz to THz.  It is staged
 from the chevrons to the longest fringes.  Parameter uncertainties are
 the Gauss-Newton curvature errors of the sum-of-squares loss at the
 optimum, reported relative.
+
+Most of a fit's evaluations are the 2n points of its central-difference
+Jacobians, which do not depend on each other.  A fit runs them side by
+side: the calling process takes one share, and one worker process per
+further CPU of ``os.sched_getaffinity(0)`` takes each of the others.
+The workers are forked at the fit's first Jacobian and joined before it
+returns.  With one CPU, or where ``fork`` is unavailable, there are no
+workers and the caller runs every point.  Either way the fit's result,
+its evaluation count included, is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -263,7 +276,11 @@ _XTOL = 1e-4
 
 
 def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``residuals`` at normalized ``x``.
+    """Central-difference Jacobian at normalized ``x``.
+
+    ``residuals`` maps a list of points to their residual vectors; it
+    gets all 2n points at once, x + h e_k then x - h e_k for each column
+    k in turn, so that it may evaluate them side by side.
 
     The step must stay in the linear regime: a 1e-4 change of a
     hyperfine constant already moves the 40 us fringes by radians, and
@@ -274,12 +291,123 @@ def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
     drive phases and pulse times as they are, with no rounding or
     binning, which would put steps into the weakest column.
     """
-    cols = []
+    points = []
     for k in range(x.size):
         shift = np.zeros(x.size)
         shift[k] = _FD_STEP
-        cols.append((residuals(x + shift) - residuals(x - shift)) / (2 * _FD_STEP))
-    return np.column_stack(cols)
+        points += [x + shift, x - shift]
+    r = residuals(points)
+    return np.column_stack([(r[2 * k] - r[2 * k + 1]) / (2 * _FD_STEP)
+                            for k in range(x.size)])
+
+
+def _workers() -> int:
+    """Worker processes a fit forks for its Jacobians: one per CPU of
+    ``os.sched_getaffinity`` beyond the caller's own.  None where
+    ``fork`` or the affinity call is unavailable, in a daemonic process
+    (which may not have children) and while other Python threads run (a
+    lock one of them holds would stay locked in the child)."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+class _Pool:
+    """``fn(key, point)`` over lists of points, shared between the
+    caller and ``n_workers`` forked processes.
+
+    The workers are forked at the first :meth:`map` that has work for
+    them, so they inherit ``fn`` and all it reads as it stands then, and
+    only ``(key, points)`` messages and their results are pickled.
+    :meth:`close`, also on leaving a ``with`` block, ends and joins them.
+    """
+
+    def __init__(self, fn, n_workers: int):
+        self.fn = fn
+        self.n_workers = n_workers
+        self.workers = []  # (process, the caller's end of its pipe)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def map(self, key, points: list) -> list:
+        """``[fn(key, p) for p in points]``, in order.  The caller runs
+        the first share of the points while each worker runs one of the
+        others.  A worker's exception is raised here, once every share
+        is back."""
+        n = self.n_workers + 1
+        cut = [-(-len(points) * i // n) for i in range(n + 1)]  # ceil
+        if cut[1] < len(points) and not self.workers:
+            self._fork()
+        sent = []
+        for (_, conn), a, b in zip(self.workers, cut[1:], cut[2:]):
+            if a < b:
+                conn.send((key, points[a:b]))
+                sent.append(conn)
+        try:
+            out = [self.fn(key, p) for p in points[:cut[1]]]
+        finally:
+            replies = [_reply(conn) for conn in sent]
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+            out += reply
+        return out
+
+    def _fork(self):
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(self.n_workers):
+            ours, theirs = ctx.Pipe()
+            inherited = [conn for _, conn in self.workers] + [ours]
+            proc = ctx.Process(target=_serve, args=(self.fn, theirs, inherited),
+                               daemon=True)
+            proc.start()
+            theirs.close()
+            self.workers.append((proc, ours))
+
+    def close(self):
+        for proc, conn in self.workers:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone already
+                pass
+            conn.close()
+        for proc, _ in self.workers:
+            proc.join()
+        self.workers = []
+
+
+def _reply(conn):
+    try:
+        return conn.recv()
+    except EOFError:
+        raise RuntimeError("a Jacobian worker process ended without replying") from None
+
+
+def _serve(fn, conn, inherited):
+    """A :class:`_Pool` worker: runs ``fn`` over each ``(key, points)``
+    message and sends back the list of values or the exception, until
+    ``None`` comes or the caller is gone.  It ignores Ctrl-C, which the
+    caller receives too and ends the pool on."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()  # the caller's ends, so that its exit reads as EOF here
+    try:
+        while (job := conn.recv()) is not None:
+            key, points = job
+            try:
+                reply = [fn(key, p) for p in points]
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):  # the caller is gone
+        pass
 
 
 def derived_transitions(theta: FitParams) -> dict:
@@ -431,10 +559,20 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     a stage goes on to the next.  Nothing reads ``seed``; it stays for
     the callers that pass it until the benchmark next changes.
 
+    Each Jacobian's 2n points (:func:`_jacobian`) run at once: the
+    caller takes the first share and each worker process one of the
+    rest, with one worker per CPU of ``os.sched_getaffinity(0)`` beyond
+    the caller's own (:func:`_workers`; none with one CPU or where
+    ``fork`` is unavailable).  The workers are forked at the first
+    Jacobian and always joined before the fit returns.  A worker's
+    exception is raised here.
+
     ``max_eval`` (at least 1) bounds every residual evaluation of the
-    fit, finite-difference Jacobian columns included, and ``n_eval``
-    counts them all.  Once it is used up the fit stops with ``success``
-    False and the best point so far; a stage before the last keeps one
+    fit, finite-difference Jacobian points included, and ``n_eval``
+    counts them all, wherever they ran.  Once it is used up the fit
+    stops with ``success`` False and the best point so far; a Jacobian
+    that it cuts short simulates the points the budget still holds, in
+    column order, and no more.  A stage before the last keeps one
     evaluation back, so the result is always scored on the full
     problem.  Relative uncertainties come from the Gauss-Newton
     curvature at the optimum, reusing the Jacobian the optimizer took
@@ -462,33 +600,43 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
             # sorted: a negative start flips the ratio
             lo[k], hi[k] = sorted(b / start[k] for b in problem.bounds[n])
 
+    stages = _curriculum(problem)
+    last = len(stages) - 1
     state = {"n": 0, "limit": max_eval}
 
-    def evaluate(sub, x):
-        if state["n"] >= state["limit"]:
-            raise _BudgetExhausted
-        state["n"] += 1
-        return sub.residuals(initial.with_free_values(start * x, names))
+    def residuals(k, x):
+        return stages[k].residuals(initial.with_free_values(start * x, names))
 
-    def score(sub, x):
-        r = evaluate(sub, x)
+    def evaluate(k, points):
+        """Residuals of stage ``k`` at ``points``, each one counted: as
+        many as the budget has room for are simulated, and if that is
+        not all of them the budget is exhausted."""
+        room = max(state["limit"] - state["n"], 0)
+        state["n"] += min(room, len(points))
+        out = pool.map(k, points[:room])
+        if room < len(points):
+            raise _BudgetExhausted
+        return out
+
+    def score(k, x):
+        r = evaluate(k, [x])[0]
         return float(r @ r)
 
-    def run(sub, x0, runs):
-        """One trust-region run on ``sub``; appends its best point to ``runs``."""
+    def run(k, x0, runs):
+        """One trust-region run on stage ``k``; appends its best point to ``runs``."""
         best = {"loss": math.inf, "x": x0, "jac": None, "success": False,
                 "message": ""}
         runs.append(best)
 
         def fun(x):
-            r = evaluate(sub, x)
+            r = evaluate(k, [x])[0]
             val = float(r @ r)
             if val < best["loss"]:
                 best.update(loss=val, x=x.copy(), jac=None)
             return r
 
         def jac(x):
-            j = _jacobian(lambda y: evaluate(sub, y), x)
+            j = _jacobian(lambda points: evaluate(k, points), x)
             if np.array_equal(x, best["x"]):
                 best["jac"] = j
             return j
@@ -499,33 +647,34 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
 
     x = np.ones(len(names))
     exhausted = False
-    for k, sub in enumerate(_curriculum(problem)):
-        # an earlier stage leaves one evaluation for the full problem
-        state["limit"] = max_eval if sub is problem else max_eval - 1
-        runs = []
-        try:
-            run(sub, x, runs)
-            val = math.inf
-            if k == 0:
-                # the closed-form calibration of the caller's start
-                x0 = np.clip(_calibrated(problem).free_values(names) / start, lo, hi)
-                val = score(sub, x0)
-            elif sub is problem:
-                # the caller's own start, which earlier stages may have lost
-                x0 = np.ones(len(names))
-                val = score(sub, x0)
-            if val < runs[0]["loss"]:
-                run(sub, x0, runs)
-        except _BudgetExhausted:
-            exhausted = True
-        outcome = min(runs, key=lambda o: o["loss"])
-        x = outcome["x"]
-        if exhausted:
-            break
-    if sub is not problem:
-        # the evaluation kept back scores the stage's best point
-        state["limit"] = max_eval
-        outcome = {"loss": score(problem, x), "x": x, "jac": None}
+    with _Pool(residuals, _workers()) as pool:
+        for k in range(len(stages)):
+            # an earlier stage leaves one evaluation for the full problem
+            state["limit"] = max_eval if k == last else max_eval - 1
+            runs = []
+            try:
+                run(k, x, runs)
+                val = math.inf
+                if k == 0:
+                    # the closed-form calibration of the caller's start
+                    x0 = np.clip(_calibrated(problem).free_values(names) / start, lo, hi)
+                    val = score(k, x0)
+                elif k == last:
+                    # the caller's own start, which earlier stages may have lost
+                    x0 = np.ones(len(names))
+                    val = score(k, x0)
+                if val < runs[0]["loss"]:
+                    run(k, x0, runs)
+            except _BudgetExhausted:
+                exhausted = True
+            outcome = min(runs, key=lambda o: o["loss"])
+            x = outcome["x"]
+            if exhausted:
+                break
+        if k != last:
+            # the evaluation kept back scores the stage's best point
+            state["limit"] = max_eval
+            outcome = {"loss": score(last, x), "x": x, "jac": None}
 
     best = initial.with_free_values(start * outcome["x"], names)
     success = not exhausted and outcome["success"]

@@ -503,6 +503,9 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("fidelity-budget", "options.delta_omega_rad_s", float("inf"),
      "options.delta_omega_rad_s"),
     ("levels", "ground", dict(ground_defaults().to_dict(), a_par=float("inf")), "ground.a_par"),
+    pytest.param("transitions", "options.zpl_hz", 10 ** 400, "options.zpl_hz",
+                 id="transitions-options.zpl_hz-huge-integer"),
+    pytest.param("levels", "seed", 10 ** 400, "seed", id="levels-seed-huge-integer"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

@@ -1,6 +1,8 @@
 """Fit workflow: specs, problems, loss, calibration, CSV I/O, small fits."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -355,9 +357,17 @@ def test_fit_does_not_depend_on_seed():
     assert a.to_dict() == b.to_dict()
 
 
-def _recorded_thetas(monkeypatch):
-    """Every parameter point ``FitProblem.residuals`` is called at."""
-    thetas = []
+@pytest.fixture
+def shared_list():
+    """A list that the fit's forked Jacobian workers append to as well as
+    the calling process (compare it through ``list()``)."""
+    with multiprocessing.Manager() as manager:
+        yield manager.list()
+
+
+def _recorded_thetas(monkeypatch, thetas):
+    """Every parameter point ``FitProblem.residuals`` is called at, in
+    ``thetas``."""
     residuals = FitProblem.residuals
     monkeypatch.setattr(
         FitProblem, "residuals",
@@ -365,7 +375,7 @@ def _recorded_thetas(monkeypatch):
     return thetas
 
 
-def test_calibrated_candidate_costs_one_evaluation(monkeypatch):
+def test_calibrated_candidate_costs_one_evaluation(monkeypatch, shared_list):
     """The first stage scores its calibrated candidate once and, when it
     does not beat the first run, spends nothing more on it."""
     prob = two_parameter_problem()
@@ -373,7 +383,7 @@ def test_calibrated_candidate_costs_one_evaluation(monkeypatch):
     # a candidate far worse than where the first run ends
     worse = prob.initial.with_free_values(prob.initial.free_values(names) * 1.04, names)
     monkeypatch.setattr(fitkit, "_calibrated", lambda problem: worse)
-    thetas = _recorded_thetas(monkeypatch)
+    thetas = _recorded_thetas(monkeypatch, shared_list)
     res = fit_parameters(prob, max_eval=400)
     at_candidate = [t for t in thetas
                     if np.allclose(t.free_values(names), worse.free_values(names),
@@ -384,7 +394,7 @@ def test_calibrated_candidate_costs_one_evaluation(monkeypatch):
     assert fit_parameters(prob, max_eval=400).n_eval == res.n_eval
 
 
-def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch):
+def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch, shared_list):
     """A calibration that lands outside the bounds gives a candidate on
     them, not the calibrated point itself."""
     truth = FitParams.reference()
@@ -392,7 +402,7 @@ def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch):
     prob = two_parameter_problem(bounds={"a_par_hz": (lo, hi)})
     cal = fitkit._calibrated(prob)
     assert cal.a_par_hz > hi
-    thetas = _recorded_thetas(monkeypatch)
+    thetas = _recorded_thetas(monkeypatch, shared_list)
     res = fit_parameters(prob, max_eval=400)
     assert any(t.a_par_hz == pytest.approx(hi, rel=1e-12)
                and t.b_x_ac_hz == pytest.approx(cal.b_x_ac_hz, rel=1e-12) for t in thetas)
@@ -414,8 +424,8 @@ def test_fit_respects_bounds():
     assert res.params.b_x_ac_hz == pytest.approx(lo, rel=1e-4)
 
 
-def test_fit_budget_counts_every_evaluation(monkeypatch):
-    calls = []
+def test_fit_budget_counts_every_evaluation(monkeypatch, shared_list):
+    calls = shared_list
     residuals = FitProblem.residuals
     monkeypatch.setattr(
         FitProblem, "residuals",
@@ -428,6 +438,7 @@ def test_fit_budget_counts_every_evaluation(monkeypatch):
     start = truth.with_free_values([truth.b_x_ac_hz * 1.03], ("b_x_ac_hz",))
     prob = FitProblem(specs, data, initial=start, free=("b_x_ac_hz",))
     res = fit_parameters(prob, max_eval=5)
+    calls = list(calls)
     # Jacobian columns count; the budget runs out in the chevron stage,
     # which leaves the last evaluation for the full problem
     assert res.n_eval == len(calls) == 5
@@ -438,10 +449,10 @@ def test_fit_budget_counts_every_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("free, max_eval", [(("b_x_ac_hz",), 60), ((), 2000)])
-def test_n_eval_counts_every_simulation(monkeypatch, free, max_eval):
+def test_n_eval_counts_every_simulation(monkeypatch, shared_list, free, max_eval):
     """Every simulation of the problem's maps is one counted evaluation,
     the final scoring and the no-free-parameter branch included."""
-    calls = []
+    calls = shared_list
     residual_maps = FitProblem.residual_maps
     monkeypatch.setattr(
         FitProblem, "residual_maps",
@@ -451,6 +462,63 @@ def test_n_eval_counts_every_simulation(monkeypatch, free, max_eval):
     prob = small_problem(initial=start, free=free)
     res = fit_parameters(prob, max_eval=max_eval)
     assert len(calls) == res.n_eval
+
+
+def six_parameter_problem():
+    """A small reference problem from the +-5% alternating start."""
+    prob = reference_problem(n_freq=3, n_time=5, n_delay=7, n_long=9)
+    return FitProblem(prob.specs, prob.data, _alternating(prob.initial, 1.0))
+
+
+def _seeing_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("make, max_eval", [
+    (two_parameter_problem, 400),
+    (six_parameter_problem, 60),
+    (six_parameter_problem, 8),  # runs out inside the first Jacobian
+])
+def test_fit_is_the_same_on_one_and_two_cpus(monkeypatch, shared_list, make, max_eval):
+    """The Jacobian's points run in a forked worker when the process may
+    use two CPUs, and the fit comes out the same bit for bit."""
+    prob = make()
+    residuals = FitProblem.residuals
+    monkeypatch.setattr(
+        FitProblem, "residuals",
+        lambda self, theta: shared_list.append(os.getpid()) or residuals(self, theta))
+    outcomes, pids = [], []
+    for count in (1, 2):
+        _seeing_cpus(monkeypatch, count)
+        # as repr, since a budget that runs out leaves NaN errors
+        outcomes.append(repr(fit_parameters(prob, max_eval=max_eval).to_dict()))
+        pids.append(set(shared_list))
+        shared_list[:] = []
+    assert outcomes[0] == outcomes[1]
+    assert pids[0] == {os.getpid()}
+    assert os.getpid() in pids[1] and len(pids[1]) == 2
+    if max_eval == 8:
+        assert "'n_eval': 8," in outcomes[0]
+        assert "budget of 8 exhausted" in outcomes[0]
+
+
+def test_fit_leaves_no_worker_behind(monkeypatch):
+    """The fit's worker is gone when it returns, also when a residual
+    evaluation in the worker raised, which reaches the caller."""
+    _seeing_cpus(monkeypatch, 2)
+    fit_parameters(two_parameter_problem(), max_eval=40)
+    assert multiprocessing.active_children() == []
+    residuals = FitProblem.residuals
+
+    def fails_in_a_worker(self, theta):
+        if multiprocessing.parent_process() is not None:
+            raise ValueError("residuals failed in a worker")
+        return residuals(self, theta)
+
+    monkeypatch.setattr(FitProblem, "residuals", fails_in_a_worker)
+    with pytest.raises(ValueError, match="failed in a worker"):
+        fit_parameters(two_parameter_problem(), max_eval=40)
+    assert multiprocessing.active_children() == []
 
 
 def test_curriculum_stages_by_delay_reach():
