@@ -498,7 +498,8 @@ _COMMANDS = {
                              "noise": _noise}),
     "decouple": (_cmd_decouple, {"noise": _noise, "n_pulses": _int, "total_time_s": _times}),
     "rb": (_cmd_rb, {"gate_fidelity": _float, "lengths": _list(_int),
-                     "sequences_per_length": _count, "spam": _list(_float, 2)}),
+                     "sequences_per_length": lambda val, path: _int(val, path, minimum=2),
+                     "spam": _list(_float, 2)}),
     "coherence-map": (_cmd_coherence_map,
                       {"upsilon_hz": _grid, "alpha_hz": _grid, "gamma_phonon": _float,
                        "sign_convention": _sign_convention}),

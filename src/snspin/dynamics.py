@@ -27,11 +27,12 @@ are deduplicated once and integrated in a few stacked passes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from .params import ManifoldParams, MagneticField, MU_B_HZ_PER_T
 from .spinmodel import (
@@ -593,7 +594,9 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
     them, and the curve is the noise-averaged Ramsey contrast
     E[cos(accumulated filtered phase)].  ``delay_grid`` is the total
     free-evolution time, finite and non-negative; pulses sit at the
-    standard CPMG positions.
+    standard CPMG positions.  The stretched exponential exp(-(t/T2)^beta)
+    is fit to the positive times if at least two of them differ;
+    otherwise ``fit_ok`` is False, with a message.
 
     Because the pulses are ideal and the noise is pure dephasing, the
     curve depends on the noise alone, not on the spin model or on which
@@ -632,22 +635,26 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
     def stretched(t, t2, beta):
         return np.exp(-((t / t2) ** beta))
 
-    fit_ok = True
+    t2 = stretch = math.nan
+    positive = delay_grid > 0
     message = ""
-    try:
-        positive = delay_grid > 0
-        start = [max(delay_grid[positive].mean(), 1e-9), 1.5]
-        fitted, _ = curve_fit(
-            stretched, delay_grid[positive], coherence[positive],
-            p0=start, bounds=([1e-12, 0.3], [np.inf, 6.0]), maxfev=10000,
-        )
-        t2, stretch = float(fitted[0]), float(fitted[1])
-    except (RuntimeError, ValueError) as exc:
-        fit_ok = False
-        message = f"stretched-exponential fit failed: {exc}"
-        t2, stretch = math.nan, math.nan
+    if np.unique(delay_grid[positive]).size < 2:
+        message = "the stretched-exponential fit needs two distinct positive total times"
+    else:
+        try:
+            with warnings.catch_warnings():
+                # two times fit exactly and leave no covariance, which is unused
+                warnings.simplefilter("ignore", OptimizeWarning)
+                fitted, _ = curve_fit(
+                    stretched, delay_grid[positive], coherence[positive],
+                    p0=[max(delay_grid[positive].mean(), 1e-9), 1.5],
+                    bounds=([1e-12, 0.3], [np.inf, 6.0]), maxfev=10000,
+                )
+            t2, stretch = float(fitted[0]), float(fitted[1])
+        except (RuntimeError, ValueError) as exc:
+            message = f"stretched-exponential fit failed: {exc}"
     return DecouplingResult(delay_grid, coherence, n_pulses, t2, stretch,
-                            fit_ok, message)
+                            not message, message)
 
 
 # --- randomized benchmarking -------------------------------------------------
@@ -695,7 +702,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     ``1 - gate_fidelity``.  Survival is the exact bright population (no
     shot noise), fit to A p^N + B, so ``lengths`` needs at least three
     distinct whole numbers >= 0; the extracted average gate fidelity is
-    1 - (1 - p)/2.
+    1 - (1 - p)/2.  ``sequences_per_length`` (at least 2) sets each
+    length's mean survival and its standard error.
 
     ``spam`` = (bright level, dark level) mixes in preparation/readout
     imperfection; the default is ideal.
@@ -710,6 +718,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     lengths = lengths.astype(int)
     if np.unique(lengths).size < 3:
         raise ValueError("the decay A p^N + B needs at least three distinct lengths")
+    if sequences_per_length < 2:
+        raise ValueError("a standard error needs at least two sequences per length")
     rng = np.random.default_rng(seed)
     gates = _rb_gates()
     lam = 2.0 * gate_fidelity - 1.0

@@ -25,12 +25,13 @@ optimum, reported relative.
 
 Most of a fit's evaluations are the 2n points of its central-difference
 Jacobians, which do not depend on each other.  A fit runs them side by
-side: the calling process takes one share, and one worker process per
-further CPU of ``os.sched_getaffinity(0)`` takes each of the others.
-The workers are forked at the fit's first Jacobian and joined before it
-returns.  With one CPU, or where ``fork`` is unavailable, there are no
-workers and the caller runs every point.  Either way the fit's result,
-its evaluation count included, is the same bit for bit.
+side: the calling process takes one share, and each worker of a
+fork-context ``concurrent.futures.ProcessPoolExecutor``, one per further
+CPU of ``os.sched_getaffinity(0)``, takes one of the others.  The
+executor forks its workers at the fit's first Jacobian and is shut down
+before the fit returns.  With one CPU, or where ``fork`` is unavailable,
+there is no executor and the caller runs every point.  Either way the
+fit's result, its evaluation count included, is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import multiprocessing
 import os
 import signal
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -183,12 +185,10 @@ def _simulate_all(theta: FitParams, specs) -> list:
 
 def _nuisance_rescale(sim: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Best amplitude/offset a*sim + b against data, in closed form."""
-    s = sim.ravel()
-    d = data.ravel()
-    var = s.var()
-    if var <= 0:
-        return np.full_like(sim, d.mean() - sim.mean())  # offset-only
-    a = ((s - s.mean()) @ (d - d.mean())) / (var * s.size)
+    s, d = sim.ravel(), data.ravel()
+    if s.min() == s.max():  # a constant map fits by its offset alone
+        return np.full_like(sim, d.mean())
+    a = ((s - s.mean()) @ (d - d.mean())) / (s.var() * s.size)
     b = d.mean() - a * s.mean()
     return a * sim + b
 
@@ -315,99 +315,57 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-class _Pool:
-    """``fn(key, point)`` over lists of points, shared between the
-    caller and ``n_workers`` forked processes.
+def _start_worker(fn):
+    """A Jacobian worker's initializer: keeps the fit's ``fn``, which the
+    fork inherits and nothing pickles, and ignores Ctrl-C, which the
+    caller receives too and ends the fit on."""
+    global _worker_fn
+    _worker_fn = fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    The workers are forked at the first :meth:`map` that has work for
-    them, so they inherit ``fn`` and all it reads as it stands then, and
-    only ``(key, points)`` messages and their results are pickled.
-    :meth:`close`, also on leaving a ``with`` block, ends and joins them.
+
+def _run_share(key, points) -> list:
+    """One worker's share of a Jacobian's points."""
+    return [_worker_fn(key, p) for p in points]
+
+
+class _Pool:
+    """``fn(key, point)`` over lists of points, shared between the caller
+    and the ``n_workers`` processes of a fork-context
+    :class:`~concurrent.futures.ProcessPoolExecutor`.
+
+    The executor forks its workers at the first :meth:`map` that has work
+    for them, so they inherit ``fn`` and all it reads as it stands then,
+    and only ``(key, points)`` and their values are pickled.  Leaving a
+    ``with`` block joins them.
     """
 
     def __init__(self, fn, n_workers: int):
-        self.fn = fn
-        self.n_workers = n_workers
-        self.workers = []  # (process, the caller's end of its pipe)
+        self.fn, self.n = fn, n_workers + 1
+        self.executor = ProcessPoolExecutor(
+            n_workers, multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(fn,)) if n_workers else None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if self.executor:
+            self.executor.shutdown()
 
     def map(self, key, points: list) -> list:
         """``[fn(key, p) for p in points]``, in order.  The caller runs
         the first share of the points while each worker runs one of the
-        others.  A worker's exception is raised here, once every share
-        is back."""
-        n = self.n_workers + 1
-        cut = [-(-len(points) * i // n) for i in range(n + 1)]  # ceil
-        if cut[1] < len(points) and not self.workers:
-            self._fork()
-        sent = []
-        for (_, conn), a, b in zip(self.workers, cut[1:], cut[2:]):
-            if a < b:
-                conn.send((key, points[a:b]))
-                sent.append(conn)
-        try:
-            out = [self.fn(key, p) for p in points[:cut[1]]]
-        finally:
-            replies = [_reply(conn) for conn in sent]
-        for reply in replies:
-            if isinstance(reply, Exception):
-                raise reply
-            out += reply
+        others.  A worker's exception is raised here, and a worker that
+        dies raises ``BrokenProcessPool``; leaving the ``with`` block
+        then waits for the shares still running."""
+        cut = [-(-len(points) * i // self.n) for i in range(self.n + 1)]  # ceil
+        shares = [self.executor.submit(_run_share, key, points[a:b])
+                  for a, b in zip(cut[1:], cut[2:]) if a < b]
+        out = [self.fn(key, p) for p in points[:cut[1]]]
+        for share in shares:
+            out += share.result()
         return out
-
-    def _fork(self):
-        ctx = multiprocessing.get_context("fork")
-        for _ in range(self.n_workers):
-            ours, theirs = ctx.Pipe()
-            inherited = [conn for _, conn in self.workers] + [ours]
-            proc = ctx.Process(target=_serve, args=(self.fn, theirs, inherited),
-                               daemon=True)
-            proc.start()
-            theirs.close()
-            self.workers.append((proc, ours))
-
-    def close(self):
-        for proc, conn in self.workers:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is gone already
-                pass
-            conn.close()
-        for proc, _ in self.workers:
-            proc.join()
-        self.workers = []
-
-
-def _reply(conn):
-    try:
-        return conn.recv()
-    except EOFError:
-        raise RuntimeError("a Jacobian worker process ended without replying") from None
-
-
-def _serve(fn, conn, inherited):
-    """A :class:`_Pool` worker: runs ``fn`` over each ``(key, points)``
-    message and sends back the list of values or the exception, until
-    ``None`` comes or the caller is gone.  It ignores Ctrl-C, which the
-    caller receives too and ends the pool on."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        other.close()  # the caller's ends, so that its exit reads as EOF here
-    try:
-        while (job := conn.recv()) is not None:
-            key, points = job
-            try:
-                reply = [fn(key, p) for p in points]
-            except Exception as exc:
-                reply = exc
-            conn.send(reply)
-    except (EOFError, OSError):  # the caller is gone
-        pass
 
 
 def derived_transitions(theta: FitParams) -> dict:
@@ -560,12 +518,14 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     the callers that pass it until the benchmark next changes.
 
     Each Jacobian's 2n points (:func:`_jacobian`) run at once: the
-    caller takes the first share and each worker process one of the
-    rest, with one worker per CPU of ``os.sched_getaffinity(0)`` beyond
-    the caller's own (:func:`_workers`; none with one CPU or where
-    ``fork`` is unavailable).  The workers are forked at the first
-    Jacobian and always joined before the fit returns.  A worker's
-    exception is raised here.
+    caller takes the first share and each worker of a fork-context
+    ``ProcessPoolExecutor`` one of the rest, with one worker per CPU of
+    ``os.sched_getaffinity(0)`` beyond the caller's own
+    (:func:`_workers`; none with one CPU or where ``fork`` is
+    unavailable).  The executor forks its workers at the first Jacobian
+    and is always shut down, its workers joined, before the fit returns.
+    A worker's exception is raised here, and a worker that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``.
 
     ``max_eval`` (at least 1) bounds every residual evaluation of the
     fit, finite-difference Jacobian points included, and ``n_eval``

@@ -506,6 +506,7 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     pytest.param("transitions", "options.zpl_hz", 10 ** 400, "options.zpl_hz",
                  id="transitions-options.zpl_hz-huge-integer"),
     pytest.param("levels", "seed", 10 ** 400, "seed", id="levels-seed-huge-integer"),
+    ("rb", "options.sequences_per_length", 1, "options.sequences_per_length"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

@@ -400,6 +400,21 @@ def test_decoupling_validation():
             decoupling_scan(1, delays, ou)
 
 
+def test_decoupling_fit_needs_two_distinct_positive_times():
+    """Fewer than two distinct positive total times leave the stretched
+    exponential unfit, with a message and no warning; two fit exactly."""
+    ou = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
+                    correlation_time_s=1e-4, samples=200)
+    for delays in ([0.0, 1e-5], [1e-5, 1e-5], [0.0, 0.0]):
+        res = decoupling_scan(1, delays, ou)
+        assert not res.fit_ok
+        assert "two distinct positive total times" in res.message
+        assert math.isnan(res.t2_s) and math.isnan(res.stretch)
+    res = decoupling_scan(1, [0.0, 1e-5, 3e-5], ou)
+    assert res.fit_ok and res.message == ""
+    assert res.t2_s > 0
+
+
 def test_rb_recovers_gate_fidelity():
     for gf, expect in ((0.923, 0.924752), (0.978, 0.978030)):
         res = rb_simulate(gf, sequences_per_length=150, seed=7)
@@ -424,6 +439,9 @@ def test_rb_validation_and_csv():
     for lengths in ([1.5, 4.7, 16.2], [-1, 4, 16], [1, 4, float("inf")]):
         with pytest.raises(ValueError, match="whole numbers"):
             rb_simulate(0.95, lengths=lengths, sequences_per_length=5)
+    # one sequence per length leaves no standard error to report
+    with pytest.raises(ValueError, match="two sequences per length"):
+        rb_simulate(0.95, lengths=[1, 4, 16], sequences_per_length=1)
     res = rb_simulate(0.95, lengths=[1, 4, 16, 64], sequences_per_length=30, seed=0)
     rows = res.csv_rows()
     assert rows[0] == ("length", "mean_survival", "stderr")

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ def test_nuisance_rescale_absorbs_gain_and_offset():
     # without the nuisance pair the same data is far from the model
     bare = FitProblem((spec,), (0.8 * clean + 0.1,), initial=truth)
     assert bare.loss(truth) > 0.1
+
+
+def test_nuisance_rescale_of_a_constant_map_is_the_data_mean():
+    """A constant map fits by its offset alone: the data's mean.  A
+    constant 0.4 map has a variance of rounding noise (3e-33), not 0."""
+    data = np.array([[0.1, 0.2, 0.3]])
+    for level in (0.5, 0.4):
+        fitted = fitkit._nuisance_rescale(np.full((1, 3), level), data)
+        assert fitted == pytest.approx(np.full((1, 3), 0.2), abs=1e-15)
 
 
 def test_derived_transitions_anchors():
@@ -519,6 +529,38 @@ def test_fit_leaves_no_worker_behind(monkeypatch):
     with pytest.raises(ValueError, match="failed in a worker"):
         fit_parameters(two_parameter_problem(), max_eval=40)
     assert multiprocessing.active_children() == []
+
+
+def test_fit_raises_when_a_worker_exits_without_replying(monkeypatch):
+    """A worker that dies mid-Jacobian is a RuntimeError in the caller,
+    and no child outlives the fit."""
+    _seeing_cpus(monkeypatch, 2)
+    residuals = FitProblem.residuals
+
+    def exits_in_a_worker(self, theta):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return residuals(self, theta)
+
+    monkeypatch.setattr(FitProblem, "residuals", exits_in_a_worker)
+    with pytest.raises(RuntimeError):
+        fit_parameters(two_parameter_problem(), max_eval=40)
+    assert multiprocessing.active_children() == []
+
+
+def test_fits_in_a_row_each_run_a_worker(monkeypatch, shared_list):
+    """Each of two fits in one process runs a worker and leaves only the
+    main thread behind, which the next fit needs to fork one again."""
+    _seeing_cpus(monkeypatch, 2)
+    residuals = FitProblem.residuals
+    monkeypatch.setattr(
+        FitProblem, "residuals",
+        lambda self, theta: shared_list.append(os.getpid()) or residuals(self, theta))
+    for _ in range(2):
+        fit_parameters(two_parameter_problem(), max_eval=40)
+        assert os.getpid() in shared_list and len(set(shared_list)) == 2
+        assert threading.enumerate() == [threading.main_thread()]
+        shared_list[:] = []
 
 
 def test_curriculum_stages_by_delay_reach():
