@@ -697,13 +697,16 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     """Randomized benchmarking round trip with depolarizing gate errors.
 
     Random sequences from the eight-gate set are closed by the shortest
-    recovery (at most two gates) mapping the ideal state back to the
-    bright pole; each applied gate depolarizes the qubit by
-    ``1 - gate_fidelity``.  Survival is the exact bright population (no
-    shot noise), fit to A p^N + B, so ``lengths`` needs at least three
+    recovery to the bright pole.  The gates map the six Pauli eigenstates
+    onto each other, so that is no gate at the bright pole and one gate
+    anywhere else.  Each applied gate depolarizes the qubit by ``1 -
+    gate_fidelity``.  Survival is the exact bright population (no shot
+    noise), fit to A p^N + B, so ``lengths`` needs at least three
     distinct whole numbers >= 0; the extracted average gate fidelity is
-    1 - (1 - p)/2.  ``sequences_per_length`` (at least 2) sets each
-    length's mean survival and its standard error.
+    1 - (1 - p)/2.  Exactly three lengths fit exactly and leave no error:
+    ``fidelity_err`` is then NaN, with a message, and ``fit_ok`` stays
+    True.  ``sequences_per_length`` (at least 2) sets each length's mean
+    survival and its standard error.
 
     ``spam`` = (bright level, dark level) mixes in preparation/readout
     imperfection; the default is ideal.
@@ -723,34 +726,20 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     rng = np.random.default_rng(seed)
     gates = _rb_gates()
     lam = 2.0 * gate_fidelity - 1.0
-
-    # Precompute recovery candidates: identity, single gates, gate pairs.
-    candidates = [np.eye(2, dtype=complex)]
-    candidates.extend(gates)
-    candidates.extend(g2 @ g1 for g1 in gates for g2 in gates)
-    candidates = np.array(candidates)
-    n_extra = np.array([0] + [1] * len(gates) + [2] * (len(gates) ** 2))
-
-    bright = np.array([1.0, 0.0], dtype=complex)  # |bright> = first basis state
+    bright_level, dark_level = spam
     mean_survival = np.empty(lengths.size)
     stderr = np.empty(lengths.size)
     for li, n_gates in enumerate(lengths):
         choice = rng.integers(0, len(gates), size=(sequences_per_length, int(n_gates)))
-        survivals = np.empty(sequences_per_length)
-        for s in range(sequences_per_length):
-            u = np.eye(2, dtype=complex)
-            for g in choice[s]:
-                u = gates[g] @ u
-            # Shortest recovery returning the ideal trajectory to bright.
-            final = candidates @ (u @ bright)
-            fid = np.abs(final[:, 0]) ** 2
-            best = int(np.argmax(fid - 1e-9 * n_extra))
-            depth = int(n_gates) + int(n_extra[best])
-            ideal = fid[best]
-            # Depolarizing channels commute with unitaries: survival is
-            # exact without simulating the density matrix step by step.
-            survivals[s] = lam ** depth * (ideal - 0.5) + 0.5
-        bright_level, dark_level = spam
+        # the ideal state of every sequence at once, from |bright> = (1, 0)
+        psi = np.broadcast_to([[1.0], [0.0]], (sequences_per_length, 2, 1))
+        for step in choice.T:
+            psi = gates[step] @ psi
+        # the recovery is one gate unless the sequence ends at the bright pole
+        depth = n_gates + (np.abs(psi[:, 0, 0]) ** 2 < 0.75)
+        # Depolarizing channels commute with unitaries: survival is exact
+        # without simulating the density matrix step by step.
+        survivals = lam ** depth / 2.0 + 0.5
         survivals = dark_level + (bright_level - dark_level) * survivals
         mean_survival[li] = survivals.mean()
         stderr[li] = survivals.std(ddof=1) / math.sqrt(sequences_per_length)
@@ -761,20 +750,24 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     fit_ok = True
     message = ""
     try:
-        fitted, cov = curve_fit(
-            model, lengths.astype(float), mean_survival,
-            p0=[0.5, max(lam, 0.5), 0.5],
-            bounds=([0.0, 0.0, -0.5], [1.5, 1.0, 1.0]), maxfev=10000,
-        )
+        with warnings.catch_warnings():
+            # a decay that fits exactly leaves no covariance; reported below
+            warnings.simplefilter("ignore", OptimizeWarning)
+            fitted, cov = curve_fit(
+                model, lengths.astype(float), mean_survival,
+                p0=[0.5, max(lam, 0.5), 0.5],
+                bounds=([0.0, 0.0, -0.5], [1.5, 1.0, 1.0]), maxfev=10000,
+            )
         amp, p, off = (float(x) for x in fitted)
         p_err = float(math.sqrt(max(cov[1, 1], 0.0)))
+        if not math.isfinite(p_err):
+            p_err = math.nan
+            message = "the decay fits exactly and leaves no fidelity error"
     except (RuntimeError, ValueError) as exc:
         fit_ok = False
         message = f"decay fit failed: {exc}"
         amp, p, off, p_err = math.nan, math.nan, math.nan, math.nan
-    fidelity = 1.0 - (1.0 - p) / 2.0 if fit_ok else math.nan
-    fidelity_err = p_err / 2.0 if fit_ok else math.nan
-    return RBResult(lengths, mean_survival, stderr, fidelity, fidelity_err,
+    return RBResult(lengths, mean_survival, stderr, 1.0 - (1.0 - p) / 2.0, p_err / 2.0,
                     p, amp, off, fit_ok, message)
 
 

@@ -508,14 +508,17 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     on the residual vector over values normalized by the problem's
     initial point, so all directions have comparable scale, and stops at
     a step of ``_XTOL`` in those units.  It follows :func:`_curriculum`:
-    the chevrons first, then ever longer Ramsey fringes, each stage
-    starting from the previous optimum.  The first stage also tries the
-    problem's initial point as :func:`calibrate_initial` leaves it,
-    clipped into ``bounds``, and the last stage the initial point
-    itself; either candidate is scored by one evaluation and run only
-    if that already beats the stage's best loss, and the best point of
-    a stage goes on to the next.  Nothing reads ``seed``; it stays for
-    the callers that pass it until the benchmark next changes.
+    the chevrons first, then ever longer Ramsey fringes.  Each stage runs
+    one descent, from the best of its candidate starts: the first stage's
+    are the problem's initial point and that point as
+    :func:`calibrate_initial` leaves it, clipped into ``bounds``; the last
+    stage's are the previous stage's optimum and the initial point, which
+    earlier stages may have lost; any other stage starts from the previous
+    optimum.  Candidates that differ are each scored by one evaluation
+    before the descent, and bitwise equal ones are not scored.  The best
+    point a stage evaluated, its candidates included, goes on to the
+    next.  Nothing reads ``seed``; it stays for the callers that pass it
+    until the benchmark next changes.
 
     Each Jacobian's 2n points (:func:`_jacobian`) run at once: the
     caller takes the first share and each worker of a fork-context
@@ -578,32 +581,19 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
             raise _BudgetExhausted
         return out
 
-    def score(k, x):
+    def fun(x, k, best):
+        """Stage ``k``'s residuals at ``x``; ``best`` keeps the best point."""
         r = evaluate(k, [x])[0]
-        return float(r @ r)
+        val = float(r @ r)
+        if val < best["loss"]:
+            best.update(loss=val, x=x.copy(), jac=None)
+        return r
 
-    def run(k, x0, runs):
-        """One trust-region run on stage ``k``; appends its best point to ``runs``."""
-        best = {"loss": math.inf, "x": x0, "jac": None, "success": False,
-                "message": ""}
-        runs.append(best)
-
-        def fun(x):
-            r = evaluate(k, [x])[0]
-            val = float(r @ r)
-            if val < best["loss"]:
-                best.update(loss=val, x=x.copy(), jac=None)
-            return r
-
-        def jac(x):
-            j = _jacobian(lambda points: evaluate(k, points), x)
-            if np.array_equal(x, best["x"]):
-                best["jac"] = j
-            return j
-
-        res = least_squares(fun, x0, jac=jac, bounds=(lo, hi), method="trf",
-                            xtol=_XTOL)
-        best.update(success=bool(res.success), message=str(res.message))
+    def jac(x, k, best):
+        j = _jacobian(lambda points: evaluate(k, points), x)
+        if np.array_equal(x, best["x"]):
+            best["jac"] = j
+        return j
 
     x = np.ones(len(names))
     exhausted = False
@@ -611,30 +601,33 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
         for k in range(len(stages)):
             # an earlier stage leaves one evaluation for the full problem
             state["limit"] = max_eval if k == last else max_eval - 1
-            runs = []
+            candidates = [x]
+            if k == 0:
+                # the closed-form calibration of the caller's start
+                candidates.append(np.clip(_calibrated(problem).free_values(names) / start,
+                                          lo, hi))
+            elif k == last:
+                # the caller's own start, which earlier stages may have lost
+                candidates.append(np.ones(len(names)))
+            outcome = {"loss": math.inf, "x": x, "jac": None}
             try:
-                run(k, x, runs)
-                val = math.inf
-                if k == 0:
-                    # the closed-form calibration of the caller's start
-                    x0 = np.clip(_calibrated(problem).free_values(names) / start, lo, hi)
-                    val = score(k, x0)
-                elif k == last:
-                    # the caller's own start, which earlier stages may have lost
-                    x0 = np.ones(len(names))
-                    val = score(k, x0)
-                if val < runs[0]["loss"]:
-                    run(k, x0, runs)
+                # one descent, from the lowest-scoring of candidates that differ
+                if any(not np.array_equal(c, x) for c in candidates):
+                    for c in candidates:
+                        fun(c, k, outcome)
+                res = least_squares(fun, outcome["x"], jac=jac, bounds=(lo, hi),
+                                    method="trf", xtol=_XTOL, args=(k, outcome))
+                outcome.update(success=bool(res.success), message=str(res.message))
             except _BudgetExhausted:
                 exhausted = True
-            outcome = min(runs, key=lambda o: o["loss"])
             x = outcome["x"]
             if exhausted:
                 break
         if k != last:
             # the evaluation kept back scores the stage's best point
             state["limit"] = max_eval
-            outcome = {"loss": score(last, x), "x": x, "jac": None}
+            r = evaluate(last, [x])[0]
+            outcome = {"loss": float(r @ r), "x": x, "jac": None}
 
     best = initial.with_free_values(start * outcome["x"], names)
     success = not exhausted and outcome["success"]

@@ -433,6 +433,62 @@ def test_rb_spam_insensitive():
     assert spam.decay == pytest.approx(clean.decay, abs=2e-4)
 
 
+def _rb_searched_survivals(gate_fidelity, lengths, sequences_per_length, seed):
+    """Survivals of ``rb_simulate``'s sequences, drawn alike, with each
+    recovery found by searching no gate, the 8 gates and the 64 gate
+    pairs for the shortest one back to the bright pole."""
+    rng = np.random.default_rng(seed)
+    gates = dyn._rb_gates()
+    candidates = np.array([np.eye(2)] + list(gates) + [b @ a for a in gates for b in gates])
+    n_extra = np.array([0] + [1] * 8 + [2] * 64)
+    lam = 2.0 * gate_fidelity - 1.0
+    out = []
+    for n in lengths:
+        survivals = []
+        for seq in rng.integers(0, 8, size=(sequences_per_length, n)):
+            u = np.eye(2, dtype=complex)
+            for g in seq:
+                u = gates[g] @ u
+            fid = np.abs((candidates @ u)[:, 0, 0]) ** 2
+            best = int(np.argmax(fid - 1e-9 * n_extra))
+            survivals.append(lam ** (n + n_extra[best]) * (fid[best] - 0.5) + 0.5)
+        out.append(survivals)
+    return np.array(out)
+
+
+def test_rb_recovery_rule_matches_the_searched_recovery():
+    """The one-gate-off-the-pole recovery is the shortest one a search
+    over up to two gates finds, and the survivals agree to rounding."""
+    lengths = [0, 1, 2, 3, 5, 8, 13]
+    ref = _rb_searched_survivals(0.97, lengths, 60, seed=4)
+    res = rb_simulate(0.97, lengths=lengths, sequences_per_length=60, seed=4)
+    np.testing.assert_allclose(res.mean_survival, ref.mean(axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.stderr, ref.std(axis=1, ddof=1) / math.sqrt(60),
+                               rtol=0, atol=1e-12)
+
+
+def test_rb_perfect_gates_survive_exactly():
+    """Perfect gates leave every sequence at the bright pole: each mean
+    survival is exactly 1 and each standard error exactly 0."""
+    res = rb_simulate(1.0, sequences_per_length=40, seed=3)
+    assert np.all(res.mean_survival == 1.0)
+    assert np.all(res.stderr == 0.0)
+
+
+def test_rb_three_lengths_fit_exactly_with_no_error():
+    """Three distinct lengths fit the three-parameter decay exactly: the
+    fit holds, with a NaN error and a message instead of a warning; a
+    fourth point at a repeated length gives a finite error again."""
+    res = rb_simulate(0.95, lengths=[1, 4, 16], sequences_per_length=5)
+    assert res.fit_ok
+    assert abs(res.fidelity - 0.95) < 0.02
+    assert math.isnan(res.fidelity_err)
+    assert "no fidelity error" in res.message
+    res = rb_simulate(0.95, lengths=[1, 4, 16, 16], sequences_per_length=5)
+    assert res.fit_ok and res.message == ""
+    assert math.isfinite(res.fidelity_err)
+
+
 def test_rb_validation_and_csv():
     with pytest.raises(ValueError, match="fidelity"):
         rb_simulate(1.2)

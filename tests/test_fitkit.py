@@ -343,6 +343,12 @@ def two_parameter_problem(**kwargs):
     return small_problem(initial=start, free=names, **kwargs)
 
 
+def six_parameter_problem():
+    """A small reference problem from the +-5% alternating start."""
+    prob = reference_problem(n_freq=3, n_time=5, n_delay=7, n_long=9)
+    return FitProblem(prob.specs, prob.data, _alternating(prob.initial, 1.0))
+
+
 def test_small_fit_recovers_two_parameters():
     truth = FitParams.reference()
     prob = two_parameter_problem()
@@ -386,12 +392,15 @@ def _recorded_thetas(monkeypatch, thetas):
 
 
 def test_calibrated_candidate_costs_one_evaluation(monkeypatch, shared_list):
-    """The first stage scores its calibrated candidate once and, when it
-    does not beat the first run, spends nothing more on it."""
+    """The first stage scores a calibrated candidate that differs from the
+    caller's start once and, when it scores worse than that start, starts
+    no descent from it.  A calibration equal to the start is not scored."""
     prob = two_parameter_problem()
     names = prob.free
-    # a candidate far worse than where the first run ends
-    worse = prob.initial.with_free_values(prob.initial.free_values(names) * 1.04, names)
+    # a candidate worse than the start (one at x1.04 would score better)
+    worse = prob.initial.with_free_values(prob.initial.free_values(names) * [1.04, 0.96],
+                                          names)
+    assert prob.loss(worse) > prob.loss(prob.initial)
     monkeypatch.setattr(fitkit, "_calibrated", lambda problem: worse)
     thetas = _recorded_thetas(monkeypatch, shared_list)
     res = fit_parameters(prob, max_eval=400)
@@ -401,7 +410,45 @@ def test_calibrated_candidate_costs_one_evaluation(monkeypatch, shared_list):
     assert len(at_candidate) == 1
     assert res.n_eval == len(thetas)
     monkeypatch.setattr(fitkit, "_calibrated", lambda problem: problem.initial)
-    assert fit_parameters(prob, max_eval=400).n_eval == res.n_eval
+    assert fit_parameters(prob, max_eval=400).n_eval == res.n_eval - 2
+
+
+@pytest.mark.parametrize("make", [two_parameter_problem, six_parameter_problem])
+def test_each_stage_runs_one_descent_from_its_best_candidate(monkeypatch, make):
+    """One trust-region descent per stage, the first one from the
+    lower-scoring of the caller's start and its calibration."""
+    prob = make()
+    starts = []
+
+    def recorded(fun, x0, **kwargs):
+        if callable(kwargs.get("jac")):
+            starts.append(np.array(x0))
+        return least_squares(fun, x0, **kwargs)
+
+    least_squares = fitkit.least_squares
+    monkeypatch.setattr(fitkit, "least_squares", recorded)
+    res = fit_parameters(prob, max_eval=2000)
+    assert res.success
+    assert len(starts) == len(_curriculum(prob))
+    names, stage = prob.free, _curriculum(prob)[0]
+    scale = prob.initial.free_values(names)
+    cal = fitkit._calibrated(prob)
+    best = min((prob.initial, cal), key=stage.loss)
+    assert starts[0].tobytes() == (best.free_values(names) / scale).tobytes()
+
+
+def test_refit_from_an_optimum_ends_no_higher():
+    """A fit started at an earlier fit's optimum ends at or below that
+    optimum's loss.  Here the refit's last stage must keep the caller's
+    start as a candidate: the earlier stages lead away from it."""
+    small = reference_problem(noise_rel=0.02, seed=5, n_time=7, n_delay=20, n_long=22)
+    start = calibrate_initial(FitProblem(small.specs, small.data,
+                                         _alternating(small.initial, 1.0)))
+    first = fit_parameters(FitProblem(small.specs, small.data, start), with_errors=False)
+    refit = fit_parameters(FitProblem(small.specs, small.data, first.params),
+                           with_errors=False)
+    assert first.success and refit.success
+    assert refit.loss <= first.loss
 
 
 def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch, shared_list):
@@ -472,12 +519,6 @@ def test_n_eval_counts_every_simulation(monkeypatch, shared_list, free, max_eval
     prob = small_problem(initial=start, free=free)
     res = fit_parameters(prob, max_eval=max_eval)
     assert len(calls) == res.n_eval
-
-
-def six_parameter_problem():
-    """A small reference problem from the +-5% alternating start."""
-    prob = reference_problem(n_freq=3, n_time=5, n_delay=7, n_long=9)
-    return FitProblem(prob.specs, prob.data, _alternating(prob.initial, 1.0))
 
 
 def _seeing_cpus(monkeypatch, count):
