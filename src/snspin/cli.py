@@ -41,6 +41,15 @@ for every key: to take a default, leave the key out.  ``decouple`` models
 ideal instantaneous pulses against pure dephasing, so it uses only
 ``options.noise``, ``options.n_pulses`` and ``options.total_time_s``: no
 parameter block, field or transition.
+
+A noise block takes the keys its model reads: ``kind`` (``none`` or
+``quasi-static-gaussian``), ``sigma_hz`` and ``samples`` for ``ramsey``;
+``kind`` (``ornstein-uhlenbeck``), ``sigma_hz`` and ``correlation_time_s``
+(static noise when left out) for ``decouple``, whose curve is exact, so
+the seed enters ``rb`` only.  JSON artifacts are strict JSON: a
+non-finite result, such as ``n_max`` of ``fidelity-budget`` at zero
+field, is the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
+Python's ``float()`` and JavaScript's ``Number()`` read back.
 """
 
 from __future__ import annotations
@@ -218,11 +227,15 @@ def _record(cls, val, path: str, readers: dict | None = None):
         raise ConfigError(str(exc), path)
 
 
-def _noise(val, path: str):
-    from .dynamics import NoiseModel
+def _noise(kinds: tuple, extra: dict):
+    """A reader of a noise block of one of ``kinds``: ``kind``, ``sigma_hz``
+    and the ``extra`` keys, the ones its model reads."""
+    def read(val, path: str):
+        from .dynamics import NoiseModel
 
-    return _record(NoiseModel, val, path, {"kind": _text, "sigma_hz": _float,
-                                           "correlation_time_s": _float, "samples": _count})
+        return _record(NoiseModel, val, path,
+                       {"kind": _choice(*kinds), "sigma_hz": _float, **extra})
+    return read
 
 
 def _initial(val, path: str):
@@ -275,21 +288,27 @@ def _eigensystem(cfg: dict, key: str):
 
 
 def _plain(value):
-    """A result as JSON-ready values: dataclasses and dicts field by field,
-    numpy arrays to lists and numpy scalars to Python numbers."""
+    """A result as strict-JSON values: dataclasses and dicts field by field,
+    sequences and numpy arrays to lists, numpy scalars to Python numbers,
+    and a non-finite float to the string "NaN", "Infinity" or "-Infinity"."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    return value.tolist() if hasattr(value, "tolist") else value
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    return value
 
 
 # --- command handlers --------------------------------------------------------
 # Each takes (cfg, opts, seed, base): the config as read, with every block
 # given or defaulted; its options as read; the run's seed; and the config's
-# directory.  It returns (payload, flavor): a dict for "json", rows for "csv",
-# or (rows, header metadata) for "signal-csv".
+# directory.  It returns (payload, flavor): a dict or a result dataclass for
+# "json", rows for "csv", or (rows, header metadata) for "signal-csv".
 
 def _cmd_levels(cfg, opts, seed, base):
     which = opts.get("manifold", "ground")
@@ -344,7 +363,7 @@ def _cmd_pump(cfg, opts, seed, base):
         duration_s=opts.get("duration_s", 10e-6),
         lifetime_s=opts.get("lifetime_s", LIFETIME_S),
     )
-    return _plain(result), "json"
+    return result, "json"
 
 
 def _cmd_fidelity_budget(cfg, opts, seed, base):
@@ -411,9 +430,8 @@ def _cmd_ramsey(cfg, opts, seed, base):
 def _cmd_decouple(cfg, opts, seed, base):
     from .dynamics import decoupling_scan
 
-    result = decoupling_scan(noise=_need(opts, "noise"), n_pulses=_need(opts, "n_pulses"),
-                             delay_grid=_need(opts, "total_time_s"), seed=seed)
-    return _plain(result), "json"
+    return decoupling_scan(noise=_need(opts, "noise"), n_pulses=_need(opts, "n_pulses"),
+                           delay_grid=_need(opts, "total_time_s")), "json"
 
 
 def _cmd_rb(cfg, opts, seed, base):
@@ -421,7 +439,7 @@ def _cmd_rb(cfg, opts, seed, base):
 
     _need(opts, "gate_fidelity")
     result = rb_simulate(seed=seed, **opts)  # the option keys are rb_simulate's keywords
-    out = _plain(result)
+    out = dataclasses.asdict(result)
     if result.fit_ok:
         out["clifford_fidelity"] = clifford_adjust(result.fidelity)
     return out, "json"
@@ -495,8 +513,11 @@ _COMMANDS = {
                          "n_list": _list(_int), "f_min": _float}),
     "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _times}),
     "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _times, "pi_half_s": _time,
-                             "noise": _noise}),
-    "decouple": (_cmd_decouple, {"noise": _noise, "n_pulses": _int, "total_time_s": _times}),
+                             "noise": _noise(("none", "quasi-static-gaussian"),
+                                             {"samples": _count})}),
+    "decouple": (_cmd_decouple, {"noise": _noise(("ornstein-uhlenbeck",),
+                                                 {"correlation_time_s": _float}),
+                                 "n_pulses": _int, "total_time_s": _times}),
     "rb": (_cmd_rb, {"gate_fidelity": _float, "lengths": _list(_int),
                      "sequences_per_length": lambda val, path: _int(val, path, minimum=2),
                      "spam": _list(_float, 2)}),
@@ -524,10 +545,9 @@ def _provenance(config_bytes: bytes, seed: int) -> dict:
 
 def _write_output(path: str, payload, flavor: str, provenance: dict):
     if flavor == "json":
-        doc = {"_provenance": provenance}
-        doc.update(payload)
+        doc = {"_provenance": provenance, **_plain(payload)}
         with open(path, "w") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     from .csvio import save_csv
 

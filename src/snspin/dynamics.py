@@ -93,10 +93,11 @@ class NoiseModel:
     """Detuning noise: none, quasi-static Gaussian, or Ornstein-Uhlenbeck.
 
     Quasi-static noise shifts the drive detuning once per repetition; it
-    is averaged over ``samples`` deterministic Gaussian quantiles.  OU
-    noise is a fluctuating transition frequency with standard deviation
-    ``sigma_hz`` and correlation time ``correlation_time_s``, sampled
-    stochastically.
+    is averaged over ``samples`` deterministic Gaussian quantiles, and
+    ``samples`` applies to it only.  OU noise is a fluctuating transition
+    frequency with standard deviation ``sigma_hz`` and correlation time
+    ``correlation_time_s`` (which applies to it only; ``inf`` is static
+    noise), and ``decoupling_scan`` averages over it exactly.
     """
 
     kind: str = "none"
@@ -559,44 +560,27 @@ class DecouplingResult:
     message: str = ""
 
 
-def _ou_segment_samples(rng, delta0, sigma, tau_c, dt):
-    """Advance OU noise over one gap: returns (delta_end, integral).
-
-    Exact joint sampling of the end value and the time integral of an
-    OU process with stationary variance sigma^2 and correlation time
-    tau_c, conditioned on the start value.
-    """
-    a = math.exp(-dt / tau_c)
-    mean_end = a * delta0
-    std_end = sigma * math.sqrt(1.0 - a * a)
-    mean_int = delta0 * tau_c * (1.0 - a)
-    var_int = sigma ** 2 * tau_c ** 2 * (
-        2.0 * dt / tau_c - 3.0 + 4.0 * a - a * a
-    )
-    cov = sigma ** 2 * tau_c * (1.0 - a) ** 2
-    # Conditional decomposition: integral = mean + alpha*xi1 + beta*xi2
-    # where xi1 is the same standard normal driving the end value.
-    xi1 = rng.standard_normal(delta0.shape)
-    xi2 = rng.standard_normal(delta0.shape)
-    delta1 = mean_end + std_end * xi1
-    alpha = cov / std_end if std_end > 0 else 0.0
-    beta = math.sqrt(max(var_int - alpha * alpha, 0.0))
-    integral = mean_int + alpha * xi1 + beta * xi2
-    return delta1, integral
-
-
-def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
-                    seed: int = 0) -> DecouplingResult:
+def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingResult:
     """Coherence under n equidistant XY pi-pulses with OU detuning noise.
 
     The pi-pulses are ideal and instantaneous (alternating X/Y phases
     refocus identically for pure dephasing), noise is frozen during
     them, and the curve is the noise-averaged Ramsey contrast
-    E[cos(accumulated filtered phase)].  ``delay_grid`` is the total
-    free-evolution time, finite and non-negative; pulses sit at the
-    standard CPMG positions.  The stretched exponential exp(-(t/T2)^beta)
-    is fit to the positive times if at least two of them differ;
-    otherwise ``fit_ok`` is False, with a message.
+    E[cos(2 pi phi)] of the sign-switched detuning integral phi (cycles).
+    ``delay_grid`` is the total free-evolution time, finite and
+    non-negative; pulses sit at the standard CPMG positions.  The
+    stretched exponential exp(-(t/T2)^beta) is fit to the positive times
+    if at least two of them differ; otherwise ``fit_ok`` is False, with a
+    message.
+
+    phi is Gaussian, so the curve is exactly exp(-2 pi^2 sigma^2 V)
+    (Cywinski et al., PRB 77, 174509 (2008)) and takes no seed.  With
+    segment k = 0..n of start t_k, length L_k = x_k tau and sign (-1)^k,
+    the phase variance of a unit OU process of correlation time tau is
+    V = sum_k 2 tau^2 (x_k - 1 + e^-x_k) + 2 sum_{k<l} (-1)^(k+l) tau^2
+    (1 - e^-x_k)(1 - e^-x_l) e^-(t_l - t_{k+1})/tau, summed in one pass
+    over the segments; static noise (tau = inf, the ``NoiseModel``
+    default) gives V = (sum_k (-1)^k L_k)^2.
 
     Because the pulses are ideal and the noise is pure dephasing, the
     curve depends on the noise alone, not on the spin model or on which
@@ -609,28 +593,21 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel,
     delay_grid = np.asarray(delay_grid, dtype=float)
     if not np.all(np.isfinite(delay_grid)) or np.any(delay_grid < 0):
         raise ValueError("total times must be finite and non-negative")
-    rng = np.random.default_rng(seed)
-    sigma, tau_c = noise.sigma_hz, noise.correlation_time_s
+    tau_c = noise.correlation_time_s
 
-    coherence = np.empty(delay_grid.size)
-    for idx, total in enumerate(delay_grid):
-        if total == 0.0 or sigma == 0.0:
-            coherence[idx] = 1.0
-            continue
-        if n_pulses > 0:
-            pulses = (2.0 * np.arange(1, n_pulses + 1) - 1.0) * total / (2.0 * n_pulses)
-            edges = np.concatenate(([0.0], pulses, [total]))
-        else:
-            edges = np.array([0.0, total])
-        delta = sigma * rng.standard_normal(noise.samples)
-        phase = np.zeros(noise.samples)
-        sign = 1.0
-        for k in range(len(edges) - 1):
-            dt = edges[k + 1] - edges[k]
-            delta, integral = _ou_segment_samples(rng, delta, sigma, tau_c, dt)
-            phase += sign * integral
-            sign = -sign
-        coherence[idx] = float(np.mean(np.cos(2.0 * math.pi * phase)))
+    # running sums of (-1)^k L_k, of x_k - 1 + e^-x_k, of the cross terms of
+    # V / (2 tau^2), and carry = sum_{k<l} (-1)^k (1 - e^-x_k) e^-(t_l - t_{k+1})/tau
+    start = static = own = cross = carry = np.zeros_like(delay_grid)
+    for k in range(n_pulses + 1):
+        end = delay_grid if k == n_pulses else (2 * k + 1) * delay_grid / (2.0 * n_pulses)
+        length, sign, start = end - start, (-1.0) ** k, end
+        decay = np.expm1(-length / tau_c)  # e^-x_k - 1, and 0 for static noise
+        static = static + sign * length
+        own = own + length / tau_c + decay
+        cross = cross - sign * decay * carry
+        carry = carry * (1.0 + decay) - sign * decay
+    variance = static ** 2 if math.isinf(tau_c) else 2.0 * tau_c ** 2 * (own + cross)
+    coherence = np.exp(-2.0 * (math.pi * noise.sigma_hz) ** 2 * variance)
 
     def stretched(t, t2, beta):
         return np.exp(-((t / t2) ** beta))

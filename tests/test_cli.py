@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,7 +76,7 @@ SMALL_CONFIGS = {
         "n_pulses": 1,
         "total_time_s": {"start": 5e-6, "stop": 6e-5, "points": 6},
         "noise": {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
-                  "correlation_time_s": 1e-4, "samples": 50}}}, "json"),
+                  "correlation_time_s": 1e-4}}}, "json"),
     "rb": ({"seed": 9, "options": {"gate_fidelity": 0.9, "lengths": [1, 4, 16, 64],
                                    "sequences_per_length": 20}}, "json"),
     "coherence-map": ({"options": {"upsilon_hz": [0.0, 1.0e6],
@@ -255,8 +256,7 @@ def test_decouple_json(tmp_path):
                                         "points": 6},
                        "noise": {"kind": "ornstein-uhlenbeck",
                                  "sigma_hz": 2e4,
-                                 "correlation_time_s": 1e-4,
-                                 "samples": 200}}}
+                                 "correlation_time_s": 1e-4}}}
     written, _ = run_command(tmp_path, cfg)
     doc = load_json_artifact(written)
     assert doc["fit_ok"]
@@ -267,6 +267,26 @@ def test_decouple_json(tmp_path):
                "total_time_s": [1e-5]}}
     with pytest.raises(cli.ConfigError, match="noise"):
         cli.run(str(write_config(tmp_path, missing, "m.json")))
+
+
+@pytest.mark.parametrize("cfg, key, spelled", [
+    ({"command": "fidelity-budget", "field": {"bx_t": 0}}, "n_max", "Infinity"),
+    ({"command": "pump", "options": {"line": 5e10, "rabi_hz": 30e6, "duration_s": 3e-6}},
+     "tau_pol_s", "Infinity"),
+    ({"command": "rb", "options": {"gate_fidelity": 0.95, "lengths": [1, 4, 16],
+                                   "sequences_per_length": 5}}, "fidelity_err", "NaN"),
+])
+def test_json_artifact_spells_non_finite_numbers(tmp_path, cfg, key, spelled):
+    """A non-finite result is a JSON string that float() reads back, never
+    a bare NaN or Infinity token, which strict parsers refuse."""
+    def refuse(token):
+        raise ValueError(f"bare {token} in a JSON artifact")
+
+    written, _ = run_command(tmp_path, cfg)
+    doc = json.loads(Path(written).read_text(), parse_constant=refuse)
+    assert doc[key] == spelled
+    value = float(doc[key])
+    assert math.isnan(value) if spelled == "NaN" else value == math.inf
 
 
 def test_rb_json_matches_library(tmp_path):
@@ -507,6 +527,13 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
                  id="transitions-options.zpl_hz-huge-integer"),
     pytest.param("levels", "seed", 10 ** 400, "seed", id="levels-seed-huge-integer"),
     ("rb", "options.sequences_per_length", 1, "options.sequences_per_length"),
+    ("ramsey", "options.noise", {"kind": "quasi-static-gaussian", "sigma_hz": 5e5,
+                                 "correlation_time_s": 1e-4},
+     "options.noise.correlation_time_s"),
+    ("ramsey", "options.noise", {"kind": "ornstein-uhlenbeck", "sigma_hz": 5e5},
+     "options.noise.kind"),
+    ("decouple", "options.noise", {"kind": "quasi-static-gaussian", "sigma_hz": 2e4},
+     "options.noise.kind"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

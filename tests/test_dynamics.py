@@ -1,6 +1,7 @@
 """Driven dynamics: propagators, chevron/Ramsey maps, decoupling, RB."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,42 +327,57 @@ def test_ramsey_rejects_ou_noise(ground, field):
         ramsey_map(ground, field, AX, AZ, [F_BROKER], [1e-6], noise=noise)
 
 
-def test_ou_sampler_moments_match_path_integration():
-    """Joint (end value, integral) sampler vs explicit path simulation."""
-    sigma, tau, dt, d0 = 2.0, 0.7, 0.45, 1.3
-    n = 50000
-    rng = np.random.default_rng(5)
-    d_end, integral = dyn._ou_segment_samples(rng, np.full(n, d0), sigma, tau, dt)
+def test_decoupling_curve_matches_path_integration():
+    """The exact curve vs explicit OU paths whose phase flips sign at the
+    CPMG times, for n = 0, 1 and 4."""
+    sigma, tau, total = 20e3, 30e-6, 40e-6
+    n_paths, n_sub = 20000, 800
+    counts = np.array([0, 1, 4])
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=sigma, correlation_time_s=tau)
 
-    # oracle: exact OU updates on a fine grid, midpoint-rule integral
-    rng2 = np.random.default_rng(17)
-    n_sub = 400
-    h = dt / n_sub
+    # oracle: exact OU updates on a fine grid, trapezoid-rule integral; the
+    # CPMG times (j + 1/2) total / n fall on grid points for these n
+    rng = np.random.default_rng(17)
+    h = total / n_sub
     a = math.exp(-h / tau)
     kick = sigma * math.sqrt(1.0 - a * a)
-    x = np.full(n, d0)
-    integ = np.zeros(n)
-    for _ in range(n_sub):
-        x_new = a * x + kick * rng2.standard_normal(n)
-        integ += 0.5 * (x + x_new) * h
+    signs = (-1.0) ** np.floor(np.outer(counts, (np.arange(n_sub) + 0.5) / n_sub) + 0.5)
+    x = sigma * rng.standard_normal(n_paths)
+    phase = np.zeros((counts.size, n_paths))
+    for i in range(n_sub):
+        x_new = a * x + kick * rng.standard_normal(n_paths)
+        phase += signs[:, i, None] * (0.5 * (x + x_new) * h)
         x = x_new
 
-    se = sigma / math.sqrt(n)
-    assert abs(d_end.mean() - x.mean()) < 5 * se
-    assert abs(integral.mean() - integ.mean()) < 5 * se * tau
-    assert d_end.var() == pytest.approx(x.var(), rel=0.05)
-    assert integral.var() == pytest.approx(integ.var(), rel=0.05)
-    cov_a = float(np.cov(d_end, integral)[0, 1])
-    cov_b = float(np.cov(x, integ)[0, 1])
-    assert cov_a == pytest.approx(cov_b, rel=0.07)
+    contrast = np.cos(2.0 * math.pi * phase)
+    for row, n in enumerate(counts):
+        exact = decoupling_scan(int(n), [total], noise).coherence[0]
+        se = contrast[row].std() / math.sqrt(n_paths)
+        assert abs(exact - contrast[row].mean()) < 5 * se
+
+
+def test_decoupling_static_noise_limit():
+    """At the default correlation time (static noise) the free curve is the
+    quasi-static Gaussian decay, an echo pair refocuses fully, and
+    neither warns."""
+    sigma = 20e3
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=sigma)
+    delays = np.linspace(0, 30e-6, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        free = decoupling_scan(0, delays, noise)
+        echo = decoupling_scan(2, delays, noise)
+    np.testing.assert_allclose(free.coherence, np.exp(-2.0 * (math.pi * sigma * delays) ** 2),
+                               rtol=1e-12)
+    assert np.all(echo.coherence == 1.0)
 
 
 def test_decoupling_scan_extends_coherence():
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
-                       correlation_time_s=100e-6, samples=3000)
+                       correlation_time_s=100e-6)
     results = {}
     for n_p, t_end in ((1, 40e-6), (4, 120e-6), (16, 200e-6)):
-        res = decoupling_scan(n_p, np.linspace(0, t_end, 25), noise, seed=11)
+        res = decoupling_scan(n_p, np.linspace(0, t_end, 25), noise)
         assert res.fit_ok
         assert res.coherence[0] == 1.0
         results[n_p] = res
@@ -380,8 +396,8 @@ def test_decoupling_free_evolution_limit():
     """n = 0 with tau_c >> t reproduces the quasi-static Gaussian T2*."""
     sigma = 20e3
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=sigma,
-                       correlation_time_s=1.0, samples=4000)
-    res = decoupling_scan(0, np.linspace(0, 30e-6, 25), noise, seed=2)
+                       correlation_time_s=1.0)
+    res = decoupling_scan(0, np.linspace(0, 30e-6, 25), noise)
     assert res.fit_ok
     assert res.t2_s == pytest.approx(math.sqrt(2) / (2 * math.pi * sigma), rel=0.08)
     assert res.stretch == pytest.approx(2.0, abs=0.25)
@@ -404,7 +420,7 @@ def test_decoupling_fit_needs_two_distinct_positive_times():
     """Fewer than two distinct positive total times leave the stretched
     exponential unfit, with a message and no warning; two fit exactly."""
     ou = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
-                    correlation_time_s=1e-4, samples=200)
+                    correlation_time_s=1e-4)
     for delays in ([0.0, 1e-5], [1e-5, 1e-5], [0.0, 0.0]):
         res = decoupling_scan(1, delays, ou)
         assert not res.fit_ok
