@@ -50,6 +50,11 @@ the seed enters ``rb`` only.  JSON artifacts are strict JSON: a
 non-finite result, such as ``n_max`` of ``fidelity-budget`` at zero
 field, is the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
 Python's ``float()`` and JavaScript's ``Number()`` read back.
+
+Handlers format nothing.  A JSON result is encoded by ``_plain`` alone; a
+CSV result is columns by header name plus header metadata, and ``csvio``
+formats every cell.  A ``rabi`` or ``ramsey`` header names the transition
+and pi/2 its map ran with, so ``fit`` reads it back from its path alone.
 """
 
 from __future__ import annotations
@@ -307,8 +312,10 @@ def _plain(value):
 # --- command handlers --------------------------------------------------------
 # Each takes (cfg, opts, seed, base): the config as read, with every block
 # given or defaulted; its options as read; the run's seed; and the config's
-# directory.  It returns (payload, flavor): a dict or a result dataclass for
-# "json", rows for "csv", or (rows, header metadata) for "signal-csv".
+# directory.  It returns (payload, flavor) and formats nothing: for "json" a
+# dict or a result dataclass, which ``_plain`` encodes; for "table" or "grid"
+# (columns by header name, header metadata), which ``csvio`` writes: a table's
+# equal-length columns, or a grid's two axes and its values over them.
 
 def _cmd_levels(cfg, opts, seed, base):
     which = opts.get("manifold", "ground")
@@ -317,15 +324,15 @@ def _cmd_levels(cfg, opts, seed, base):
 
 
 def _cmd_transitions(cfg, opts, seed, base):
-    from .spectrum import mw_transitions, optical_transitions
+    from .spectrum import TransitionEntry, mw_transitions, optical_transitions
 
     ground = _eigensystem(cfg, "ground")
-    rows = mw_transitions(ground).csv_rows()
+    entries = mw_transitions(ground).entries
     if opts.get("include_optical", True):
-        excited = _eigensystem(cfg, "excited")
-        zpl = opts.get("zpl_hz", 0.0)
-        rows.extend(optical_transitions(ground, excited, zpl=zpl).csv_rows()[1:])
-    return rows, "csv"
+        entries += optical_transitions(ground, _eigensystem(cfg, "excited"),
+                                       zpl=opts.get("zpl_hz", 0.0)).entries
+    names = [f.name for f in dataclasses.fields(TransitionEntry)]
+    return ({name: [getattr(e, name) for e in entries] for name in names}, {}), "table"
 
 
 def _cmd_ple(cfg, opts, seed, base):
@@ -338,19 +345,17 @@ def _cmd_ple(cfg, opts, seed, base):
         linewidth=opts.get("linewidth_hz", OPTICAL_LINEWIDTH_HZ),
         grid=opts.get("detuning_hz"),
     )
-    return trace.csv_rows(), "csv"
+    return ({"detuning_hz": trace.detuning_hz, "intensity": trace.intensity}, {}), "table"
 
 
 def _cmd_cyclicity_map(cfg, opts, seed, base):
     import numpy as np
     from .optics import lambda_f0_map
 
-    bx, bz = (axis.ravel() for axis in np.meshgrid(
-        _need(opts, "bx_t"), _need(opts, "bz_t"), indexing="ij"))
-    rows = [("bx_t", "bz_t", "lambda_f0")]
-    rows += [(repr(float(x)), repr(float(z)), repr(float(lam))) for x, z, lam
-             in zip(bx, bz, lambda_f0_map(cfg["ground"], cfg["excited"], bx, bz))]
-    return rows, "csv"
+    bx, bz = _need(opts, "bx_t"), _need(opts, "bz_t")
+    x, z = (axis.ravel() for axis in np.meshgrid(bx, bz, indexing="ij"))
+    lam = lambda_f0_map(cfg["ground"], cfg["excited"], x, z)
+    return ({"bx_t": bx, "bz_t": bz, "lambda_f0": lam}, {}), "grid"
 
 
 def _cmd_pump(cfg, opts, seed, base):
@@ -379,52 +384,51 @@ def _cmd_fidelity_budget(cfg, opts, seed, base):
     every_n = np.unique(np.round(np.geomspace(1, 1e7, 29))).astype(int).tolist()
     f_min = opts.get("f_min", 0.95)
     return {
-        "delta_omega_rad_s": float(delta),
-        "tau_s": float(tau),
-        "budget": [
-            {"n": n, "fidelity": float(excitation_fidelity(delta, tau, n))}
-            for n in opts.get("n_list", every_n)
-        ],
-        "f_min": float(f_min),
-        "n_max": float(max_excitations(delta, tau, f_min)),
+        "delta_omega_rad_s": delta,
+        "tau_s": tau,
+        "budget": [{"n": n, "fidelity": excitation_fidelity(delta, tau, n)}
+                   for n in opts.get("n_list", every_n)],
+        "f_min": f_min,
+        "n_max": max_excitations(delta, tau, f_min),
     }, "json"
 
 
-def _map_common(opts, kind):
-    """Drive, transition and CSV header of a ``rabi`` or ``ramsey`` map; the
-    drive defaults to the reference device's."""
+def _drive(opts) -> tuple:
+    """A ``rabi`` or ``ramsey`` map's drive, by default the reference device's."""
     from .fitkit import FitParams
 
     reference = FitParams.reference()
-    drive = (opts.get("amplitude_x_hz", reference.b_x_ac_hz),
-             opts.get("amplitude_z_hz", reference.b_z_ac_hz))
-    transition = opts.get("transition")
-    meta = {"kind": kind}
-    if transition:
-        meta["transition"] = transition
-    return drive, transition, meta
+    return (opts.get("amplitude_x_hz", reference.b_x_ac_hz),
+            opts.get("amplitude_z_hz", reference.b_z_ac_hz))
+
+
+def _signal(m, kind: str):
+    """A map's grid payload, its header naming the transition and pi/2 the
+    map ran with, in the keys of ``ExperimentSpec.metadata``, so that ``fit``
+    reads it back from its path alone."""
+    from .fitkit import ExperimentSpec
+
+    meta = ExperimentSpec(kind, m.transition, m.freq_hz, m.duration_s,
+                          m.pi_half_s).metadata()
+    return ({"freq_hz": m.freq_hz, "duration_s": m.duration_s, "signal": m.signal},
+            meta), "grid"
 
 
 def _cmd_rabi(cfg, opts, seed, base):
     from .dynamics import rabi_map
 
-    drive, transition, meta = _map_common(opts, "rabi")
-    m = rabi_map(cfg["ground"], cfg["field"], *drive, _need(opts, "freq_hz"),
-                 _need(opts, "duration_s"), transition=transition)
-    return (m.csv_rows(), meta), "signal-csv"
+    return _signal(rabi_map(cfg["ground"], cfg["field"], *_drive(opts),
+                            _need(opts, "freq_hz"), _need(opts, "duration_s"),
+                            transition=opts.get("transition")), "rabi")
 
 
 def _cmd_ramsey(cfg, opts, seed, base):
     from .dynamics import ramsey_map
 
-    drive, transition, meta = _map_common(opts, "ramsey")
-    pi_half = opts.get("pi_half_s")
-    m = ramsey_map(cfg["ground"], cfg["field"], *drive, _need(opts, "freq_hz"),
-                   _need(opts, "delay_s"), noise=opts.get("noise"), transition=transition,
-                   pi_half_s=pi_half)
-    if pi_half is not None:
-        meta["pi_half_s"] = repr(pi_half)
-    return (m.csv_rows(), meta), "signal-csv"
+    return _signal(ramsey_map(cfg["ground"], cfg["field"], *_drive(opts),
+                              _need(opts, "freq_hz"), _need(opts, "delay_s"),
+                              noise=opts.get("noise"), transition=opts.get("transition"),
+                              pi_half_s=opts.get("pi_half_s")), "ramsey")
 
 
 def _cmd_decouple(cfg, opts, seed, base):
@@ -452,7 +456,7 @@ def _cmd_coherence_map(cfg, opts, seed, base):
         cfg["ground"], _need(opts, "upsilon_hz"), _need(opts, "alpha_hz"),
         **{k: opts[k] for k in ("gamma_phonon", "sign_convention") if k in opts},
     )
-    return m.csv_rows(), "csv"
+    return ({"upsilon_hz": m.upsilon_hz, "alpha_hz": m.alpha_hz, "t2_s": m.t2_s}, {}), "grid"
 
 
 def _cmd_fit(cfg, opts, seed, base):
@@ -478,7 +482,7 @@ def _cmd_fit(cfg, opts, seed, base):
                 freq_hz=tuple(float(f) for f in m.freq_hz),
                 time_s=tuple(float(t) for t in m.duration_s),
                 pi_half_s=None if pi_half is None else float(pi_half),
-                label=block.get("label", ""),
+                label=block.get("label", meta.get("label", "")),
             )
         except ValueError as exc:
             raise ConfigError(str(exc), where)
@@ -493,8 +497,7 @@ def _cmd_fit(cfg, opts, seed, base):
                              bounds=bounds or None, nuisance=opts.get("nuisance", False))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
-    result = fit_parameters(problem, **{k: opts[k] for k in ("max_eval",) if k in opts})
-    return result.to_dict(), "json"
+    return fit_parameters(problem, **{k: opts[k] for k in ("max_eval",) if k in opts}), "json"
 
 
 # Each command's handler and its option readers; run rejects any other key
@@ -549,10 +552,11 @@ def _write_output(path: str, payload, flavor: str, provenance: dict):
         with open(path, "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
-    from .csvio import save_csv
+    from .csvio import grid_lines, save_csv, table_lines
 
-    rows, meta = payload if flavor == "signal-csv" else (payload, {})
-    save_csv(path, rows, {**provenance, **meta})
+    columns, meta = payload
+    lines = (grid_lines if flavor == "grid" else table_lines)(*columns.values())
+    save_csv(path, list(columns), lines, {**provenance, **meta})
 
 
 def run(config_path: str, out_override: str | None = None,

@@ -114,13 +114,6 @@ class CoherenceMap:
     ridge_upsilon_hz: np.ndarray   # analytic ridge position per alpha
     sign_convention: str
 
-    def csv_rows(self) -> list:
-        rows = [("upsilon_hz", "alpha_hz", "t2_s")]
-        for i, u in enumerate(self.upsilon_hz):
-            for j, a in enumerate(self.alpha_hz):
-                rows.append((repr(float(u)), repr(float(a)), repr(float(self.t2_s[i, j]))))
-        return rows
-
 
 def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
                   sign_convention: str = "opposite",

@@ -1,28 +1,54 @@
-"""The artifact CSV format: '# key=value' metadata lines, then rows.
+"""The artifact CSV format: '# key=value' metadata lines, a header, then rows.
 
-Kept apart from the model modules so that writing a table loads no scipy.
+``_cells`` is the one place a cell is formatted: a string as it is, a
+number as the ``repr`` of the Python number, which reads back exactly.
+Rows come from equal-length columns (``table_lines``) or from a grid over
+axis0 x axis1, axis0 outer (``grid_lines``).  Kept apart from the model
+modules so that writing a table loads no scipy.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
 
+SIGNAL_HEADER = ("freq_hz", "duration_s", "signal")
 
-def save_csv(path, rows, metadata: dict | None = None):
-    """Write ``rows`` as comma-separated lines after '# key=value' lines,
+
+def _cells(column) -> list:
+    """The CSV cells of a column of strings or numbers."""
+    return [v if isinstance(v, str) else repr(v) for v in np.asarray(column).tolist()]
+
+
+def table_lines(*columns):
+    """One row per index of the equal-length ``columns``."""
+    return map(",".join, zip(*map(_cells, columns)))
+
+
+def grid_lines(axis0, axis1, values):
+    """(a0, a1, value) rows over axis0 x axis1, axis0 outer; ``values`` holds
+    one value per pair, axis0-major (an array of shape (len(axis0), len(axis1))
+    or its ravel)."""
+    inner, cells = _cells(axis1), iter(_cells(np.ravel(values)))
+    return (f"{a},{b},{next(cells)}" for a in _cells(axis0) for b in inner)
+
+
+def save_csv(path, header, lines, metadata: dict | None = None):
+    """Write '# key=value' lines, the ``header`` names and the row ``lines``,
     the format :func:`load_signal_csv` reads."""
-    lines = [f"# {key}={val}" for key, val in (metadata or {}).items()]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
+    meta = (f"# {key}={val}" for key, val in (metadata or {}).items())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(itertools.chain(meta, [",".join(header)], lines)) + "\n")
 
 
 def save_signal_csv(path, signal_map, metadata: dict | None = None):
     """Write a map as freq_hz,duration_s,signal rows with '#' metadata lines."""
-    save_csv(path, signal_map.csv_rows(), metadata)
+    save_csv(path, SIGNAL_HEADER,
+             grid_lines(signal_map.freq_hz, signal_map.duration_s, signal_map.signal),
+             metadata)
 
 
 def load_signal_csv(path) -> tuple:
@@ -50,10 +76,10 @@ def load_signal_csv(path) -> tuple:
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file")
-    if [h.strip() for h in header] != ["freq_hz", "duration_s", "signal"]:
+    if tuple(h.strip() for h in header) != SIGNAL_HEADER:
         raise ValueError(
             f"{path}: line {body_start + 1}: expected header "
-            f"'freq_hz,duration_s,signal', got {','.join(header)!r}"
+            f"'{','.join(SIGNAL_HEADER)}', got {','.join(header)!r}"
         )
     freqs, times, vals = [], [], []
     for offset, row in enumerate(reader, start=body_start + 2):

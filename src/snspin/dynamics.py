@@ -115,22 +115,18 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SignalMap:
-    """Normalized bright-state signal over a frequency x duration grid."""
+    """Normalized bright-state signal over a frequency x duration grid, with
+    the transition the map drove and, for a Ramsey map, its pi/2 duration."""
 
     freq_hz: np.ndarray
     duration_s: np.ndarray
     signal: np.ndarray
+    transition: str | None = None
+    pi_half_s: float | None = None
 
     def __post_init__(self):
         if self.signal.shape != (len(self.freq_hz), len(self.duration_s)):
             raise ValueError("signal shape must be (n_freq, n_duration)")
-
-    def csv_rows(self) -> list:
-        rows = [("freq_hz", "duration_s", "signal")]
-        for i, f in enumerate(self.freq_hz):
-            for j, t in enumerate(self.duration_s):
-                rows.append((repr(float(f)), repr(float(t)), repr(float(self.signal[i, j]))))
-        return rows
 
 
 def _gaussian_quantiles(n: int) -> np.ndarray:
@@ -514,7 +510,7 @@ def rabi_map(params: ManifoldParams, field: MagneticField,
         params, field, freq_grid, time_grid, transition)
     chevron = _program_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
                            transition)
-    return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0])
+    return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0], transition)
 
 
 def ramsey_map(params: ManifoldParams, field: MagneticField,
@@ -544,7 +540,8 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
     fringe = _program_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
                           noise)
-    return SignalMap(freq_grid, delay_grid, _signals(engine, [fringe])[0])
+    return SignalMap(freq_grid, delay_grid, _signals(engine, [fringe])[0], transition,
+                     pi_half_s)
 
 
 @dataclass(frozen=True)
@@ -570,8 +567,10 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
     ``delay_grid`` is the total free-evolution time, finite and
     non-negative; pulses sit at the standard CPMG positions.  The
     stretched exponential exp(-(t/T2)^beta) is fit to the positive times
-    if at least two of them differ; otherwise ``fit_ok`` is False, with a
-    message.
+    if at least two of them differ and the curve decays, falling below 1
+    by more than rounding (1e-12) at some positive time; otherwise
+    ``fit_ok`` is False, with a message, and ``t2_s`` and ``stretch`` are
+    NaN.
 
     phi is Gaussian, so the curve is exactly exp(-2 pi^2 sigma^2 V)
     (Cywinski et al., PRB 77, 174509 (2008)) and takes no seed.  With
@@ -579,8 +578,11 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
     the phase variance of a unit OU process of correlation time tau is
     V = sum_k 2 tau^2 (x_k - 1 + e^-x_k) + 2 sum_{k<l} (-1)^(k+l) tau^2
     (1 - e^-x_k)(1 - e^-x_l) e^-(t_l - t_{k+1})/tau, summed in one pass
-    over the segments; static noise (tau = inf, the ``NoiseModel``
-    default) gives V = (sum_k (-1)^k L_k)^2.
+    over the segments.  The terms are taken in units of L, as L (1 -
+    e^-x)/x and L^2 2(x - 1 + e^-x)/x^2, the latter as a series below x =
+    1e-3, so that at long correlation times nothing cancels or overflows;
+    static noise (tau = inf, the ``NoiseModel`` default) gives V =
+    (sum_k (-1)^k L_k)^2.
 
     Because the pulses are ideal and the noise is pure dephasing, the
     curve depends on the noise alone, not on the spin model or on which
@@ -595,18 +597,21 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
         raise ValueError("total times must be finite and non-negative")
     tau_c = noise.correlation_time_s
 
-    # running sums of (-1)^k L_k, of x_k - 1 + e^-x_k, of the cross terms of
-    # V / (2 tau^2), and carry = sum_{k<l} (-1)^k (1 - e^-x_k) e^-(t_l - t_{k+1})/tau
-    start = static = own = cross = carry = np.zeros_like(delay_grid)
+    # running sums of (-1)^k L_k and of V, and
+    # carry = sum_{k<l} (-1)^k tau (1 - e^-x_k) e^-(t_l - t_{k+1})/tau
+    start = static = variance = carry = np.zeros_like(delay_grid)
     for k in range(n_pulses + 1):
         end = delay_grid if k == n_pulses else (2 * k + 1) * delay_grid / (2.0 * n_pulses)
         length, sign, start = end - start, (-1.0) ** k, end
-        decay = np.expm1(-length / tau_c)  # e^-x_k - 1, and 0 for static noise
+        x = length / tau_c  # 0 for static noise
+        safe = np.where(x > 0, x, 1.0)
+        g1 = np.where(x > 0, -np.expm1(-safe) / safe, 1.0)
+        g2 = np.where(x < 1e-3, 1 - x / 3 + x * x / 12 - x ** 3 / 60, 2 * (1 - g1) / safe)
+        area, own = length * g1, length * length * g2  # tau (1 - e^-x), 2 tau^2 (x - 1 + e^-x)
         static = static + sign * length
-        own = own + length / tau_c + decay
-        cross = cross - sign * decay * carry
-        carry = carry * (1.0 + decay) - sign * decay
-    variance = static ** 2 if math.isinf(tau_c) else 2.0 * tau_c ** 2 * (own + cross)
+        variance = variance + own + 2.0 * sign * area * carry
+        carry = carry * np.exp(-x) + sign * area
+    variance = static ** 2 if math.isinf(tau_c) else variance
     coherence = np.exp(-2.0 * (math.pi * noise.sigma_hz) ** 2 * variance)
 
     def stretched(t, t2, beta):
@@ -617,6 +622,8 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
     message = ""
     if np.unique(delay_grid[positive]).size < 2:
         message = "the stretched-exponential fit needs two distinct positive total times"
+    elif not np.any(coherence[positive] < 1.0 - 1e-12):
+        message = "the curve does not decay below 1, so it sets no T2"
     else:
         try:
             with warnings.catch_warnings():
@@ -659,14 +666,6 @@ class RBResult:
     offset: float
     fit_ok: bool = True
     message: str = ""
-
-    def csv_rows(self) -> list:
-        rows = [("length", "mean_survival", "stderr")]
-        rows.extend(
-            (repr(int(n)), repr(float(m)), repr(float(s)))
-            for n, m, s in zip(self.lengths, self.mean_survival, self.stderr)
-        )
-        return rows
 
 
 def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 300,

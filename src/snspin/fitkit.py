@@ -42,7 +42,7 @@ import os
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -112,9 +112,6 @@ class FitParams:
             bz=field_for_larmor(self.b_z_dc_hz, params.g_electron),
         )
         return params, field, (self.b_x_ac_hz, self.b_z_ac_hz)
-
-    def to_dict(self) -> dict:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -259,12 +256,6 @@ class FitResult:
     n_eval: int
     success: bool
     message: str = ""
-
-    def to_dict(self) -> dict:
-        """Every field as JSON-ready values, the parameters as a dict."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["params"] = self.params.to_dict()
-        return out
 
 
 # Relative finite-difference step of the residual Jacobian, in the

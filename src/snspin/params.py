@@ -9,7 +9,7 @@ Hamiltonian for a single S=1/2 electron coupled to one I=1/2 nucleus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 # Bohr magneton over Planck constant, Hz per Tesla.
 MU_B_HZ_PER_T = 13.996246e9
@@ -35,21 +35,13 @@ GAMMA_PHONON_1P7K = 0.75
 
 
 class _NumberRecord:
-    """Base of the parameter dataclasses: every field is a finite number,
-    and the dict form holds the fields by name."""
+    """Base of the parameter dataclasses: every field is a finite number."""
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{field.name} must be a finite number, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        return cls(**data)
 
 
 @dataclass(frozen=True)

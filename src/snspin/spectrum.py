@@ -34,24 +34,12 @@ class TransitionTable:
             raise KeyError(f"no transition with peak id {peak_id!r}")
         return float(np.mean([e.frequency_hz for e in lines]))
 
-    def csv_rows(self) -> list:
-        rows = [("from_label", "to_label", "frequency_hz", "kind", "peak_id")]
-        for e in self.entries:
-            rows.append((e.from_label, e.to_label, repr(e.frequency_hz), e.kind, e.peak_id))
-        return rows
-
 
 @dataclass(frozen=True)
 class SpectrumTrace:
     detuning_hz: np.ndarray
     intensity: np.ndarray
     linewidth_hz: float
-
-    def csv_rows(self) -> list:
-        rows = [("detuning_hz", "intensity")]
-        rows.extend((repr(float(d)), repr(float(v)))
-                    for d, v in zip(self.detuning_hz, self.intensity))
-        return rows
 
 
 def mw_transitions(ground: EigenSystem) -> TransitionTable:

@@ -1,5 +1,6 @@
 """Command-line runner: artifacts, provenance, determinism, error paths."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -101,7 +102,7 @@ def small_config(command, tmp_path):
     )
     save_signal_csv(tmp_path / "chevron.csv", simulate_experiment(truth, spec),
                     metadata=spec.metadata())
-    initial = truth.to_dict()
+    initial = dataclasses.asdict(truth)
     initial["b_x_ac_hz"] *= 1.02
     return {"command": "fit", "seed": 1,
             "options": {"datasets": [{"path": "chevron.csv"}], "initial": initial,
@@ -226,12 +227,20 @@ def test_rabi_map_thin_adapter(tmp_path):
     written, _ = run_command(tmp_path, cfg)
     comments, lines = load_csv_artifact(written)
     assert comments["kind"] == "rabi"
+    assert comments["transition"] == "broker"  # the one the map resolved
+    assert "pi_half_s" not in comments
     expected = rabi_map(
         ground_defaults(), reference_field(), 8.92e6, 5.00e6,
         np.linspace(freq["start"], freq["stop"], freq["points"]),
         np.linspace(dur["start"], dur["stop"], dur["points"]),
     )
-    assert lines == [",".join(row) for row in expected.csv_rows()]
+    assert lines[0] == "freq_hz,duration_s,signal"
+    assert len(lines) == 1 + 3 * 5
+    # frequency outer, every number as the repr of its float
+    assert lines[1:] == [f"{f!r},{t!r},{s!r}"
+                         for f, row in zip(expected.freq_hz.tolist(), expected.signal.tolist())
+                         for t, s in zip(expected.duration_s.tolist(), row)]
+    assert float(lines[-1].split(",")[2]) == expected.signal[-1, -1]
 
 
 def test_ramsey_csv(tmp_path):
@@ -331,7 +340,7 @@ def test_fit_command_round_trip(tmp_path):
     )
     save_signal_csv(tmp_path / "chevron.csv", simulate_experiment(truth, spec),
                     metadata=spec.metadata())
-    initial = truth.to_dict()
+    initial = dataclasses.asdict(truth)
     initial["b_x_ac_hz"] *= 1.02
     cfg = {"command": "fit", "seed": 1,
            "options": {"datasets": [{"path": "chevron.csv"}],
@@ -351,6 +360,58 @@ def test_fit_command_round_trip(tmp_path):
     bad["output"] = str(tmp_path / "bad.json")
     with pytest.raises(cli.ConfigError, match="kind and transition"):
         cli.run(str(write_config(tmp_path, bad, "bad.json")))
+
+
+@pytest.mark.parametrize("command, axis", [("rabi", "duration_s"), ("ramsey", "delay_s")])
+def test_map_artifact_fits_back_from_its_path_alone(tmp_path, command, axis):
+    """A map run with no transition, and a Ramsey map with no pi_half_s, name
+    the transition and pi/2 they ran with, so a fit needs only the path."""
+    from snspin.dynamics import _Engine
+    from snspin.fitkit import FitParams
+
+    cfg = {"command": command, "output": str(tmp_path / "map.csv"),
+           "options": {"freq_hz": [6.17e8],
+                       axis: {"start": 0, "stop": 2e-7, "points": 5}}}
+    run_command(tmp_path, cfg)
+    comments, _ = load_csv_artifact(tmp_path / "map.csv")
+    assert comments["kind"] == command
+    assert comments["transition"] == "memory"  # nearest to 617 MHz
+    if command == "ramsey":
+        pi_time = _Engine(ground_defaults(), reference_field()).pi_time("memory", 8.92e6, 5.00e6)
+        assert float(comments["pi_half_s"]) == 0.5 * pi_time
+    else:
+        assert "pi_half_s" not in comments
+    fit = {"command": "fit", "output": str(tmp_path / "fit-out.json"),
+           "options": {"datasets": [{"path": "map.csv"}],
+                       "initial": dataclasses.asdict(FitParams.reference()), "max_eval": 3}}
+    doc = load_json_artifact(cli.run(str(write_config(tmp_path, fit, "fit.json"))))
+    assert math.isfinite(doc["loss"])
+
+
+def test_fit_reads_the_header_label(tmp_path, monkeypatch):
+    """A dataset's label comes from its block, else from the CSV header."""
+    from snspin import fitkit
+
+    spec = fitkit.ExperimentSpec("rabi", "broker", (6.44e8,), (0.0, 1e-7), label="chevron")
+    fitkit.save_signal_csv(tmp_path / "map.csv", fitkit.simulate_experiment(
+        fitkit.FitParams.reference(), spec), metadata=spec.metadata())
+    labels = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(problem, **kwargs):
+        labels.extend(spec.label for spec in problem.specs)
+        raise Stop
+
+    monkeypatch.setattr(fitkit, "fit_parameters", capture)
+    for block, label in (({}, "chevron"), ({"label": "own"}, "own")):
+        cfg = {"command": "fit", "output": str(tmp_path / "fit-out.json"),
+               "options": {"datasets": [{"path": "map.csv", **block}],
+                           "initial": dataclasses.asdict(fitkit.FitParams.reference())}}
+        with pytest.raises(Stop):
+            cli.run(str(write_config(tmp_path, cfg, "fit.json")))
+        assert labels.pop() == label
 
 
 @pytest.mark.parametrize("command", list(SMALL_CONFIGS))
@@ -513,7 +574,7 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("ramsey", "options.noise", {"kind": "quasi-static-gaussian", "sigma": 5e5},
      "options.noise.sigma"),
     ("levels", "field", {"bx_t": None}, "field.bx_t"),
-    ("levels", "ground", dict(ground_defaults().to_dict(), a_par=True), "ground.a_par"),
+    ("levels", "ground", dict(dataclasses.asdict(ground_defaults()), a_par=True), "ground.a_par"),
     ("decouple", "options.total_time_s", [-5e-6, 1e-5, 2e-5], "options.total_time_s"),
     ("rb", "options.lengths", [1.5, 4, 16], "options.lengths[0]"),
     ("levels", "feild", {"bx_t": 1e-3}, "feild"),
@@ -522,7 +583,7 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("transitions", "options.zpl_hz", float("nan"), "options.zpl_hz"),
     ("fidelity-budget", "options.delta_omega_rad_s", float("inf"),
      "options.delta_omega_rad_s"),
-    ("levels", "ground", dict(ground_defaults().to_dict(), a_par=float("inf")), "ground.a_par"),
+    ("levels", "ground", dict(dataclasses.asdict(ground_defaults()), a_par=float("inf")), "ground.a_par"),
     pytest.param("transitions", "options.zpl_hz", 10 ** 400, "options.zpl_hz",
                  id="transitions-options.zpl_hz-huge-integer"),
     pytest.param("levels", "seed", 10 ** 400, "seed", id="levels-seed-huge-integer"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snspin.csvio import grid_lines, save_csv
 from snspin.params import GAMMA_PHONON_1P7K, MagneticField, ManifoldParams, ground_defaults
 from snspin.spinmodel import manifold_eigensystem
 from snspin.coherence import (
@@ -185,12 +186,19 @@ def test_coherence_map_validation(ground):
         coherence_map(ground, [], [1e11])
 
 
-def test_coherence_map_csv(ground):
+def test_coherence_map_csv(ground, tmp_path):
     cmap = coherence_map(ground, [0.0, 1e4], [8e11, 9e11])
-    rows = cmap.csv_rows()
-    assert rows[0] == ("upsilon_hz", "alpha_hz", "t2_s")
-    assert len(rows) == 1 + 4
-    assert float(rows[1][2]) == cmap.t2_s[0, 0]
+    path = tmp_path / "coherence.csv"
+    save_csv(path, ("upsilon_hz", "alpha_hz", "t2_s"),
+             grid_lines(cmap.upsilon_hz, cmap.alpha_hz, cmap.t2_s))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "upsilon_hz,alpha_hz,t2_s"
+    assert len(lines) == 1 + 4
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    # strain outer, and every value survives the text exactly
+    assert [row[:2] for row in rows] == [[u, a] for u in cmap.upsilon_hz
+                                         for a in cmap.alpha_hz]
+    assert [row[2] for row in rows] == cmap.t2_s.ravel().tolist()
 
 
 @pytest.mark.parametrize("lambda_sign", [1.0, -1.0])

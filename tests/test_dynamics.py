@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from snspin import dynamics as dyn
+from snspin.csvio import save_signal_csv
 from snspin.dynamics import (
     DriveSegment,
     NoiseModel,
@@ -372,6 +373,33 @@ def test_decoupling_static_noise_limit():
     assert np.all(echo.coherence == 1.0)
 
 
+@pytest.mark.parametrize("n_pulses", [0, 2])
+def test_decoupling_long_correlation_times_reach_the_static_limit(n_pulses):
+    """Far beyond the total time the curve is the static-noise curve: finite,
+    within 1e-8, with no warning and no overflow, up to tau = 1e300 s."""
+    delays = np.linspace(0, 10e-6, 11)
+    static = decoupling_scan(n_pulses, delays,
+                             NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3)).coherence
+    for tau in (1e4, 1e12, 1e160, 1e300):
+        noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3, correlation_time_s=tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coherence = decoupling_scan(n_pulses, delays, noise).coherence
+        assert np.all(np.isfinite(coherence))
+        np.testing.assert_allclose(coherence, static, rtol=0, atol=1e-8)
+
+
+def test_decoupling_flat_curve_sets_no_t2():
+    """Static noise under an echo pair refocuses at every time, so the curve
+    does not decay and no stretched exponential is fit to it."""
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3)
+    res = decoupling_scan(2, np.linspace(0, 30e-6, 25), noise)
+    assert np.all(res.coherence == 1.0)
+    assert not res.fit_ok
+    assert "does not decay" in res.message
+    assert not math.isfinite(res.t2_s)
+
+
 def test_decoupling_scan_extends_coherence():
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
                        correlation_time_s=100e-6)
@@ -505,7 +533,7 @@ def test_rb_three_lengths_fit_exactly_with_no_error():
     assert math.isfinite(res.fidelity_err)
 
 
-def test_rb_validation_and_csv():
+def test_rb_validation():
     with pytest.raises(ValueError, match="fidelity"):
         rb_simulate(1.2)
     for lengths in ([1.5, 4.7, 16.2], [-1, 4, 16], [1, 4, float("inf")]):
@@ -515,10 +543,8 @@ def test_rb_validation_and_csv():
     with pytest.raises(ValueError, match="two sequences per length"):
         rb_simulate(0.95, lengths=[1, 4, 16], sequences_per_length=1)
     res = rb_simulate(0.95, lengths=[1, 4, 16, 64], sequences_per_length=30, seed=0)
-    rows = res.csv_rows()
-    assert rows[0] == ("length", "mean_survival", "stderr")
-    assert len(rows) == 5
-    assert int(rows[1][0]) == 1
+    assert res.lengths.tolist() == [1, 4, 16, 64]
+    assert res.mean_survival.shape == res.stderr.shape == (4,)
 
 
 def test_rb_rejects_fewer_than_three_lengths():
@@ -572,12 +598,13 @@ def test_maps_reject_negative_times_and_non_finite_grids(ground, field):
             ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=bad)
 
 
-def test_signal_map_csv_and_shape():
+def test_signal_map_csv_and_shape(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         SignalMap(np.arange(3.0), np.arange(2.0), np.zeros((2, 3)))
     sm = SignalMap(np.array([1.0, 2.0]), np.array([0.5]),
                    np.array([[0.25], [0.75]]))
-    rows = sm.csv_rows()
-    assert rows[0] == ("freq_hz", "duration_s", "signal")
-    assert len(rows) == 3
-    assert float(rows[2][2]) == 0.75
+    save_signal_csv(tmp_path / "map.csv", sm, {"kind": "rabi"})
+    lines = (tmp_path / "map.csv").read_text().splitlines()
+    assert lines == ["# kind=rabi", "freq_hz,duration_s,signal",
+                     "1.0,0.5,0.25", "2.0,0.5,0.75"]
+    assert float(lines[3].split(",")[2]) == 0.75

@@ -1,5 +1,6 @@
 """Fit workflow: specs, problems, loss, calibration, CSV I/O, small fits."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -47,7 +48,7 @@ def small_problem(**kwargs):
 
 def test_fit_params_round_trip():
     theta = FitParams.reference()
-    d = theta.to_dict()
+    d = dataclasses.asdict(theta)
     assert d["a_par_hz"] == 673.8e6
     assert d["lambda_soc_hz"] == 830.0e9
     vals = theta.free_values(("b_x_dc_hz", "alpha_hz"))
@@ -361,7 +362,7 @@ def test_small_fit_recovers_two_parameters():
     assert set(res.errors_rel) == {"b_x_ac_hz", "a_par_hz"}
     assert all(0 <= v < 0.05 for v in res.errors_rel.values())
     assert set(res.transitions_hz) == {"broker", "memory", "broker_m1"}
-    d = res.to_dict()
+    d = dataclasses.asdict(res)
     assert d["params"]["a_par_hz"] == res.params.a_par_hz
     assert d["success"] is True
 
@@ -370,7 +371,7 @@ def test_fit_does_not_depend_on_seed():
     prob = two_parameter_problem()
     a = fit_parameters(prob, seed=0, max_eval=400)
     b = fit_parameters(prob, seed=7, max_eval=400)
-    assert a.to_dict() == b.to_dict()
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 @pytest.fixture
@@ -542,7 +543,7 @@ def test_fit_is_the_same_on_one_and_two_cpus(monkeypatch, shared_list, make, max
     for count in (1, 2):
         _seeing_cpus(monkeypatch, count)
         # as repr, since a budget that runs out leaves NaN errors
-        outcomes.append(repr(fit_parameters(prob, max_eval=max_eval).to_dict()))
+        outcomes.append(repr(dataclasses.asdict(fit_parameters(prob, max_eval=max_eval))))
         pids.append(set(shared_list))
         shared_list[:] = []
     assert outcomes[0] == outcomes[1]

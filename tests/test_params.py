@@ -66,13 +66,6 @@ def test_reference_field_larmor_components():
     assert f.by == 0.0
 
 
-def test_params_dict_round_trip():
-    p = ground_defaults()
-    assert ManifoldParams.from_dict(p.to_dict()) == p
-    f = MagneticField(bx=1e-4, by=-2e-4, bz=3e-4)
-    assert MagneticField.from_dict(f.to_dict()) == f
-
-
 def test_params_reject_non_numbers():
     with pytest.raises(ValueError):
         ManifoldParams(lambda_soc=float("nan"))

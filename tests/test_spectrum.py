@@ -1,13 +1,17 @@
 """Microwave/optical transition tables, PLE traces, memory detuning."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snspin.csvio import save_csv, table_lines
 from snspin.params import MagneticField, ManifoldParams
 from snspin.spinmodel import manifold_eigensystem
 from snspin.optics import spin_conserving_pairs
 from snspin.spectrum import (
+    TransitionEntry,
     memory_detuning,
     mw_transitions,
     optical_transitions,
@@ -149,9 +153,15 @@ def test_memory_detuning_nonzero_at_field(ground_system, excited_system):
     assert abs(memory_detuning(ground_system, excited_system)) > 1e4
 
 
-def test_table_csv_rows(ground_system):
-    rows = mw_transitions(ground_system).csv_rows()
-    assert rows[0] == ("from_label", "to_label", "frequency_hz", "kind", "peak_id")
-    assert len(rows) == 4
+def test_table_csv_rows(ground_system, tmp_path):
+    entries = mw_transitions(ground_system).entries
+    header = [f.name for f in fields(TransitionEntry)]
+    path = tmp_path / "transitions.csv"
+    save_csv(path, header, table_lines(*([getattr(e, n) for e in entries] for n in header)))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "from_label,to_label,frequency_hz,kind,peak_id"
+    assert len(lines) == 4
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows[0][:2] == [entries[0].from_label, entries[0].to_label]
     # frequencies survive a text round trip exactly
-    assert float(rows[1][2]) == mw_transitions(ground_system).entries[0].frequency_hz
+    assert float(rows[0][2]) == entries[0].frequency_hz
