@@ -4,7 +4,8 @@
 number as the ``repr`` of the Python number, which reads back exactly.
 Rows come from equal-length columns (``table_lines``) or from a grid over
 axis0 x axis1, axis0 outer (``grid_lines``).  Kept apart from the model
-modules so that writing a table loads no scipy.
+modules so that the format has one home that loads none of them:
+``load_signal_csv`` imports ``SignalMap`` when it runs.
 """
 
 from __future__ import annotations

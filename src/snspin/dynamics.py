@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .params import ManifoldParams, MagneticField, MU_B_HZ_PER_T
 from .spinmodel import (
@@ -235,6 +233,8 @@ class _Engine:
         and of theta, row i for tone i.  The tones of one drive (ax, az,
         phase, sign of f) share one stacked eigh of its substep
         Hamiltonians and are composed side by side."""
+        from scipy.linalg import schur
+
         pq = np.empty((len(tones), _SUBSTEPS + 1, 8, 8), dtype=complex)
         theta = np.empty((len(tones), 8))
         drives = {}
@@ -566,11 +566,12 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
     E[cos(2 pi phi)] of the sign-switched detuning integral phi (cycles).
     ``delay_grid`` is the total free-evolution time, finite and
     non-negative; pulses sit at the standard CPMG positions.  The
-    stretched exponential exp(-(t/T2)^beta) is fit to the positive times
-    if at least two of them differ and the curve decays, falling below 1
-    by more than rounding (1e-12) at some positive time; otherwise
-    ``fit_ok`` is False, with a message, and ``t2_s`` and ``stretch`` are
-    NaN.
+    stretched exponential exp(-(t/T2)^beta) is fit as the line ln(-ln c)
+    = beta ln t - beta ln T2, by least squares over the positive times
+    where 0 < c < 1 - 1e-12 (below 1 by more than rounding), so that the
+    fit does not depend on how far the curve decays.  It needs two
+    distinct such times and a positive slope; otherwise ``fit_ok`` is
+    False, with a message, and ``t2_s`` and ``stretch`` are NaN.
 
     phi is Gaussian, so the curve is exactly exp(-2 pi^2 sigma^2 V)
     (Cywinski et al., PRB 77, 174509 (2008)) and takes no seed.  With
@@ -614,29 +615,24 @@ def decoupling_scan(n_pulses: int, delay_grid, noise: NoiseModel) -> DecouplingR
     variance = static ** 2 if math.isinf(tau_c) else variance
     coherence = np.exp(-2.0 * (math.pi * noise.sigma_hz) ** 2 * variance)
 
-    def stretched(t, t2, beta):
-        return np.exp(-((t / t2) ** beta))
-
     t2 = stretch = math.nan
     positive = delay_grid > 0
+    # exp(-(t/T2)^beta) makes ln(-ln c) a line in ln t, of slope beta
+    fit = positive & (coherence > 0) & (coherence < 1.0 - 1e-12)
     message = ""
     if np.unique(delay_grid[positive]).size < 2:
         message = "the stretched-exponential fit needs two distinct positive total times"
     elif not np.any(coherence[positive] < 1.0 - 1e-12):
         message = "the curve does not decay below 1, so it sets no T2"
+    elif np.unique(delay_grid[fit]).size < 2:
+        message = ("the stretched-exponential fit needs two distinct positive total times "
+                   "with 0 < coherence < 1 - 1e-12")
     else:
-        try:
-            with warnings.catch_warnings():
-                # two times fit exactly and leave no covariance, which is unused
-                warnings.simplefilter("ignore", OptimizeWarning)
-                fitted, _ = curve_fit(
-                    stretched, delay_grid[positive], coherence[positive],
-                    p0=[max(delay_grid[positive].mean(), 1e-9), 1.5],
-                    bounds=([1e-12, 0.3], [np.inf, 6.0]), maxfev=10000,
-                )
-            t2, stretch = float(fitted[0]), float(fitted[1])
-        except (RuntimeError, ValueError) as exc:
-            message = f"stretched-exponential fit failed: {exc}"
+        slope, offset = np.polyfit(np.log(delay_grid[fit]), np.log(-np.log(coherence[fit])), 1)
+        if slope > 0:
+            t2, stretch = math.exp(-offset / slope), float(slope)
+        else:
+            message = f"the curve's stretch {slope:.3g} is not positive, so it sets no T2"
     return DecouplingResult(delay_grid, coherence, n_pulses, t2, stretch,
                             not message, message)
 
@@ -687,6 +683,8 @@ def rb_simulate(gate_fidelity: float, lengths=None, sequences_per_length: int = 
     ``spam`` = (bright level, dark level) mixes in preparation/readout
     imperfection; the default is ideal.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     if not 0.0 <= gate_fidelity <= 1.0:
         raise ValueError("gate fidelity must be in [0, 1]")
     if lengths is None:

@@ -32,20 +32,20 @@ executor forks its workers at the fit's first Jacobian and is shut down
 before the fit returns.  With one CPU, or where ``fork`` is unavailable,
 there is no executor and the caller runs every point.  Either way the
 fit's result, its evaluation count included, is the same bit for bit.
+The pool's modules, ``multiprocessing`` and ``concurrent.futures``, load
+at the first fit (in :func:`_workers` and :class:`_Pool`), as does scipy's
+``least_squares``, so importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .params import (ManifoldParams, MagneticField, electron_larmor_hz,
                      field_for_larmor, ground_defaults, reference_field)
@@ -298,6 +298,8 @@ def _workers() -> int:
     ``fork`` or the affinity call is unavailable, in a daemonic process
     (which may not have children) and while other Python threads run (a
     lock one of them holds would stay locked in the child)."""
+    import multiprocessing
+
     if ("fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")
             or multiprocessing.current_process().daemon
@@ -332,6 +334,9 @@ class _Pool:
     """
 
     def __init__(self, fn, n_workers: int):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self.fn, self.n = fn, n_workers + 1
         self.executor = ProcessPoolExecutor(
             n_workers, multiprocessing.get_context("fork"),
@@ -435,6 +440,8 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
 
 def _calibrated(problem: FitProblem, max_eval: int = 2000) -> FitParams:
     """:func:`calibrate_initial`, under the name the fit calls it by."""
+    from scipy.optimize import least_squares
+
     free = tuple(n for n in _CALIBRATION_NAMES if n in problem.free)
     targets = []  # (transition, measured frequency, memory rate or 0)
     for spec, d in zip(problem.specs, problem.data):
@@ -533,6 +540,8 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     there; a singular information matrix is reported in the message
     rather than raised.
     """
+    from scipy.optimize import least_squares
+
     names = tuple(problem.free)
     initial = problem.initial
     if not names:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, linear_sum_assignment
 
 from .params import LIFETIME_S, ManifoldParams
 from .spinmodel import LOWER_LABELS, EigenSystem, SX_L, SY_L, manifold_eigensystems
@@ -52,6 +51,8 @@ def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem) -> dict:
     matching so it stays one-to-one even when the two manifolds order
     their mixed states differently.  Returns ground label -> excited label.
     """
+    from scipy.optimize import linear_sum_assignment
+
     strengths = dipole_strengths(ground, excited)
     exc_idx, gnd_idx = linear_sum_assignment(-strengths)
     return {LOWER_LABELS[g]: LOWER_LABELS[e] for e, g in zip(exc_idx, gnd_idx)}
@@ -239,6 +240,8 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem, pump_line,
     modes = np.exp(np.outer(times, vals)) * coeff
     traj = np.real(modes @ vecs.T)
     pop_target = traj[:, target_idx]
+
+    from scipy.optimize import curve_fit
 
     def model(t, asymptote, amp, tau):
         return asymptote + amp * np.exp(-t / tau)

@@ -671,6 +671,54 @@ def test_threads_flag_reaches_blas_before_numpy_loads(tmp_path):
     assert seen["env"] == {v: "2" for v in blas}
 
 
+_IMPORT_PROBE = """
+import importlib, json, pkgutil, sys
+import snspin
+
+def loaded(*roots):
+    return sorted(m for m in sys.modules if m.partition(".")[0] in roots)
+
+names = [info.name for info in pkgutil.iter_modules(snspin.__path__)]
+for name in names:
+    importlib.import_module(f"snspin.{name}")
+seen = {"submodules": names,
+        "at_import": loaded("scipy", "multiprocessing", "concurrent"), "runs": []}
+from snspin import cli
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    seen["runs"].append([cli.main(["--config", config, "--out", out]), loaded("scipy")])
+sys.stderr.write(json.dumps(seen) + "\\n")
+"""
+
+
+def test_imports_and_zero_field_commands_load_no_scipy(tmp_path):
+    """Every submodule imports scipy and the fit's process pool only inside
+    the functions that call them, so importing them all loads none of
+    these, and the commands that call no scipy routine never load it."""
+    configs = {
+        "levels": {},
+        "cyclicity-map": {"bx_t": {"start": 0.0, "stop": 1e-3, "points": 3},
+                          "bz_t": {"start": 0.0, "stop": 2e-4, "points": 3}},
+        "coherence-map": {"upsilon_hz": {"start": 0.0, "stop": 2e5, "points": 3},
+                          "alpha_hz": {"start": 0.0, "stop": 1.5e12, "points": 3}},
+        "decouple": {"n_pulses": 2, "total_time_s": [1e-5, 2e-5, 4e-5],
+                     "noise": {"kind": "ornstein-uhlenbeck", "sigma_hz": 2e4,
+                               "correlation_time_s": 1e-4}},
+    }
+    argv = []
+    for command, options in configs.items():
+        cfg = write_config(tmp_path, {"command": command, "options": options},
+                           f"{command}.json")
+        argv += [str(cfg), str(tmp_path / f"{command}.out")]
+    src = str(Path(snspin.__file__).resolve().parent.parent)
+    env = {"PATH": "", "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert {"cli", "dynamics", "fitkit", "optics", "spectrum"} <= set(seen["submodules"])
+    assert seen["at_import"] == []
+    assert seen["runs"] == [[0, []]] * len(configs)
+
+
 def test_every_export_resolves():
     """Each public name loads through the package's lazy ``__getattr__``, so
     a name deleted from its submodule cannot linger in the export table."""

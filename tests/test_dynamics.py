@@ -400,6 +400,21 @@ def test_decoupling_flat_curve_sets_no_t2():
     assert not math.isfinite(res.t2_s)
 
 
+def test_decoupling_fit_of_a_small_decay():
+    """A curve that falls below 1 by only 1e-5 fits as well as a deep one.
+    At tau = 1 s the 9 times to 40 us are slow noise, where the echo
+    curves are exp(-(t/T2)^3) with T2 = (3 n^2 tau / (pi sigma)^2)^(1/3)."""
+    sigma, tau = 20e3, 1.0
+    noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=sigma, correlation_time_s=tau)
+    for n_pulses in (1, 2, 4):
+        res = decoupling_scan(n_pulses, np.linspace(0, 40e-6, 9), noise)
+        assert 0 < 1.0 - res.coherence[-1] < 1e-4
+        assert res.fit_ok and res.message == ""
+        assert res.stretch == pytest.approx(3.0, abs=1e-3)
+        slow = (3.0 * n_pulses ** 2 * tau / (math.pi * sigma) ** 2) ** (1 / 3)
+        assert res.t2_s == pytest.approx(slow, rel=1e-3)
+
+
 def test_decoupling_scan_extends_coherence():
     noise = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
                        correlation_time_s=100e-6)
@@ -445,8 +460,9 @@ def test_decoupling_validation():
 
 
 def test_decoupling_fit_needs_two_distinct_positive_times():
-    """Fewer than two distinct positive total times leave the stretched
-    exponential unfit, with a message and no warning; two fit exactly."""
+    """Fewer than two distinct positive total times, or fewer than two at
+    which 0 < coherence < 1, leave the stretched exponential unfit, with a
+    message and no warning; two fit exactly."""
     ou = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=20e3,
                     correlation_time_s=1e-4)
     for delays in ([0.0, 1e-5], [1e-5, 1e-5], [0.0, 0.0]):
@@ -457,6 +473,13 @@ def test_decoupling_fit_needs_two_distinct_positive_times():
     res = decoupling_scan(1, [0.0, 1e-5, 3e-5], ou)
     assert res.fit_ok and res.message == ""
     assert res.t2_s > 0
+    # a curve that has fallen to 0 at every time but one leaves one time to fit
+    fast = NoiseModel(kind="ornstein-uhlenbeck", sigma_hz=1e9)
+    res = decoupling_scan(0, [0.0, 1e-12, 1e-5, 2e-5], fast)
+    assert 0 < res.coherence[1] < 1 and np.all(res.coherence[2:] == 0)
+    assert not res.fit_ok
+    assert "two distinct positive total times" in res.message
+    assert math.isnan(res.t2_s) and math.isnan(res.stretch)
 
 
 def test_rb_recovers_gate_fidelity():

@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from snspin import dynamics, fitkit
 from snspin.fitkit import (
@@ -426,8 +427,8 @@ def test_each_stage_runs_one_descent_from_its_best_candidate(monkeypatch, make):
             starts.append(np.array(x0))
         return least_squares(fun, x0, **kwargs)
 
-    least_squares = fitkit.least_squares
-    monkeypatch.setattr(fitkit, "least_squares", recorded)
+    least_squares = scipy.optimize.least_squares
+    monkeypatch.setattr(scipy.optimize, "least_squares", recorded)
     res = fit_parameters(prob, max_eval=2000)
     assert res.success
     assert len(starts) == len(_curriculum(prob))
