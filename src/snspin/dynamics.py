@@ -1,8 +1,13 @@
 """Driven ground-state dynamics: Rabi and Ramsey maps, decoupling, benchmarking.
 
-Everything here propagates the full 8-level manifold in the lab frame --
-no rotating-wave approximation -- because the smallest microwave
-transition (tens of MHz) is not far above the achievable Rabi rates.
+Everything here propagates in the lab frame -- no rotating-wave
+approximation -- because the smallest microwave transition (tens of MHz)
+is not far above the achievable Rabi rates.  Gates start, act and are
+read out in the lower orbital branch, which the drive barely reaches
+across the THz orbital gap, so the map engine propagates its four levels
+alone when a bound computed per call allows it (adiabatic elimination;
+see ``_Engine._levels``), and all 8 otherwise.  ``propagate`` always
+integrates all 8 levels and stays the independent reference.
 The drive is the Zeeman operator of an oscillating field applied on top
 of the static bias, with amplitudes quoted as electron drive strengths
 (g mu_B B_ac / h, in Hz) like the static field table.
@@ -49,6 +54,12 @@ ROUTING = {
 _SUBSTEPS = 32          # midpoint substeps per drive period (>= 20 required)
 _BLOCK_ROWS = 1024      # programs per group of rows run together; bounds temporaries
 _END_STEPS = 256        # pulse-end steps per stacked eigh; bounds the temporaries of _steps
+# Bounds of the lower-branch reduction (``_Engine._levels``).  Each caps a
+# population error near 1e-8 (a phase error of x cycles moves one by at
+# most 2 pi x), five orders below the engine's own substep error; the
+# reference point reads 4.6e-13 and 6.9e-10.
+_LEAKAGE_MAX = 1e-8         # upper-branch population a drive may leave
+_SHIFT_SPREAD_MAX = 1e-8    # cycles the lower levels' second-order shifts may drift apart
 
 
 @dataclass(frozen=True)
@@ -157,9 +168,15 @@ class _Engine:
     _SUBSTEPS.  The tables of a call of ``_sweep`` are built together
     from those eigensystems and dropped after it, and the end steps
     F P[k] of each group of rows are taken in stacked passes of at most
-    ``_END_STEPS``.  ``report`` counts the substep eigensystems, tone
-    tables, end steps and end-step passes the engine has built, summed
-    over its calls.
+    ``_END_STEPS``.
+
+    Each call runs on the n x n block of E, Vx and Vz that ``_levels``
+    picks: the four lower-branch levels of the exact 8-level static
+    eigenbasis, or all 8.  Its states keep 8 components, the upper ones
+    zero when reduced.  ``report`` counts the substep eigensystems, tone
+    tables, end steps, end-step passes and sweeps on 4 and on 8 levels,
+    summed over the engine's calls, with the largest figures of
+    ``_levels`` among the sweeps of each size.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
@@ -170,8 +187,11 @@ class _Engine:
         self.bright_mask = np.array(
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
-        self._built = dict.fromkeys(("substep_eigensystems", "tone_tables",
-                                     "end_steps", "end_step_passes"), 0)
+        self._built = dict.fromkeys(("substep_eigensystems", "tone_tables", "end_steps",
+                                     "end_step_passes", "sweeps_4_levels",
+                                     "sweeps_8_levels"), 0)
+        self._built.update({f"max_{figure}_{n}_levels": 0.0 for n in (4, 8)
+                            for figure in ("leakage", "shift_spread_cycles")})
 
     def transition_frequency(self, transition: str) -> float:
         a, b = TRANSITIONS[transition]
@@ -205,51 +225,85 @@ class _Engine:
         """1B population of a state, or of each row of stacked states."""
         return np.sum(np.abs(psi[..., self.bright_mask]) ** 2, axis=-1)
 
-    def free_phases(self, duration) -> np.ndarray:
-        return np.exp(-2j * math.pi * self.energies * duration)
-
     def report(self) -> dict:
         """How many substep eigensystems, tone tables, end steps and
-        stacked end-step passes this engine has built over all its calls."""
+        stacked end-step passes this engine has built over all its calls,
+        how many of its sweeps ran on 4 and on 8 levels, and the largest
+        leakage and shift-spread figures (``_levels``) of each."""
         return dict(self._built)
 
-    def _steps(self, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    def _levels(self, labels, tones, driven_s: float) -> tuple:
+        """The levels a sweep propagates, 4 or 8, and the figures that
+        chose them: (n, leakage, shift spread in cycles).
+
+        Per drive (ax, az) of ``tones``, with V_lu = ax Vx + az Vz between
+        the lower (l) and upper (u) branch and its cosine bounded by 1,
+        the upper branch takes at most the population (|V_lu| / gap)^2,
+        the gap less the fastest tone.  On the cycle average the drive
+        shifts each lower level by 1/2 sum_u |V_lu|^2 / (E_l - E_u); a
+        common shift is a global phase, and their spread dephases the
+        lower levels over the longest driven time ``driven_s`` (no drive,
+        no shift).  These are the terms the reduction drops, the
+        second-order effective Hamiltonian (Schrieffer-Wolff; Bravyi,
+        DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  Keep 4 levels
+        when every program starts from a lower-branch label of
+        ``labels``, the lower labels are the four lowest columns, and
+        both figures stay within their bounds.
+        """
+        e = self.energies
+        fastest = max((abs(tone[0]) for tone in tones), default=0.0)
+        gap = float(e[4] - e[3]) - fastest
+        leakage = spread = 0.0
+        for ax, az in {tone[1:3] for tone in tones}:
+            v = np.abs((ax * self.vx + az * self.vz)[:4, 4:])
+            leakage = max(leakage, (float(v.max()) / gap) ** 2 if gap > 0 else math.inf)
+            shifts = 0.5 * np.sum(v ** 2 / (e[:4, None] - e[4:]), axis=1)
+            spread = max(spread, float(np.ptp(shifts)) * driven_s)
+        lower = all(lab.startswith("lower.") for lab in self.system.labels[:4])
+        reduce = (lower and all(lab.startswith("lower.") for lab in labels)
+                  and leakage <= _LEAKAGE_MAX and spread <= _SHIFT_SPREAD_MAX)
+        return (4 if reduce else 8), leakage, spread
+
+    def _steps(self, energies, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Stacked end steps exp(-2 pi i (E + c V) dt) over pulse-end
         remainders, one stacked eigh; ``v`` holds one drive operator per
-        end and is overwritten.  The tables' own substeps are taken in
-        ``_tables``."""
+        end (on the levels of ``energies``) and is overwritten.  The
+        tables' own substeps are taken in ``_tables``."""
         self._built["end_steps"] += len(c)
         self._built["end_step_passes"] += 1
         # E + c V in place, with no temporary beside ``v``; dropped after eigh
-        h = np.add(np.diag(self.energies), np.multiply(c[:, None, None], v, out=v), out=v)
+        h = np.add(np.diag(energies), np.multiply(c[:, None, None], v, out=v), out=v)
         vals, vecs = np.linalg.eigh(h)
         del h, v
         vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
         vecs *= np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]
         return vecs @ vecs_h
 
-    def _tables(self, tones: list) -> tuple:
-        """Tables of ``tones`` (see the class notes): the stacks of P[k] Q
-        and of theta, row i for tone i.  The tones of one drive (ax, az,
-        phase, sign of f) share one stacked eigh of its substep
-        Hamiltonians and are composed side by side."""
+    def _tables(self, tones: list, block: tuple) -> tuple:
+        """Tables of ``tones`` on the levels of ``block`` = (E, Vx, Vz)
+        (see the class notes): the stacks of P[k] Q and of theta, row i
+        for tone i.  The tones of one drive (ax, az, phase, sign of f)
+        share one stacked eigh of its substep Hamiltonians and are
+        composed side by side."""
         from scipy.linalg import schur
 
-        pq = np.empty((len(tones), _SUBSTEPS + 1, 8, 8), dtype=complex)
-        theta = np.empty((len(tones), 8))
+        energies, vx, vz = block
+        n = len(energies)
+        pq = np.empty((len(tones), _SUBSTEPS + 1, n, n), dtype=complex)
+        theta = np.empty((len(tones), n))
         drives = {}
         for i, (freq, ax, az, phase) in enumerate(tones):
             drives.setdefault((ax, az, phase, np.sign(freq)), []).append(i)
         for (ax, az, phase, sign), rows in drives.items():
             c = np.cos(sign * 2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS
                        + phase)
-            vals, vecs = np.linalg.eigh(np.diag(self.energies)
-                                        + c[:, None, None] * (ax * self.vx + az * self.vz))
+            vals, vecs = np.linalg.eigh(np.diag(energies)
+                                        + c[:, None, None] * (ax * vx + az * vz))
             vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
             dt = _period(np.array([tones[i][0] for i in rows])) / _SUBSTEPS
             phases = np.exp(-2j * math.pi * vals * dt[:, None, None])
-            prefix = np.empty((len(rows), _SUBSTEPS + 1, 8, 8), dtype=complex)
-            prefix[:, 0] = np.eye(8)
+            prefix = np.empty((len(rows), _SUBSTEPS + 1, n, n), dtype=complex)
+            prefix[:, 0] = np.eye(n)
             for k in range(_SUBSTEPS):
                 step = (vecs[k] * phases[:, k, None, :]) @ vecs_h[k]
                 np.matmul(step, prefix[:, k], out=prefix[:, k + 1])
@@ -272,7 +326,9 @@ class _Engine:
         built together and dropped after the call, and the rows of all
         sets go through in groups of ``_BLOCK_ROWS`` (a group may hold
         rows of several sets), each group planning its end steps at once
-        (``_group``).
+        (``_group``).  All of it runs on the levels ``_levels`` chooses;
+        the upper components of the states stay zero when those are the
+        lower four.
         """
         index = {}
         depth = max(len(layers) for _, _, layers in programs)
@@ -290,18 +346,27 @@ class _Engine:
                     [index.setdefault(tone, len(index)) for tone in tones])[which]
             row += n
         tones = list(index)
-        pq, theta = self._tables(tones)
+        driven_s = float(np.sum(np.where(kind >= 0, dur, 0.0), axis=0).max())
+        n, leakage, spread = self._levels([label for label, _, _ in programs], tones,
+                                          driven_s)
+        self._built[f"sweeps_{n}_levels"] += 1
+        for figure, value in (("leakage", leakage), ("shift_spread_cycles", spread)):
+            key = f"max_{figure}_{n}_levels"
+            self._built[key] = max(self._built[key], value)
+        block = (self.energies[:n], self.vx[:n, :n], self.vz[:n, :n])
+        pq, theta = self._tables(tones, block)
         start = np.zeros_like(dur)
         start[1:] = np.cumsum(dur[:-1], axis=0)
         for first in range(0, size, _BLOCK_ROWS):
             rows = slice(first, first + _BLOCK_ROWS)
-            self._group(psi[rows], tones, pq, theta, kind[:, rows], start[:, rows],
-                        dur[:, rows])
+            self._group(psi[rows, :n], tones, block, pq, theta, kind[:, rows],
+                        start[:, rows], dur[:, rows])
         return psi
 
-    def _group(self, psi, tones, pq, theta, kind, start, dur):
-        """Apply the layers of one group of rows to ``psi`` in place, with
-        the call's tone tables ``pq`` and ``theta`` (see ``_sweep``).
+    def _group(self, psi, tones, block, pq, theta, kind, start, dur):
+        """Apply the layers of one group of rows to ``psi`` in place, on
+        the levels of ``block`` = (E, Vx, Vz) and with the call's tone
+        tables ``pq`` and ``theta`` (see ``_sweep``).
 
         Plan: the ends of every driven layer of every row are collected,
         each bitwise-distinct (tone, substep, remainder) once, and their
@@ -310,6 +375,7 @@ class _Engine:
         runs from t = 0, and any period tabulates it exactly.  Run: each
         layer gathers its rows' end steps and applies W(t_b) W(t_a)^dagger.
         """
+        energies, vx, vz = block
         freq, ax, az, phase = np.array(tones, dtype=float).reshape(-1, 4).T
         period = _period(freq)
         driven = [np.flatnonzero(layer >= 0) for layer in kind]
@@ -329,16 +395,16 @@ class _Engine:
             (tone, k), frac = np.divmod(keys.real.astype(int), _SUBSTEPS + 1), keys.imag
             t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
             c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
-            v = ax[:, None, None] * self.vx + az[:, None, None] * self.vz
-            g = np.empty((len(keys), 8, 8), dtype=complex)   # W(t) without M^n
+            v = ax[:, None, None] * vx + az[:, None, None] * vz
+            g = np.empty((len(keys),) + vx.shape, dtype=complex)   # W(t) without M^n
             for first in range(0, len(keys), _END_STEPS):
                 part = slice(first, first + _END_STEPS)
-                step = self._steps(v[tone[part]], c[part], frac[part])
+                step = self._steps(energies, v[tone[part]], c[part], frac[part])
                 np.matmul(step, pq[tone[part], k[part]], out=g[part])
         pos = 0
         for layer, d, rows in zip(kind, dur, driven):
             free = np.flatnonzero(layer == -1)
-            psi[free] = self.free_phases(d[free][:, None]) * psi[free]
+            psi[free] = np.exp(-2j * math.pi * energies * d[free][:, None]) * psi[free]
             if rows.size:
                 a = slice(pos, pos + rows.size)
                 b = slice(a.stop, a.stop + rows.size)
@@ -379,9 +445,11 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
     """Reference piecewise integrator for arbitrary programs.
 
     Steps through every drive segment with midpoint-sampled constant
-    Hamiltonians, treating the static part exactly at each step.  The
-    timestep must resolve the fastest tone with at least 20 samples per
-    period; gaps and zero-frequency segments are evaluated exactly.
+    Hamiltonians on all 8 levels, treating the static part exactly at
+    each step, with none of ``_Engine``'s tables or level cuts, so that
+    it checks them.  The timestep must resolve the fastest tone with at
+    least 20 samples per period; gaps and zero-frequency segments are
+    evaluated exactly.
 
     Returns the final state in the fixed product basis (and the full
     sequence unitary when ``return_unitary`` is set).

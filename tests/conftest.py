@@ -29,3 +29,14 @@ def ground_system(ground, field):
 @pytest.fixture(scope="session")
 def excited_system(excited, field):
     return manifold_eigensystem(excited, field)
+
+
+@pytest.fixture
+def eight_levels(monkeypatch):
+    """Every engine sweep propagates all 8 levels: the lower-branch rule
+    still computes its figures, but its reduction is refused."""
+    from snspin import dynamics
+
+    rule = dynamics._Engine._levels
+    monkeypatch.setattr(dynamics._Engine, "_levels",
+                        lambda self, *args: (8,) + rule(self, *args)[1:])

@@ -1,5 +1,6 @@
 """Driven dynamics: propagators, chevron/Ramsey maps, decoupling, RB."""
 
+import dataclasses
 import math
 import warnings
 
@@ -109,6 +110,23 @@ def test_propagate_matches_engine(ground, field, engine):
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-11
 
 
+def test_upper_branch_start_keeps_8_levels(ground, field):
+    """A program that starts in the upper orbital branch is driven there,
+    so the engine keeps all 8 levels and matches ``propagate`` as it does
+    from the lower branch."""
+    engine = dyn._Engine(ground, field)
+    prog = PulseProgram((
+        DriveSegment(F_BROKER, AX, AZ, 0.3, PI_S["broker"]),
+        DriveSegment(0.0, 0.0, 0.0, 0.0, 50e-9),
+        DriveSegment(F_MEMORY, AX, AZ, 1.1, 100e-9),
+    ), init_label="upper.0B0M")
+    psi_ref = propagate(engine.h0, ground, prog)
+    psi_eng = engine.system.states @ engine.run(prog)
+    assert engine.report()["sweeps_8_levels"] == 1
+    assert abs(np.vdot(psi_ref, psi_eng)) > 1 - 1e-6
+    assert np.max(np.abs(np.abs(psi_ref) ** 2 - np.abs(psi_eng) ** 2)) < 1e-4
+
+
 def test_propagate_timestep_guard(ground, engine):
     prog = PulseProgram((DriveSegment(F_BROKER, AX, AZ, 0.0, 10e-9),))
     required = 1.0 / (20.0 * F_BROKER)
@@ -122,18 +140,36 @@ def test_gap_is_exact_free_evolution(ground, engine):
                         init_label="lower.1B0M")
     psi = propagate(engine.h0, ground, prog)
     idx = engine.system.index("lower.1B0M")
-    expected = engine.system.states[:, idx] * engine.free_phases(dur)[idx]
+    phase = np.exp(-2j * math.pi * engine.energies[idx] * dur)
+    expected = engine.system.states[:, idx] * phase
     assert np.allclose(psi, expected, atol=1e-14)
 
 
-def test_constant_drive_is_time_invariant(engine):
-    """A zero-frequency drive acts by its duration alone, wherever it starts."""
+def check_constant_drive(engine, levels):
+    """A zero-frequency drive acts by its duration alone, wherever it
+    starts: one exact step on the ``levels`` lowest levels, which the
+    engine propagated while the others stayed zero."""
     first = DriveSegment(F_BROKER, AX, AZ, 0.0, 43e-9)
     psi = engine.run(PulseProgram((first, DriveSegment(0.0, AX, AZ, 0.4, 30e-9))))
-    vals, vecs = np.linalg.eigh(np.diag(engine.energies)
-                                + math.cos(0.4) * (AX * engine.vx + AZ * engine.vz))
+    block = slice(0, levels)
+    vals, vecs = np.linalg.eigh(np.diag(engine.energies[block]) + math.cos(0.4)
+                                * (AX * engine.vx + AZ * engine.vz)[block, block])
     step = (vecs * np.exp(-2j * math.pi * vals * 30e-9)) @ vecs.conj().T
-    assert np.allclose(psi, step @ engine.run(PulseProgram((first,))), atol=1e-12)
+    before = engine.run(PulseProgram((first,)))
+    assert engine.report()[f"sweeps_{levels}_levels"] == 2
+    assert np.allclose(psi[block], step @ before[block], atol=1e-12)
+    assert not np.any(psi[levels:]) and not np.any(before[levels:])
+
+
+def test_constant_drive_is_time_invariant(ground, field, eight_levels):
+    """On all 8 levels, with the lower-branch reduction refused."""
+    check_constant_drive(dyn._Engine(ground, field), 8)
+
+
+def test_constant_drive_is_time_invariant_on_the_lower_branch(ground, field):
+    """On the four lower-branch levels that the engine keeps at the
+    reference, with the step built from their block."""
+    check_constant_drive(dyn._Engine(ground, field), 4)
 
 
 @pytest.mark.parametrize("freqs, phase, periods, eigensystems", [
@@ -142,15 +178,17 @@ def test_constant_drive_is_time_invariant(engine):
     ((0.0,), 0.4, (1,), 1),
     ((2.0 ** 29, -2.0 ** 29, 2.0 ** 25), 0.0, (40, 40, 3), 2),   # drives interleaved
 ])
-def test_tables_match_propagation_over_whole_periods(ground, field, freqs, phase,
-                                                     periods, eigensystems):
+def test_tables_match_propagation_over_whole_periods(ground, field, eight_levels, freqs,
+                                                     phase, periods, eigensystems):
     """A pulse of whole periods from t = 0 is a power of its tone's period
     propagator, so it matches ``propagate`` at the table's own substeps:
     the tones of one drive amplitude and phase share the eigensystem of
     their substep Hamiltonians whatever their frequency.  Powers of two
     make the periods and substeps exact.  A constant drive has no period;
     its pulse is one exact step of any duration.  All pulses run in one
-    call, so the shared eigensystems are counted within it."""
+    call, so the shared eigensystems are counted within it.  The states
+    are compared on all 8 levels, so the lower-branch reduction is
+    refused: it drops upper-branch amplitudes of order 1e-6."""
     engine = dyn._Engine(ground, field)
     programs, references = [], []
     for freq, n in zip(freqs, periods):
@@ -163,12 +201,15 @@ def test_tables_match_propagation_over_whole_periods(ground, field, freqs, phase
         assert np.max(np.abs(engine.system.states @ psi - reference)) < 1e-9
     assert engine.report()["substep_eigensystems"] == eigensystems
     assert engine.report()["tone_tables"] == len(freqs)
+    assert engine.report()["sweeps_8_levels"] == 1
 
 
 @pytest.mark.parametrize("transition", list(dyn.TRANSITIONS))
 def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     """A routed chevron builds one substep eigensystem for all its tones,
-    one table per drive frequency and routing tone, and end steps."""
+    one table per drive frequency and routing tone, and end steps, on
+    the four lower-branch levels: at the reference the upper branch is
+    out of the drive's reach by orders of magnitude."""
     engine = dyn._Engine(ground, field)
     freqs = engine.transition_frequency(transition) + np.array([-2.1e6, -0.3e6, 1.7e6])
     dyn._signals(engine, [dyn._program_set(engine, AX, AZ, freqs, np.array([40e-9, 150e-9]),
@@ -178,8 +219,30 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     assert report["substep_eigensystems"] == 1
     assert report["tone_tables"] == len(freqs) + len(routing)
     assert report["end_steps"] > 0
+    assert (report["sweeps_4_levels"], report["sweeps_8_levels"]) == (1, 0)
+    assert 0.0 < report["max_leakage_4_levels"] < 1e-3 * dyn._LEAKAGE_MAX
+    assert 0.0 < report["max_shift_spread_cycles_4_levels"] < 0.1 * dyn._SHIFT_SPREAD_MAX
+    assert report["max_leakage_8_levels"] == report["max_shift_spread_cycles_8_levels"] == 0.0
     report["tone_tables"] = 0
     assert engine.report()["tone_tables"] == len(freqs) + len(routing)
+
+
+def test_small_orbital_gap_keeps_8_levels(request, ground, field):
+    """With a 10 GHz spin-orbit splitting and no strain the drive shifts
+    the lower levels apart by tens of Hz, so a broker chevron keeps all 8
+    levels: its pixels are bitwise those with the reduction refused."""
+    near = dataclasses.replace(ground, lambda_soc=1e10, strain_egx=0.0)
+    engine = dyn._Engine(near, field)
+    freqs = engine.transition_frequency("broker") + np.array([-2.1e6, 0.0, 1.7e6])
+    times = np.array([40e-9, 150e-9, 400e-9])
+    signal = dyn._signals(engine, [dyn._program_set(engine, AX, AZ, freqs, times,
+                                                    "broker")])[0]
+    report = engine.report()
+    assert (report["sweeps_4_levels"], report["sweeps_8_levels"]) == (0, 1)
+    assert report["max_shift_spread_cycles_8_levels"] > dyn._SHIFT_SPREAD_MAX
+    request.getfixturevalue("eight_levels")
+    assert rabi_map(near, field, AX, AZ, freqs, times,
+                    transition="broker").signal.tobytes() == signal.tobytes()
 
 
 def test_each_sweep_builds_its_own_tables(ground, field):

@@ -137,6 +137,20 @@ def test_planned_specs_equal_their_own_maps(monkeypatch, block_rows):
             assert signal.tobytes() == simulate_experiment(theta, spec).signal.tobytes()
 
 
+def test_lower_branch_pixels_match_the_8_level_path(request):
+    """At the truth and at the +-5% start the engine propagates only the
+    lower orbital branch, and every pixel of the full-size problem stays
+    within 1e-8 of the 8-level propagation."""
+    prob = reference_problem()
+    points = (prob.initial, _alternating(prob.initial, 1.0))
+    reduced = [_simulate_all(theta, prob.specs) for theta in points]
+    request.getfixturevalue("eight_levels")
+    for theta, maps in zip(points, reduced):
+        full = _simulate_all(theta, prob.specs)
+        deviation = max(np.max(np.abs(a - b)) for a, b in zip(maps, full))
+        assert 0.0 < deviation < 1e-8
+
+
 @pytest.mark.parametrize("end_steps", [None, 100])
 def test_one_loss_plans_its_pulses_at_once(monkeypatch, end_steps):
     """One residual evaluation builds one system, its one substep
