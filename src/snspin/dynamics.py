@@ -27,6 +27,16 @@ pulse of a call before it runs any: the period tables of all its tones
 are built side by side, and the pulse ends of a group of rows -- which
 may come from several maps, such as every map of one fit evaluation --
 are deduplicated once and integrated in a few stacked passes.
+
+The tables cost a few large calls rather than many small ones.  The
+tones of one drive are composed side by side, one n x (n tones) matrix
+per substep, so each substep is two 2-D products for all of them; the
+period propagators of all tones get one finite check, one LAPACK
+workspace query and one complex Schur factorization (``zgees``) each.
+With no static field along y and strain along Egx only, H is real in the
+product basis, and so are its eigenvectors and the drive operators; the
+engine then keeps Vx and Vz real, and every substep and end-step eigh is
+a real symmetric one.  Its formulas do not depend on the dtype.
 """
 
 from __future__ import annotations
@@ -168,28 +178,31 @@ class _Engine:
     _SUBSTEPS.  The tables of a call of ``_sweep`` are built together
     from those eigensystems and dropped after it, and the end steps
     F P[k] of each group of rows are taken in stacked passes of at most
-    ``_END_STEPS``.
+    ``_END_STEPS``.  Vx and Vz are float64 when their imaginary parts
+    are exactly zero (no static field along y, strain along Egx only),
+    complex otherwise; the same formulas serve both.
 
     Each call runs on the n x n block of E, Vx and Vz that ``_levels``
     picks: the four lower-branch levels of the exact 8-level static
     eigenbasis, or all 8.  Its states keep 8 components, the upper ones
     zero when reduced.  ``report`` counts the substep eigensystems, tone
-    tables, end steps, end-step passes and sweeps on 4 and on 8 levels,
-    summed over the engine's calls, with the largest figures of
-    ``_levels`` among the sweeps of each size.
+    tables, end steps, end-step passes, sweeps on 4 and on 8 levels and
+    sweeps on real drive operators, summed over the engine's calls, with
+    the largest figures of ``_levels`` among the sweeps of each size.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
         self.h0 = build_hamiltonian(params, bias)
         self.system = eigensystem(self.h0)
         self.energies = self.system.energies
-        self.vx, self.vz = _drive_operators(params, self.system.states)
+        self.vx, self.vz = (v.real.copy() if not np.any(v.imag) else v
+                            for v in _drive_operators(params, self.system.states))
         self.bright_mask = np.array(
             [lab in ("lower.1B0M", "lower.1B1M") for lab in self.system.labels]
         )
         self._built = dict.fromkeys(("substep_eigensystems", "tone_tables", "end_steps",
                                      "end_step_passes", "sweeps_4_levels",
-                                     "sweeps_8_levels"), 0)
+                                     "sweeps_8_levels", "sweeps_real_operators"), 0)
         self._built.update({f"max_{figure}_{n}_levels": 0.0 for n in (4, 8)
                             for figure in ("leakage", "shift_spread_cycles")})
 
@@ -228,8 +241,9 @@ class _Engine:
     def report(self) -> dict:
         """How many substep eigensystems, tone tables, end steps and
         stacked end-step passes this engine has built over all its calls,
-        how many of its sweeps ran on 4 and on 8 levels, and the largest
-        leakage and shift-spread figures (``_levels``) of each."""
+        how many of its sweeps ran on 4 and on 8 levels and on real drive
+        operators, and the largest leakage and shift-spread figures
+        (``_levels``) of each size."""
         return dict(self._built)
 
     def _levels(self, labels, tones, driven_s: float) -> tuple:
@@ -267,8 +281,10 @@ class _Engine:
     def _steps(self, energies, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Stacked end steps exp(-2 pi i (E + c V) dt) over pulse-end
         remainders, one stacked eigh; ``v`` holds one drive operator per
-        end (on the levels of ``energies``) and is overwritten.  The
-        tables' own substeps are taken in ``_tables``."""
+        end (on the levels of ``energies``) and is overwritten.  With real
+        drive operators the eigh is a real symmetric one and only the
+        phases are complex.  The tables' own substeps are taken in
+        ``_tables``."""
         self._built["end_steps"] += len(c)
         self._built["end_step_passes"] += 1
         # E + c V in place, with no temporary beside ``v``; dropped after eigh
@@ -276,21 +292,24 @@ class _Engine:
         vals, vecs = np.linalg.eigh(h)
         del h, v
         vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
-        vecs *= np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]
-        return vecs @ vecs_h
+        return (vecs * np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]) @ vecs_h
 
     def _tables(self, tones: list, block: tuple) -> tuple:
         """Tables of ``tones`` on the levels of ``block`` = (E, Vx, Vz)
         (see the class notes): the stacks of P[k] Q and of theta, row i
         for tone i.  The tones of one drive (ax, az, phase, sign of f)
-        share one stacked eigh of its substep Hamiltonians and are
-        composed side by side."""
-        from scipy.linalg import schur
+        share one stacked eigh of its substep Hamiltonians (real when Vx
+        and Vz are) and are composed side by side (``_compose``).  The
+        period propagators M of all tones get one finite check and one
+        LAPACK workspace query, then one complex Schur factorization
+        (``zgees``, as ``scipy.linalg.schur`` calls it) each, which
+        raises ``LinAlgError`` on a nonzero ``info``; P[k] Q is one
+        stacked product over every tone, all k of a tone in one matrix."""
+        from scipy.linalg.lapack import zgees
 
         energies, vx, vz = block
         n = len(energies)
-        pq = np.empty((len(tones), _SUBSTEPS + 1, n, n), dtype=complex)
-        theta = np.empty((len(tones), n))
+        p = np.empty((len(tones), _SUBSTEPS + 1, n, n), dtype=complex)
         drives = {}
         for i, (freq, ax, az, phase) in enumerate(tones):
             drives.setdefault((ax, az, phase, np.sign(freq)), []).append(i)
@@ -299,20 +318,24 @@ class _Engine:
                        + phase)
             vals, vecs = np.linalg.eigh(np.diag(energies)
                                         + c[:, None, None] * (ax * vx + az * vz))
-            vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
             dt = _period(np.array([tones[i][0] for i in rows])) / _SUBSTEPS
-            phases = np.exp(-2j * math.pi * vals * dt[:, None, None])
-            prefix = np.empty((len(rows), _SUBSTEPS + 1, n, n), dtype=complex)
-            prefix[:, 0] = np.eye(n)
-            for k in range(_SUBSTEPS):
-                step = (vecs[k] * phases[:, k, None, :]) @ vecs_h[k]
-                np.matmul(step, prefix[:, k], out=prefix[:, k + 1])
-            for i, p in zip(rows, prefix):
-                tri, q = schur(p[-1], output="complex")
-                pq[i], theta[i] = p @ q, np.angle(np.diag(tri))
+            phases = np.exp(-2j * math.pi * vals[:, :, None, None] * dt[:, None])
+            p[rows] = _compose(vecs, phases).transpose(2, 0, 1, 3)
             self._built["substep_eigensystems"] += 1
             self._built["tone_tables"] += len(rows)
-        return pq, theta
+        period = p[:, -1]
+        if not np.all(np.isfinite(period)):
+            raise ValueError("a period propagator is not finite")
+        lwork = int(zgees(_no_sort, np.eye(n), lwork=-1)[-2][0].real)   # reads n only
+        q = np.empty((len(tones), n, n), dtype=complex)
+        theta = np.empty((len(tones), n))
+        for i, m in enumerate(period):
+            _, _, w, q[i], _, info = zgees(_no_sort, m, lwork=lwork)
+            if info:
+                raise np.linalg.LinAlgError(f"no Schur form of a period propagator "
+                                            f"(LAPACK zgees info {info})")
+            theta[i] = np.angle(w)
+        return (p.reshape(len(tones), (_SUBSTEPS + 1) * n, n) @ q).reshape(p.shape), theta
 
     def _sweep(self, programs) -> np.ndarray:
         """Final states of the rows of every program set, in order.
@@ -350,6 +373,7 @@ class _Engine:
         n, leakage, spread = self._levels([label for label, _, _ in programs], tones,
                                           driven_s)
         self._built[f"sweeps_{n}_levels"] += 1
+        self._built["sweeps_real_operators"] += self.vx.dtype.kind == self.vz.dtype.kind == "f"
         for figure, value in (("leakage", leakage), ("shift_spread_cycles", spread)):
             key = f"max_{figure}_{n}_levels"
             self._built[key] = max(self._built[key], value)
@@ -426,6 +450,29 @@ class _Engine:
                                              seg.amplitude_z_hz, seg.phase_rad)],
                    0, seg.duration_s) for seg in program.segments]
         return self._sweep([(program.init_label, 1, layers)])[0]
+
+
+def _compose(vecs, phases) -> np.ndarray:
+    """Products P[k] of the first k substeps V_k diag(phases_k) V_k^dagger
+    (k = 0 .. _SUBSTEPS) of every tone of one drive, side by side: entry
+    [k, :, j, :] is P[k] of tone j, so each substep is two 2-D products
+    over all tones, V_k^dagger X and V_k X, around a scale of X's rows
+    by each tone's phases.  ``vecs`` holds the drive's substep
+    eigenvectors V_k and ``phases`` the factors [k, a, j, 0] of
+    eigenvalue a and tone j."""
+    n, tones = phases.shape[1:3]
+    prefix = np.empty((_SUBSTEPS + 1, n, tones, n), dtype=complex)
+    prefix[0] = np.eye(n)[:, None]
+    vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
+    for k in range(_SUBSTEPS):
+        x = (vecs_h[k] @ prefix[k].reshape(n, -1)).reshape(n, tones, n)
+        x *= phases[k]
+        np.matmul(vecs[k], x.reshape(n, -1), out=prefix[k + 1].reshape(n, -1))
+    return prefix
+
+
+def _no_sort(w):
+    """Eigenvalue selector of an unsorted Schur factorization, never called."""
 
 
 def _period(freq):

@@ -21,6 +21,7 @@ from snspin.dynamics import (
     ramsey_map,
     rb_simulate,
 )
+from snspin.params import MagneticField
 
 # Reference microwave drive amplitudes (electron drive strengths, Hz).
 AX = 8.92e6
@@ -127,6 +128,68 @@ def test_upper_branch_start_keeps_8_levels(ground, field):
     assert np.max(np.abs(np.abs(psi_ref) ** 2 - np.abs(psi_eng) ** 2)) < 1e-4
 
 
+SKEW_FIELD = MagneticField(bx=2.2e-4, by=1e-4, bz=5.5e-5)   # by != 0: H is complex
+
+
+@pytest.mark.parametrize("levels", [4, 8])
+def test_complex_drive_operators_match_propagate(request, ground, levels):
+    """With a static field along y, H and the drive operators are complex
+    in the product basis.  A routed memory chevron pixel and a broker
+    Ramsey pixel are their programs' bright populations.  The Ramsey
+    state matches ``propagate`` as in ``test_propagate_matches_engine``.
+    The memory pixel's 30 MHz broker_m1 readout pulse carries the
+    engine's own substep error (8e-4, as with real operators), so it
+    matches the converged propagation as in
+    ``test_routed_chevron_pixel_matches_converged_propagation``."""
+    if levels == 8:
+        request.getfixturevalue("eight_levels")
+    engine = dyn._Engine(ground, SKEW_FIELD)
+    assert np.iscomplexobj(engine.vx) and np.iscomplexobj(engine.vz)
+    f_memory, t_memory = engine.transition_frequency("memory"), engine.pi_time("memory", AX, AZ)
+    chevron = rabi_map(ground, SKEW_FIELD, AX, AZ, [f_memory], [t_memory], transition="memory")
+    prog = routed_program(engine, "memory", [DriveSegment(f_memory, AX, AZ, 0.0, t_memory)])
+    assert abs(chevron.signal[0, 0] - engine.bright_population(engine.run(prog))) < 1e-12
+    psi = propagate(engine.h0, ground, prog, timestep=1.0 / (128 * f_memory))
+    reference = engine.bright_population(engine.system.states.conj().T @ psi)
+    assert abs(chevron.signal[0, 0] - reference) < 2e-3
+
+    f_broker, delay = engine.transition_frequency("broker") + 2e6, 0.4137e-6
+    half = 0.5 * engine.pi_time("broker", AX, AZ)
+    fringe = ramsey_map(ground, SKEW_FIELD, AX, AZ, [f_broker], [delay], transition="broker",
+                        pi_half_s=half)
+    prog = routed_program(engine, "broker", [DriveSegment(f_broker, AX, AZ, 0.0, half),
+                                             DriveSegment(0.0, 0.0, 0.0, 0.0, delay),
+                                             DriveSegment(f_broker, AX, AZ, 0.0, half)])
+    psi_eng = engine.run(prog)
+    assert abs(fringe.signal[0, 0] - engine.bright_population(psi_eng)) < 1e-12
+    psi_ref, psi_eng = propagate(engine.h0, ground, prog), engine.system.states @ psi_eng
+    assert abs(np.vdot(psi_ref, psi_eng)) > 1 - 1e-6
+    assert np.max(np.abs(np.abs(psi_ref) ** 2 - np.abs(psi_eng) ** 2)) < 1e-4
+    report = engine.report()
+    assert report[f"sweeps_{levels}_levels"] == 2 and report["sweeps_real_operators"] == 0
+
+
+def test_rephased_basis_runs_complex_operators_to_the_same_pixels(ground, field):
+    """Rephasing the static eigenstates, |a> -> exp(i phi_a) |a>, makes the
+    reference's real drive operators complex and moves no population, so
+    a chevron and a Ramsey map on the complex path give the real path's
+    pixels to rounding: the complex and the real eigh round the levels'
+    1e12 Hz energies apart, which moves pixels by about 1e-10."""
+    real, rephased = dyn._Engine(ground, field), dyn._Engine(ground, field)
+    gauge = np.exp(1j * np.arange(8))
+    rephased.vx, rephased.vz = (gauge.conj()[:, None] * v * gauge for v in (real.vx, real.vz))
+    freqs, times = F_MEMORY + np.array([-1.3e6, 0.4e6]), np.array([37e-9, 151e-9, 263e-9])
+    delays = np.array([0.0, 0.4137e-6, 1.2931e-6])
+    signals = [dyn._signals(e, [dyn._program_set(e, AX, AZ, freqs, times, "memory"),
+                                dyn._program_set(e, AX, AZ, freqs + 2e6, delays, "memory",
+                                                 0.5 * PI_S["memory"])])
+               for e in (real, rephased)]
+    for a, b in zip(*signals):
+        assert np.max(np.abs(a - b)) < 1e-9
+    assert real.report()["sweeps_real_operators"] == 1
+    assert rephased.report()["sweeps_real_operators"] == 0
+
+
 def test_propagate_timestep_guard(ground, engine):
     prog = PulseProgram((DriveSegment(F_BROKER, AX, AZ, 0.0, 10e-9),))
     required = 1.0 / (20.0 * F_BROKER)
@@ -143,6 +206,7 @@ def test_gap_is_exact_free_evolution(ground, engine):
     phase = np.exp(-2j * math.pi * engine.energies[idx] * dur)
     expected = engine.system.states[:, idx] * phase
     assert np.allclose(psi, expected, atol=1e-14)
+    assert np.allclose(engine.system.states @ engine.run(prog), expected, atol=1e-14)
 
 
 def check_constant_drive(engine, levels):
@@ -204,6 +268,38 @@ def test_tables_match_propagation_over_whole_periods(ground, field, eight_levels
     assert engine.report()["sweeps_8_levels"] == 1
 
 
+@pytest.mark.parametrize("levels", [4, 8])
+def test_tables_are_sequential_substep_products(ground, field, levels):
+    """Every P[k] (k = 0 .. _SUBSTEPS) and theta of ``_tables`` for three
+    tones of one drive and a tone of a second drive, listed interleaved,
+    against products of the substep exponentials built here one tone and
+    one substep at a time.  A table holds P[k] Q, so Q is its row k = 0,
+    and the period propagator P[_SUBSTEPS] is Q diag(exp(i theta))
+    Q^dagger.  The drive is sampled as the engine samples it, so that the
+    static phases E dt (up to 6e3 rad a substep) agree to the bit."""
+    engine = dyn._Engine(ground, field)
+    energies, vx, vz = block = (engine.energies[:levels], engine.vx[:levels, :levels],
+                                engine.vz[:levels, :levels])
+    tones = [(F_BROKER, AX, AZ, 0.3), (-F_MEMORY, 0.5 * AX, AZ, 1.1),
+             (F_MEMORY, AX, AZ, 0.3), (F_BROKER_M1, AX, AZ, 0.3)]
+    pq, theta = engine._tables(tones, block)
+    assert engine.report()["substep_eigensystems"] == 2
+    assert engine.report()["tone_tables"] == len(tones)
+    for (freq, ax, az, phase), table, angles in zip(tones, pq, theta):
+        dt = 1.0 / abs(freq) / dyn._SUBSTEPS
+        c = np.cos(np.sign(freq) * 2.0 * math.pi * (np.arange(dyn._SUBSTEPS) + 0.5)
+                   / dyn._SUBSTEPS + phase)
+        q = table[0]
+        assert np.max(np.abs(q.conj().T @ q - np.eye(levels))) < 1e-12
+        p = np.eye(levels)
+        for k in range(dyn._SUBSTEPS + 1):
+            assert np.max(np.abs(table[k] @ q.conj().T - p)) < 1e-12
+            if k < dyn._SUBSTEPS:
+                vals, vecs = np.linalg.eigh(np.diag(energies) + c[k] * (ax * vx + az * vz))
+                p = (vecs * np.exp(-2j * math.pi * vals * dt)) @ vecs.conj().T @ p
+        assert np.max(np.abs(q @ np.diag(np.exp(1j * angles)) @ q.conj().T - p)) < 1e-12
+
+
 @pytest.mark.parametrize("transition", list(dyn.TRANSITIONS))
 def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     """A routed chevron builds one substep eigensystem for all its tones,
@@ -220,6 +316,7 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     assert report["tone_tables"] == len(freqs) + len(routing)
     assert report["end_steps"] > 0
     assert (report["sweeps_4_levels"], report["sweeps_8_levels"]) == (1, 0)
+    assert report["sweeps_real_operators"] == 1
     assert 0.0 < report["max_leakage_4_levels"] < 1e-3 * dyn._LEAKAGE_MAX
     assert 0.0 < report["max_shift_spread_cycles_4_levels"] < 0.1 * dyn._SHIFT_SPREAD_MAX
     assert report["max_leakage_8_levels"] == report["max_shift_spread_cycles_8_levels"] == 0.0
