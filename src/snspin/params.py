@@ -35,12 +35,14 @@ GAMMA_PHONON_1P7K = 0.75
 
 
 class _NumberRecord:
-    """Base of the parameter dataclasses: every field is a finite number."""
+    """Base of the parameter dataclasses: every field is a finite number
+    (an int or a float; a bool is not a number here)."""
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ValueError(f"{field.name} must be a finite number, got {value!r}")
 
 

@@ -27,14 +27,17 @@ spin states are labeled by the broker/memory qubit convention:
 
 Degenerate levels are resolved by symmetry, not by a tolerance: without
 a transverse field H conserves Fz = sz_S + sz_I (Hepp et al., PRL 112,
-036405 (2014)), and ``eigensystem`` diagonalizes each Fz sector on its
-own.  Otherwise one ``eigh`` decides, down to its ~1e-3 Hz resolution.
+036405 (2014)), and each Fz sector is diagonalized on its own.
+Otherwise one ``eigh`` decides, down to its ~1e-3 Hz resolution.
 
-``eigensystems`` takes a stack of Hamiltonians (n, 8, 8) through the same
-routine and labeling rule: the points that couple Fz sectors share one
-stacked ``eigh``, and every point comes out bitwise as ``eigensystem``
-gives it alone.  ``manifold_eigensystems`` builds such a stack over n
-field points from the one Hamiltonian formula of ``build_hamiltonian``.
+``eigensystem`` is the one-point path: it checks, diagonalizes, labels
+and gauges the 8x8 matrix itself, with one 8x8 ``eigh`` or one ``eigh``
+per Fz sector size.  ``eigensystems`` is the stacked path for (n, 8, 8):
+the points that couple Fz sectors share one stacked ``eigh``, the others
+one stacked ``eigh`` per sector size, and every point comes out bitwise
+as ``eigensystem`` gives it alone.  ``manifold_eigensystems`` builds such
+a stack over n field points from the one Hamiltonian formula of
+``build_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -97,12 +100,16 @@ _NUCLEAR_UP = (_NUCLEAR_BIT == 0).astype(float)
 _FZ = 2 - 2 * (_ELECTRON_BIT + _NUCLEAR_BIT)
 _SECTOR_ORDER = np.concatenate([np.flatnonzero(_FZ == fz) for fz in (2, -2, 0)])
 _ALIGNED_PAIRS = _SECTOR_ORDER[:4].reshape(2, 2)
-_ALIGNED_BLOCKS = (_ALIGNED_PAIRS[:, :, None], _ALIGNED_PAIRS[:, None, :])
-_ANTI_BLOCK = np.ix_(_SECTOR_ORDER[4:], _SECTOR_ORDER[4:])
+_ALIGNED_BLOCKS = (..., _ALIGNED_PAIRS[:, :, None], _ALIGNED_PAIRS[:, None, :])
+_ANTI_BLOCK = (...,) + np.ix_(_SECTOR_ORDER[4:], _SECTOR_ORDER[4:])
 _CROSS_SECTOR = _FZ[:, None] != _FZ[None, :]
 
-# First column of the lower and the upper branch.
+_COLUMNS = np.arange(8)
+
+# First column of the lower and the upper branch, and each branch's
+# columns with its labels.
 _BRANCH_OFFSET = np.array([[0], [4]])
+_BRANCH_COLUMNS = ((range(4), LABELS[:4]), (range(4, 8), LABELS[4:]))
 
 
 def _zeeman(params: ManifoldParams, bx, by, bz) -> np.ndarray:
@@ -173,47 +180,42 @@ class EigenSystem:
         return {lab: float(e) for lab, e in zip(self.labels, self.energies)}
 
 
-def _sector_eigh(h: np.ndarray) -> tuple:
-    """Energies and states of one 8x8 ``h`` that couples no two Fz
-    sectors, each sector diagonalized on its own and the levels sorted
-    by energy."""
+def _check(h: np.ndarray) -> None:
+    """Raise ValueError unless each matrix of ``h`` (..., 8, 8) is finite
+    and Hermitian.  A NaN would pass the comparison below unseen."""
+    if np.count_nonzero(np.isfinite(h)) < h.size:
+        raise ValueError("Hamiltonian has a non-finite entry")
+    tol = 1e-12 * np.maximum.reduce(np.abs(h), axis=(-2, -1), keepdims=True)
+    if np.count_nonzero(np.abs(h - h.conj().swapaxes(-1, -2)) > tol):
+        raise ValueError("Hamiltonian is not Hermitian")
+
+
+def _sector_eighs(h: np.ndarray) -> tuple:
+    """Energies (..., 8) and states (..., 8, 8) of Hamiltonians ``h``
+    (..., 8, 8) that couple no two Fz sectors, from one stacked ``eigh``
+    per sector size.  Not sorted: columns 0-1 are the aligned-up sector,
+    2-3 the aligned-down one and 4-7 the anti-aligned one."""
     vals2, vecs2 = np.linalg.eigh(h[_ALIGNED_BLOCKS])
     vals4, vecs4 = np.linalg.eigh(h[_ANTI_BLOCK])
-    blocks = np.zeros((8, 8), dtype=complex)
-    blocks[:2, :2], blocks[2:4, 2:4], blocks[4:, 4:] = vecs2[0], vecs2[1], vecs4
-    energies = np.concatenate([vals2.ravel(), vals4])
-    order = np.argsort(energies, kind="stable")
-    states = np.empty((8, 8), dtype=complex)
-    states[_SECTOR_ORDER] = blocks[:, order]
-    return energies[order], states
+    blocks = np.zeros(h.shape, dtype=complex)
+    blocks[..., :2, :2], blocks[..., 2:4, 2:4] = vecs2[..., 0, :, :], vecs2[..., 1, :, :]
+    blocks[..., 4:, 4:] = vecs4
+    states = np.empty(h.shape, dtype=complex)
+    states[..., _SECTOR_ORDER, :] = blocks
+    return np.concatenate([vals2.reshape(h.shape[:-2] + (4,)), vals4], axis=-1), states
 
 
-def _label_columns(states: np.ndarray) -> np.ndarray:
-    """Column of each of :data:`LABELS` in energy-sorted eigenvectors
-    ``states`` (..., 8, 8).
-
-    In each branch (columns 0-3 lower, 4-7 upper) the two most aligned
-    states are 1B, 1B0M the one with more nuclear-up weight (the more
-    aligned one on a tie); the other two are 0B0M and 0B1M in energy
-    order.
-    """
-    pops = np.abs(states) ** 2
+def _label_columns(pops: np.ndarray) -> np.ndarray:
+    """Column of each of :data:`LABELS` in energy-sorted eigenvectors with
+    populations ``pops`` (n, 8, 8), by the rule of :func:`eigensystem`."""
     branches = (-1, 4)  # one row per branch of each point
-    order = np.argsort(-(_ALIGNED @ pops).reshape(branches), axis=-1)
+    order = np.argsort(-(_ALIGNED @ pops).reshape(branches), axis=-1, kind="stable")
     rows = np.arange(len(order))[:, None]
     up = (_NUCLEAR_UP @ pops).reshape(branches)[rows, order[:, :2]]
     one_b = np.where((up[:, 1] > up[:, 0])[:, None], order[:, 1::-1], order[:, :2])
     zero_b = np.sort(order[:, 2:], axis=-1)
     columns = np.concatenate([zero_b, one_b], axis=-1).reshape(-1, 2, 4) + _BRANCH_OFFSET
-    return columns.reshape(states.shape[:-1])
-
-
-def _fix_phases(states: np.ndarray) -> np.ndarray:
-    """Gauge: make the largest-magnitude component of each column real positive."""
-    flat = states.reshape(-1, 8, 8)
-    rows = np.argmax(np.abs(flat), axis=-2)
-    pivots = flat[np.arange(len(flat))[:, None], rows, np.arange(8)]
-    return states * (np.abs(pivots) / pivots).reshape(states.shape[:-2] + (1, 8))
+    return columns.reshape(pops.shape[:-1])
 
 
 def eigensystems(h: np.ndarray) -> tuple:
@@ -222,19 +224,19 @@ def eigensystems(h: np.ndarray) -> tuple:
     Returns ``(energies, states, columns)`` of shapes (n, 8), (n, 8, 8)
     and (n, 8): point i has eigenvector ``states[i, :, k]`` at
     ``energies[i, k]``, and ``columns[i, j]`` is the column of
-    ``LABELS[j]``.  Points whose ``h`` couples two Fz sectors share one
-    stacked ``eigh``; the others are split into their Fz sectors one at a
-    time (see :func:`eigensystem`).  Each point comes out bitwise as
-    :func:`eigensystem` gives it alone.
+    ``LABELS[j]``.  This is the stacked path of :func:`eigensystem`: the
+    points whose ``h`` couples two Fz sectors share one stacked ``eigh``,
+    the others one stacked ``eigh`` per sector size, and the labeling
+    rule runs on the whole stack with the same stable sorts.  Each point
+    comes out bitwise as :func:`eigensystem` gives it alone.
 
-    :param h: (n, 8, 8) Hermitian matrices in the fixed product basis (Hz).
+    :param h: (n, 8, 8) finite Hermitian matrices in the fixed product
+        basis (Hz).
     """
     h = np.asarray(h)
     if h.ndim != 3 or h.shape[1:] != (8, 8):
         raise ValueError(f"expected a stack of 8x8 matrices, got shape {h.shape}")
-    skew = np.abs(h - np.conj(np.swapaxes(h, 1, 2))).max(axis=(1, 2))
-    if (skew > 1e-12 * np.abs(h).max(axis=(1, 2))).any():
-        raise ValueError("Hamiltonian is not Hermitian")
+    _check(h)
     coupled = h[:, _CROSS_SECTOR].any(axis=1)
     if coupled.all():
         energies, states = np.linalg.eigh(h)
@@ -243,35 +245,64 @@ def eigensystems(h: np.ndarray) -> tuple:
         states = np.empty(h.shape, dtype=complex)
         if coupled.any():
             energies[coupled], states[coupled] = np.linalg.eigh(h[coupled])
-        for i in np.flatnonzero(~coupled):
-            energies[i], states[i] = _sector_eigh(h[i])
-    return energies, _fix_phases(states), _label_columns(states)
+        sector_energies, sector_states = _sector_eighs(h[~coupled])
+        order = np.argsort(sector_energies, axis=-1, kind="stable")
+        energies[~coupled] = np.take_along_axis(sector_energies, order, -1)
+        states[~coupled] = np.take_along_axis(sector_states, order[:, None, :], -1)
+    mags = np.abs(states)
+    columns = _label_columns(mags ** 2)
+    # gauge: the largest-magnitude component of each column real positive
+    pivots = states[np.arange(len(h))[:, None], mags.argmax(axis=-2), _COLUMNS]
+    return energies, states * (np.abs(pivots) / pivots)[:, None, :], columns
 
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalize a manifold Hamiltonian and attach branch/qubit labels.
 
-    This is the one-point case of :func:`eigensystems`, which takes a
-    stack of Hamiltonians through the same routine and labeling rule.
-    When ``h`` couples no two Fz sectors (no transverse field), each
-    sector is diagonalized on its own, so every eigenvector has a definite
-    Fz even inside a degenerate level: the aligned pair splits into
-    |up,Up> (1B0M) and |down,Down> (1B1M).  Any other ``h`` takes one
-    ``eigh``, whose ~1e-3 Hz resolution limits the labels at bz = 0 with
-    bx below about 1 uT: there the excited 1B gap (0.02 Hz at 1 uT,
+    This is the one-point path: it works on the 8x8 matrix itself, and
+    :func:`eigensystems` gives each point of a stack bitwise as this
+    does.  When ``h`` couples no two Fz sectors (no transverse field),
+    each sector is diagonalized on its own, so every eigenvector has a
+    definite Fz even inside a degenerate level: the aligned pair splits
+    into |up,Up> (1B0M) and |down,Down> (1B1M).  Any other ``h`` takes
+    one ``eigh``, whose ~1e-3 Hz resolution limits the labels at bz = 0
+    with bx below about 1 uT: there the excited 1B gap (0.02 Hz at 1 uT,
     growing as bx^2) nears it, and rounding sets lambda_f0 (2.0-5.6 for
     10-400 nT).
 
-    :param h: 8x8 Hermitian matrix in the fixed product basis (Hz).
+    In each branch (columns 0-3 lower, 4-7 upper) the two most aligned
+    states are 1B, 1B0M the one with more nuclear-up weight (the more
+    aligned one on a tie, the lower one on a tie of both); the other two
+    are 0B0M and 0B1M in energy order.  The largest-magnitude component
+    of each column is made real positive.
+
+    :param h: 8x8 finite Hermitian matrix in the fixed product basis (Hz).
     """
     h = np.asarray(h)
     if h.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {h.shape}")
-    energies, states, columns = eigensystems(h[None])
+    _check(h)
+    if np.count_nonzero(h[_CROSS_SECTOR]):
+        energies, states = np.linalg.eigh(h)
+    else:
+        energies, states = _sector_eighs(h)
+        order = energies.argsort(kind="stable")
+        energies, states = energies[order], states[:, order]
+    mags = np.abs(states)
+    pops = mags ** 2
+    aligned, up = (_ALIGNED @ pops).tolist(), (_NUCLEAR_UP @ pops).tolist()
     labels = [""] * 8
-    for label, col in zip(LABELS, columns[0].tolist()):
-        labels[col] = label
-    return EigenSystem(energies=energies[0], states=states[0], labels=tuple(labels))
+    for columns, names in _BRANCH_COLUMNS:
+        # a stable sort: equal weights keep their energy order
+        one_0, one_1, zero_0, zero_1 = sorted(columns, key=aligned.__getitem__, reverse=True)
+        if up[one_1] > up[one_0]:
+            one_0, one_1 = one_1, one_0
+        if zero_1 < zero_0:
+            zero_0, zero_1 = zero_1, zero_0
+        labels[zero_0], labels[zero_1], labels[one_0], labels[one_1] = names
+    pivots = states[mags.argmax(axis=0), _COLUMNS]
+    return EigenSystem(energies=energies, states=states * (np.abs(pivots) / pivots),
+                       labels=tuple(labels))
 
 
 def manifold_eigensystem(params: ManifoldParams, field: MagneticField) -> EigenSystem:

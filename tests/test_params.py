@@ -78,3 +78,10 @@ def test_params_reject_non_numbers():
             ManifoldParams(lambda_soc=value)
         with pytest.raises(ValueError, match="finite"):
             MagneticField(bx=value)
+    # a bool is an int to Python, but no coupling or field component
+    for value in (True, False):
+        with pytest.raises(ValueError, match="a_par"):
+            ManifoldParams(lambda_soc=1e12, a_par=value)
+        with pytest.raises(ValueError, match="bz"):
+            MagneticField(bz=value)
+    assert ManifoldParams(lambda_soc=1).lambda_soc == 1  # plain ints still pass

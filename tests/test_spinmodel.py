@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snspin.params import MagneticField, ManifoldParams, ground_defaults
+from snspin.params import MU_B_HZ_PER_T, MagneticField, ManifoldParams, ground_defaults
 from snspin.spinmodel import (
     BRANCHES,
     LABELS,
     QUBIT_LABELS,
+    SX_I,
+    SX_L,
+    SX_S,
+    SY_I,
+    SY_L,
+    SY_S,
+    SZ_I,
+    SZ_L,
+    SZ_S,
+    _hamiltonian,
     build_hamiltonian,
     closed_form_energies,
     eigensystem,
@@ -100,14 +110,74 @@ component_strategy = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3))
 def test_stacked_eigensystems_match_one_point(params, fields):
     """The stacked path gives every point's energies, phase-fixed states
     and labels bitwise as manifold_eigensystem does, on fields with
-    by != 0, on the bx = by = 0 line and at B = 0."""
+    by != 0, on the bx = by = 0 line and at B = 0: in a mixed stack, and
+    in an all-axial one that takes only the per-sector branch."""
     points = [(0.0, 0.0, 0.0), (0.0, 0.0, fields[0][2])] + fields
-    energies, states, columns = manifold_eigensystems(params, *map(np.array, zip(*points)))
-    for i, (bx, by, bz) in enumerate(points):
-        one = manifold_eigensystem(params, MagneticField(bx=bx, by=by, bz=bz))
-        assert np.array_equal(energies[i], one.energies)
-        assert np.array_equal(states[i], one.states)
-        assert tuple(one.labels[c] for c in columns[i]) == LABELS
+    axial = [(0.0, 0.0, bz) for _, _, bz in points]
+    for stack in (points, axial):
+        energies, states, columns = manifold_eigensystems(params, *map(np.array, zip(*stack)))
+        for i, (bx, by, bz) in enumerate(stack):
+            one = manifold_eigensystem(params, MagneticField(bx=bx, by=by, bz=bz))
+            assert np.array_equal(energies[i], one.energies)
+            assert np.array_equal(states[i], one.states)
+            assert tuple(one.labels[c] for c in columns[i]) == LABELS
+
+
+def operator_sum(p, bx, by, bz):
+    """H and its Zeeman part written out term by term, in the order of the
+    module docstring's formula."""
+    g_fac = p.g_electron * MU_B_HZ_PER_T
+    h = 0.5 * p.lambda_soc * (SZ_L @ SZ_S)
+    h = h + 0.5 * p.upsilon_ioc * (SZ_L @ SZ_I)
+    h = h - p.strain_egx * SX_L - p.strain_egy * SY_L
+    h = h + 0.25 * p.a_perp * (SX_S @ SX_I + SY_S @ SY_I)
+    h = h + 0.25 * p.a_par * (SZ_S @ SZ_I)
+    zeeman = 0.5 * g_fac * (bx * SX_S + by * SY_S + bz * SZ_S)
+    zeeman = zeeman + 0.5 * p.nuclear_gyro * (bx * SX_I + by * SY_I + bz * SZ_I)
+    zeeman = zeeman + 0.5 * p.orbital_quench_q * g_fac * bz * SZ_L
+    return h + zeeman, zeeman
+
+
+def test_hamiltonian_bytes_match_operator_sum():
+    """H is bitwise the term-by-term sum of the public operators, signed
+    zeros included, for float field components and for stacked ones.  A
+    signed zero survives the sum only for some sign patterns of the
+    couplings and the field, so the draw mixes +-0 and both signs."""
+    rng = np.random.default_rng(7)
+    names = ("lambda_soc", "upsilon_ioc", "a_par", "a_perp", "strain_egx",
+             "strain_egy", "orbital_quench_q", "g_electron", "nuclear_gyro")
+    scales = (1e12, 1e6, 1e9, 1e9, 1e12, 1e12, 0.2, 2.0, 1.5e7)
+
+    def signed(scale, size=None):
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0], size) * rng.uniform(0.5, 1.5, size)
+        return values * scale
+
+    for _ in range(600):
+        p = ManifoldParams(**{n: float(signed(s)) for n, s in zip(names, scales)})
+        bx, by, bz = signed(1e-3, (3, 5))
+        for field in map(MagneticField, bx.tolist(), by.tolist(), bz.tolist()):
+            h, zeeman = operator_sum(p, field.bx, field.by, field.bz)
+            assert build_hamiltonian(p, field).tobytes() == h.tobytes()
+            assert zeeman_operator(p, field).tobytes() == zeeman.tobytes()
+        components = [b[:, None, None] for b in (bx, by, bz)]
+        stacked, _ = operator_sum(p, *components)
+        assert _hamiltonian(p, *components).tobytes() == stacked.tobytes()
+
+
+def test_double_tie_labels_keep_energy_order():
+    """Without an orbital gap two aligned states of one Fz share a branch
+    with equal aligned and nuclear-up weights.  The stable sorts of both
+    paths then name the lower-energy one 1B0M."""
+    p = ManifoldParams(lambda_soc=0.0, upsilon_ioc=-3.9e6, a_perp=-8e8)
+    one = manifold_eigensystem(p, MagneticField(bz=1.85e-4))
+    pops = np.abs(one.states) ** 2
+    aligned, up = pops[[0, 3, 4, 7]].sum(axis=0), pops[[0, 2, 4, 6]].sum(axis=0)
+    for branch in BRANCHES:
+        pair = [one.index(f"{branch}.1B0M"), one.index(f"{branch}.1B1M")]
+        assert aligned[pair[0]] == aligned[pair[1]] and up[pair[0]] == up[pair[1]]
+        assert pair[0] < pair[1]
+    _, _, columns = manifold_eigensystems(p, [0.0], 0.0, [1.85e-4])
+    assert tuple(one.labels[c] for c in columns[0]) == LABELS
 
 
 def test_zeeman_transverse_field_leaves_orbital_alone():
@@ -142,6 +212,18 @@ def test_eigensystem_rejects_bad_input():
     stack[1] = h  # at one point of a stack
     with pytest.raises(ValueError, match="Hermitian"):
         eigensystems(stack)
+    # a NaN compares false with everything, so it would pass the Hermitian
+    # check and give finite-looking energies; every non-finite entry is refused
+    good = build_hamiltonian(p, MagneticField())
+    for entries in ([(0, 0)], [(0, 4), (4, 0)], [(1, 6)]):
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            bad = good.copy()
+            for i, j in entries:
+                bad[i, j] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                eigensystem(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                eigensystems(np.stack([good, bad]))
 
 
 def test_eigensystem_unknown_label():
