@@ -161,8 +161,8 @@ def _sign_convention(val, path: str) -> str:
 
 
 def _line(val, path: str):
-    """A pump line: a peak id, or a laser frequency in Hz."""
-    return val if isinstance(val, str) else _float(val, path)
+    """A pump line: a peak id (f0, f1 or f2), or a laser frequency in Hz."""
+    return _choice("f0", "f1", "f2")(val, path) if isinstance(val, str) else _float(val, path)
 
 
 def _list(read=_float, count: int | None = None):

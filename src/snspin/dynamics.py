@@ -26,7 +26,7 @@ once.  Pulse times do not depend on the state, so the engine plans every
 pulse of a call before it runs any: the period tables of all its tones
 are built side by side, and the pulse ends of a group of rows -- which
 may come from several maps, such as every map of one fit evaluation --
-are deduplicated once and integrated in a few stacked passes.
+are deduplicated once and integrated in one stacked pass.
 
 The tables cost a few large calls rather than many small ones.  The
 tones of one drive are composed side by side, one n x (n tones) matrix
@@ -62,8 +62,9 @@ ROUTING = {
 }
 
 _SUBSTEPS = 32          # midpoint substeps per drive period (>= 20 required)
-_BLOCK_ROWS = 1024      # programs per group of rows run together; bounds temporaries
-_END_STEPS = 256        # pulse-end steps per stacked eigh; bounds the temporaries of _steps
+# Rows run together, the engine's one bound on temporaries: a group takes
+# its end steps in one pass, at most two per driven layer per row.
+_BLOCK_ROWS = 1024
 # Bounds of the lower-branch reduction (``_Engine._levels``).  Each caps a
 # population error near 1e-8 (a phase error of x cycles moves one by at
 # most 2 pi x), five orders below the engine's own substep error; the
@@ -177,8 +178,8 @@ class _Engine:
     serves every tone, and a tone's steps differ only in dt = T /
     _SUBSTEPS.  The tables of a call of ``_sweep`` are built together
     from those eigensystems and dropped after it, and the end steps
-    F P[k] of each group of rows are taken in stacked passes of at most
-    ``_END_STEPS``.  Vx and Vz are float64 when their imaginary parts
+    F P[k] of each group of at most ``_BLOCK_ROWS`` rows are taken in one
+    stacked pass.  Vx and Vz are float64 when their imaginary parts
     are exactly zero (no static field along y, strain along Egx only),
     complex otherwise; the same formulas serve both.
 
@@ -240,10 +241,10 @@ class _Engine:
 
     def report(self) -> dict:
         """How many substep eigensystems, tone tables, end steps and
-        stacked end-step passes this engine has built over all its calls,
-        how many of its sweeps ran on 4 and on 8 levels and on real drive
-        operators, and the largest leakage and shift-spread figures
-        (``_levels``) of each size."""
+        stacked end-step passes (one per driven group of rows) this engine
+        has built over all its calls, how many of its sweeps ran on 4 and
+        on 8 levels and on real drive operators, and the largest leakage
+        and shift-spread figures (``_levels``) of each size."""
         return dict(self._built)
 
     def _levels(self, labels, tones, driven_s: float) -> tuple:
@@ -261,8 +262,7 @@ class _Engine:
         second-order effective Hamiltonian (Schrieffer-Wolff; Bravyi,
         DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  Keep 4 levels
         when every program starts from a lower-branch label of
-        ``labels``, the lower labels are the four lowest columns, and
-        both figures stay within their bounds.
+        ``labels`` and both figures stay within their bounds.
         """
         e = self.energies
         fastest = max((abs(tone[0]) for tone in tones), default=0.0)
@@ -273,26 +273,9 @@ class _Engine:
             leakage = max(leakage, (float(v.max()) / gap) ** 2 if gap > 0 else math.inf)
             shifts = 0.5 * np.sum(v ** 2 / (e[:4, None] - e[4:]), axis=1)
             spread = max(spread, float(np.ptp(shifts)) * driven_s)
-        lower = all(lab.startswith("lower.") for lab in self.system.labels[:4])
-        reduce = (lower and all(lab.startswith("lower.") for lab in labels)
+        reduce = (all(lab.startswith("lower.") for lab in labels)
                   and leakage <= _LEAKAGE_MAX and spread <= _SHIFT_SPREAD_MAX)
         return (4 if reduce else 8), leakage, spread
-
-    def _steps(self, energies, v: np.ndarray, c: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Stacked end steps exp(-2 pi i (E + c V) dt) over pulse-end
-        remainders, one stacked eigh; ``v`` holds one drive operator per
-        end (on the levels of ``energies``) and is overwritten.  With real
-        drive operators the eigh is a real symmetric one and only the
-        phases are complex.  The tables' own substeps are taken in
-        ``_tables``."""
-        self._built["end_steps"] += len(c)
-        self._built["end_step_passes"] += 1
-        # E + c V in place, with no temporary beside ``v``; dropped after eigh
-        h = np.add(np.diag(energies), np.multiply(c[:, None, None], v, out=v), out=v)
-        vals, vecs = np.linalg.eigh(h)
-        del h, v
-        vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
-        return (vecs * np.exp(-2j * math.pi * vals * dt[:, None])[:, None, :]) @ vecs_h
 
     def _tables(self, tones: list, block: tuple) -> tuple:
         """Tables of ``tones`` on the levels of ``block`` = (E, Vx, Vz)
@@ -348,10 +331,10 @@ class _Engine:
         planned before any state moves: the tables of all its tones are
         built together and dropped after the call, and the rows of all
         sets go through in groups of ``_BLOCK_ROWS`` (a group may hold
-        rows of several sets), each group planning its end steps at once
-        (``_group``).  All of it runs on the levels ``_levels`` chooses;
-        the upper components of the states stay zero when those are the
-        lower four.
+        rows of several sets), each group taking its end steps in one
+        stacked pass (``_group``).  All of it runs on the levels
+        ``_levels`` chooses; the upper components of the states stay zero
+        when those are the lower four.
         """
         index = {}
         depth = max(len(layers) for _, _, layers in programs)
@@ -394,8 +377,10 @@ class _Engine:
 
         Plan: the ends of every driven layer of every row are collected,
         each bitwise-distinct (tone, substep, remainder) once, and their
-        end steps F P[k] taken in stacked eigh passes of at most
-        ``_END_STEPS``.  A constant drive (f = 0) is time-invariant: it
+        end steps F P[k] taken in one pass: F = exp(-2 pi i (E + c V) r)
+        from one stacked eigh (a real symmetric one with real drive
+        operators, leaving only the phases complex), then the product
+        with P[k].  A constant drive (f = 0) is time-invariant: it
         runs from t = 0, and any period tabulates it exactly.  Run: each
         layer gathers its rows' end steps and applies W(t_b) W(t_a)^dagger.
         """
@@ -419,12 +404,21 @@ class _Engine:
             (tone, k), frac = np.divmod(keys.real.astype(int), _SUBSTEPS + 1), keys.imag
             t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
             c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
-            v = ax[:, None, None] * vx + az[:, None, None] * vz
-            g = np.empty((len(keys),) + vx.shape, dtype=complex)   # W(t) without M^n
-            for first in range(0, len(keys), _END_STEPS):
-                part = slice(first, first + _END_STEPS)
-                step = self._steps(energies, v[tone[part]], c[part], frac[part])
-                np.matmul(step, pq[tone[part], k[part]], out=g[part])
+            self._built["end_steps"] += len(keys)
+            self._built["end_step_passes"] += 1
+            # At most three stacks of ends live at once: E + c V is built in
+            # place and dropped after eigh, a real V^dagger is cast ahead of
+            # the product (which would cast a copy of its own), and each
+            # product's inputs go before the next one.
+            v = (ax[:, None, None] * vx + az[:, None, None] * vz)[tone]
+            vals, vecs = np.linalg.eigh(np.add(np.diag(energies), np.multiply(
+                c[:, None, None], v, out=v), out=v))
+            del v
+            vecs_h = np.conj(np.swapaxes(vecs, -1, -2)).astype(complex, copy=False)
+            vecs = vecs * np.exp(-2j * math.pi * vals * frac[:, None])[:, None, :]
+            g = vecs @ vecs_h
+            del vecs, vecs_h
+            g = g @ pq[tone, k]   # W(t) without M^n
         pos = 0
         for layer, d, rows in zip(kind, dur, driven):
             free = np.flatnonzero(layer == -1)

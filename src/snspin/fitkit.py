@@ -27,10 +27,11 @@ Most of a fit's evaluations are the 2n points of its central-difference
 Jacobians, which do not depend on each other.  A fit runs them side by
 side: the calling process takes one share, and each worker of a
 fork-context ``concurrent.futures.ProcessPoolExecutor``, one per further
-CPU of ``os.sched_getaffinity(0)``, takes one of the others.  The
-executor forks its workers at the fit's first Jacobian and is shut down
-before the fit returns.  With one CPU, or where ``fork`` is unavailable,
-there is no executor and the caller runs every point.  Either way the
+CPU of ``os.sched_getaffinity(0)`` but no more than 2n - 1, takes one of
+the others.  The executor forks all its workers at the fit's first
+Jacobian and is shut down before the fit returns.  With one CPU, or
+where ``fork`` is unavailable, there is no executor and the caller runs
+every point.  Either way the
 fit's result, its evaluation count included, is the same bit for bit.
 The pool's modules, ``multiprocessing`` and ``concurrent.futures``, load
 at the first fit (in :func:`_workers` and :class:`_Pool`), as does scipy's
@@ -292,9 +293,11 @@ def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
                             for k in range(x.size)])
 
 
-def _workers() -> int:
-    """Worker processes a fit forks for its Jacobians: one per CPU of
-    ``os.sched_getaffinity`` beyond the caller's own.  None where
+def _workers(points: int) -> int:
+    """Worker processes a fit forks for Jacobians of ``points`` points:
+    one per CPU of ``os.sched_getaffinity`` beyond the caller's own, but
+    no more than the points beyond the caller's one, since the executor
+    forks every worker at its first submit, with work or not.  None where
     ``fork`` or the affinity call is unavailable, in a daemonic process
     (which may not have children) and while other Python threads run (a
     lock one of them holds would stay locked in the child)."""
@@ -305,7 +308,7 @@ def _workers() -> int:
             or multiprocessing.current_process().daemon
             or threading.active_count() > 1):
         return 0
-    return len(os.sched_getaffinity(0)) - 1
+    return min(len(os.sched_getaffinity(0)), points) - 1
 
 
 def _start_worker(fn):
@@ -521,7 +524,7 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     Each Jacobian's 2n points (:func:`_jacobian`) run at once: the
     caller takes the first share and each worker of a fork-context
     ``ProcessPoolExecutor`` one of the rest, with one worker per CPU of
-    ``os.sched_getaffinity(0)`` beyond the caller's own
+    ``os.sched_getaffinity(0)`` beyond the caller's own, up to 2n - 1
     (:func:`_workers`; none with one CPU or where ``fork`` is
     unavailable).  The executor forks its workers at the first Jacobian
     and is always shut down, its workers joined, before the fit returns.
@@ -597,7 +600,7 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
 
     x = np.ones(len(names))
     exhausted = False
-    with _Pool(residuals, _workers()) as pool:
+    with _Pool(residuals, _workers(2 * len(names))) as pool:
         for k in range(len(stages)):
             # an earlier stage leaves one evaluation for the full problem
             state["limit"] = max_eval if k == last else max_eval - 1

@@ -185,11 +185,9 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem, pump_line,
     if isinstance(pump_line, str):
         from .spectrum import optical_transitions
 
-        table = optical_transitions(ground, excited, zpl=0.0)
-        try:
-            pump_freq = table.frequency(pump_line)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
+        if pump_line not in ("f0", "f1", "f2"):
+            raise ValueError(f"no peak {pump_line!r} to pump; expected f0, f1 or f2")
+        pump_freq = optical_transitions(ground, excited, zpl=0.0).frequency(pump_line)
     else:
         pump_freq = float(pump_line)
 

@@ -595,6 +595,8 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
      "options.noise.kind"),
     ("decouple", "options.noise", {"kind": "quasi-static-gaussian", "sigma_hz": 2e4},
      "options.noise.kind"),
+    ("pump", "options.line", "other", "options.line"),
+    ("pump", "options.line", "f3", "options.line"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

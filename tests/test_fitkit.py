@@ -151,17 +151,17 @@ def test_lower_branch_pixels_match_the_8_level_path(request):
         assert 0.0 < deviation < 1e-8
 
 
-@pytest.mark.parametrize("end_steps", [None, 100])
-def test_one_loss_plans_its_pulses_at_once(monkeypatch, end_steps):
+@pytest.mark.parametrize("block_rows", [None, 37])
+def test_one_loss_plans_its_pulses_at_once(monkeypatch, block_rows):
     """One residual evaluation builds one system, its one substep
-    eigensystem and each distinct tone table once, and takes its pulse
-    ends in as few stacked end-step passes as the pass bound allows; the
-    bound does not change a bit of the residuals."""
+    eigensystem and each distinct tone table once, and takes the pulse
+    ends of each group of rows in one stacked end-step pass; the group
+    size does not change a bit of the residuals."""
     prob = reference_problem()
     theta = _alternating(FitParams.reference(), -1.0)
     expected = prob.residuals(theta)
-    if end_steps is not None:
-        monkeypatch.setattr(dynamics, "_END_STEPS", end_steps)
+    if block_rows is not None:
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
     engines = []
 
     class Recorded(dynamics._Engine):
@@ -179,8 +179,10 @@ def test_one_loss_plans_its_pulses_at_once(monkeypatch, end_steps):
     report = engine.report()
     assert report["substep_eigensystems"] == 1
     assert report["tone_tables"] == len(tones)
-    assert report["end_steps"] > dynamics._END_STEPS
-    assert report["end_step_passes"] == math.ceil(report["end_steps"] / dynamics._END_STEPS)
+    rows = sum(len(s.freq_hz) * len(s.time_s) for s in prob.specs)
+    assert rows == 506
+    groups = 1 if block_rows is None else math.ceil(rows / block_rows)
+    assert report["end_step_passes"] == groups
 
 
 def test_problem_validation():
@@ -539,6 +541,34 @@ def test_n_eval_counts_every_simulation(monkeypatch, shared_list, free, max_eval
 
 def _seeing_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("make, workers", [(two_parameter_problem, 3),
+                                           (six_parameter_problem, 11)])
+def test_fit_forks_no_more_workers_than_a_jacobian_has_points(monkeypatch, make, workers):
+    """On 64 CPUs a fit of n parameters asks for 2n - 1 workers, one per
+    Jacobian point beyond the caller's; none is forked here, the pool
+    evaluating inline."""
+    _seeing_cpus(monkeypatch, 64)
+    asked = []
+
+    class Inline:
+        def __init__(self, fn, n_workers):
+            self.fn = fn
+            asked.append(n_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, key, points):
+            return [self.fn(key, p) for p in points]
+
+    monkeypatch.setattr(fitkit, "_Pool", Inline)
+    fit_parameters(make(), max_eval=20)
+    assert asked == [workers]
 
 
 @pytest.mark.parametrize("make, max_eval", [

@@ -133,9 +133,10 @@ def test_pump_off_resonant_reports_no_polarization(ground_system, excited_system
 
 
 def test_pump_rejects_bad_input(ground_system, excited_system):
-    with pytest.raises(ValueError, match="f7"):
-        pump_dynamics(ground_system, excited_system, "f7",
-                      rabi_hz=1e6, linewidth_hz=LINEWIDTH_HZ, duration_s=1e-6)
+    for line in ("f7", "other"):  # "other" names the spin-flipping lines, no peak
+        with pytest.raises(ValueError, match=line):
+            pump_dynamics(ground_system, excited_system, line,
+                          rabi_hz=1e6, linewidth_hz=LINEWIDTH_HZ, duration_s=1e-6)
     with pytest.raises(ValueError):
         pump_dynamics(ground_system, excited_system, "f0",
                       rabi_hz=1e6, linewidth_hz=-1.0, duration_s=1e-6)
