@@ -20,13 +20,16 @@ whole periods become powers of its eigenvalues, and only the fractional
 remainders at the pulse ends are integrated explicitly; and the midpoint
 substeps of every period sample the drive at the same phases, so the
 tones of one drive amplitude and phase share the eigensystems of their
-substep Hamiltonians and differ only in the substep length.  Every pixel
-of a map is one row of a stacked state that all its pulses act on at
-once.  Pulse times do not depend on the state, so the engine plans every
-pulse of a call before it runs any: the period tables of all its tones
-are built side by side, and the pulse ends of a group of rows -- which
-may come from several maps, such as every map of one fit evaluation --
-are deduplicated once and integrated in one stacked pass.
+substep Hamiltonians and differ only in the substep length.  A map is
+described by one ``ExperimentSpec``, which ``rabi_map``, ``ramsey_map``
+and the fit all build, and the engine plans a list of them in one call
+(``_Engine.signals``).  Every pixel is one row of a stacked state that
+all its pulses act on at once.  Pulse times do not depend on the state,
+so the engine plans every pulse of a call before it runs any: the period
+tables of all its tones are built side by side, and the pulse ends of a
+group of rows -- which may come from several maps, such as every map of
+one fit evaluation -- are deduplicated once and integrated in one
+stacked pass.
 
 The tables cost a few large calls rather than many small ones.  The
 tones of one drive are composed side by side, one n x (n tones) matrix
@@ -149,6 +152,63 @@ class SignalMap:
             raise ValueError("signal shape must be (n_freq, n_duration)")
 
 
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One measured map: what was driven and on which grid.
+
+    ``time_s`` is the drive duration axis for a Rabi map and the free
+    delay axis for a Ramsey map.  ``pi_half_s`` freezes the Ramsey
+    pulse duration at its value when the data were taken; it is part of
+    the measurement, not of the model, so the fit never varies it.
+    Initialization is always 0B0M and readout the 1B population; the
+    pre/post mapping-pulse routing follows the transition under test.
+    """
+
+    kind: str
+    transition: str
+    freq_hz: tuple
+    time_s: tuple
+    pi_half_s: float | None = None
+    label: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("rabi", "ramsey"):
+            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.transition not in TRANSITIONS:
+            raise ValueError(f"unknown transition {self.transition!r}")
+        _grids(self.freq_hz, self.time_s)
+        if self.kind == "ramsey" and self.pi_half_s is None:
+            raise ValueError("a ramsey spec needs its calibrated pi_half_s")
+        if self.pi_half_s is not None and not 0.0 <= self.pi_half_s < math.inf:
+            raise ValueError("pi_half_s must be finite and non-negative")
+
+    @property
+    def size(self) -> int:
+        return len(self.freq_hz) * len(self.time_s)
+
+    def metadata(self) -> dict:
+        meta = {"kind": self.kind, "transition": self.transition}
+        if self.pi_half_s is not None:
+            meta["pi_half_s"] = repr(float(self.pi_half_s))
+        if self.label:
+            meta["label"] = self.label
+        return meta
+
+
+def _grids(freq_grid, time_grid) -> tuple:
+    """A map's frequency and time grids as arrays: non-empty, finite, and
+    with no negative time, so no pulse runs backwards."""
+    freq_grid = np.asarray(freq_grid, dtype=float)
+    time_grid = np.asarray(time_grid, dtype=float)
+    if freq_grid.size == 0 or time_grid.size == 0:
+        raise ValueError("grids must be non-empty")
+    if not (np.all(np.isfinite(freq_grid)) and np.all(np.isfinite(time_grid))):
+        raise ValueError("grids must be finite")
+    if np.any(time_grid < 0):
+        raise ValueError("durations and delays must be non-negative")
+    return freq_grid, time_grid
+
+
 def _gaussian_quantiles(n: int) -> np.ndarray:
     """Deterministic stratified standard-normal samples (midpoint quantiles)."""
     from scipy.special import ndtri
@@ -169,7 +229,9 @@ class _Engine:
     evolves by W(t) = F P[k] M^n, with F one midpoint step over the
     remainder r, and a pulse from t_a to t_b is W(t_b) W(t_a)^dagger,
     with M^(n_b - n_a) taken from powers of the eigenvalues.  Many
-    programs run side by side as the rows of one stacked state.
+    programs run side by side as the rows of one stacked state:
+    ``signals`` plans a list of ``ExperimentSpec``s as program sets of
+    ``_sweep``, which runs them all in one call.
 
     Substep k of every period samples the drive at the phase
     2 pi (k + 1/2) / _SUBSTEPS (negated for f < 0, zero for a constant
@@ -432,11 +494,40 @@ class _Engine:
                 out *= np.exp(1j * theta[layer[rows]] * (n_per[b] - n_per[a])[:, None])
                 psi[rows] = np.einsum("nij,nj->ni", g[inv[b]], out)
 
-    def _routing(self, transition: str, ax: float, az: float) -> tuple:
-        """Layers of the pre- and post-mapping pi-pulses of a transition."""
-        return tuple([([(self.transition_frequency(key), ax, az, 0.0)], 0,
-                       self.pi_time(key, ax, az)) for key in keys]
-                     for keys in ROUTING[transition])
+    def signals(self, ax: float, az: float, specs,
+                noise: NoiseModel = NoiseModel()) -> list:
+        """The 1B signal of each ``ExperimentSpec`` of ``specs`` at drive
+        amplitudes (ax, az), all run in one ``_sweep``; the engine reads
+        specs here only.  A spec is one program set, one row per
+        (frequency, noise shift, time): its transition's ``ROUTING``
+        pulses around a chevron driven for each time, or around a free
+        delay of each time between two pi/2 pulses.  Each signal is the
+        mean over the quasi-static shifts of ``noise`` (one shift is
+        exact), clipped to [0, 1]."""
+        quasi_static = noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0
+        shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples) if quasi_static else [0.0]
+        programs = []
+        for spec in specs:
+            freq, times = _grids(spec.freq_hz, spec.time_s)
+            pre, post = ([([(self.transition_frequency(key), ax, az, 0.0)], 0,
+                           self.pi_time(key, ax, az)) for key in keys]
+                         for keys in ROUTING[spec.transition])
+            tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq, shifts).ravel()]
+            which, times = np.repeat(np.arange(len(tones)), times.size), np.tile(times, len(tones))
+            if spec.kind == "rabi":
+                core = [(tones, which, times)]
+            else:
+                half = (tones, which, float(spec.pi_half_s))
+                core = [half, (None, 0, times), half]
+            programs.append(("lower.0B0M", times.size, pre + core + post))
+        psi = self._sweep(programs)
+        signals, row = [], 0
+        for spec, (_, n, _) in zip(specs, programs):
+            signal = self.bright_population(psi[row:row + n]).reshape(
+                len(spec.freq_hz), len(shifts), -1)
+            signals.append(np.clip(signal.mean(axis=1), 0.0, 1.0))
+            row += n
+        return signals
 
     def run(self, program: PulseProgram) -> np.ndarray:
         """Final state of a program, in the static eigenbasis."""
@@ -544,65 +635,22 @@ def propagate(h0: np.ndarray, params: ManifoldParams, program: PulseProgram,
     return psi
 
 
-def _grids(freq_grid, time_grid) -> tuple:
-    """A map's frequency and time grids as arrays: non-empty, finite, and
-    with no negative time, so no pulse runs backwards."""
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    time_grid = np.asarray(time_grid, dtype=float)
-    if freq_grid.size == 0 or time_grid.size == 0:
-        raise ValueError("grids must be non-empty")
-    if not (np.all(np.isfinite(freq_grid)) and np.all(np.isfinite(time_grid))):
-        raise ValueError("grids must be finite")
-    if np.any(time_grid < 0):
-        raise ValueError("durations and delays must be non-negative")
-    return freq_grid, time_grid
-
-
-def _map_setup(params, field, freq_grid, time_grid, transition) -> tuple:
-    """A map's checked grids, its engine, and its transition: the one
-    nearest the mean drive frequency when none is named."""
+def _map(kind, params, field, ax, az, freq_grid, time_grid, transition,
+         pi_half_s=None, noise: NoiseModel = NoiseModel()) -> SignalMap:
+    """The map of one spec on its own engine, of the transition nearest the
+    mean drive frequency when none is named; a Ramsey map's pi/2 is
+    calibrated on resonance when not given."""
     freq_grid, time_grid = _grids(freq_grid, time_grid)
     engine = _Engine(params, field)
     if transition is None:
         f_mean = float(freq_grid.mean())
         transition = min(TRANSITIONS, key=lambda k: abs(
             engine.transition_frequency(k) - f_mean))
-    return freq_grid, time_grid, engine, transition
-
-
-def _program_set(engine, ax, az, freq_grid, time_grid, transition, pi_half_s=None,
-                 noise: NoiseModel = NoiseModel()) -> tuple:
-    """The program set of a map (see ``_Engine._sweep``), one row per
-    (frequency, noise shift, time), and the shape of its rows: a chevron
-    driven for each time or, given ``pi_half_s``, a Ramsey map with a free
-    delay of each time between two pi/2 pulses."""
-    if noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0:
-        shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples)
-    else:
-        shifts = np.zeros(1)
-    pre, post = engine._routing(transition, ax, az)
-    tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq_grid, shifts).ravel()]
-    n_t = time_grid.size
-    which, times = np.repeat(np.arange(len(tones)), n_t), np.tile(time_grid, len(tones))
-    if pi_half_s is None:
-        core = [(tones, which, times)]
-    else:
-        half = (tones, which, float(pi_half_s))
-        core = [half, (None, 0, times), half]
-    return (("lower.0B0M", len(tones) * n_t, pre + core + post),
-            (freq_grid.size, shifts.size, n_t))
-
-
-def _signals(engine, sets) -> list:
-    """The 1B signals of map program sets, run in one ``_sweep``, each
-    averaged over its noise shifts (a single shift is exact)."""
-    psi = engine._sweep([program for program, _ in sets])
-    signals, row = [], 0
-    for (_, n, _), shape in sets:
-        signal = engine.bright_population(psi[row:row + n]).reshape(shape)
-        signals.append(np.clip(signal.mean(axis=1), 0.0, 1.0))
-        row += n
-    return signals
+    if kind == "ramsey" and pi_half_s is None:
+        pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
+    spec = ExperimentSpec(kind, transition, freq_grid, time_grid, pi_half_s)
+    return SignalMap(freq_grid, time_grid, engine.signals(ax, az, [spec], noise)[0],
+                     transition, pi_half_s)
 
 
 def rabi_map(params: ManifoldParams, field: MagneticField,
@@ -615,11 +663,8 @@ def rabi_map(params: ManifoldParams, field: MagneticField,
     post-mapping pulses, mirroring the measurement sequence.  The map
     builds its own engine, whose tables live for this one call.
     """
-    freq_grid, time_grid, engine, transition = _map_setup(
-        params, field, freq_grid, time_grid, transition)
-    chevron = _program_set(engine, amplitude_x_hz, amplitude_z_hz, freq_grid, time_grid,
-                           transition)
-    return SignalMap(freq_grid, time_grid, _signals(engine, [chevron])[0], transition)
+    return _map("rabi", params, field, amplitude_x_hz, amplitude_z_hz, freq_grid,
+                time_grid, transition)
 
 
 def ramsey_map(params: ManifoldParams, field: MagneticField,
@@ -640,17 +685,8 @@ def ramsey_map(params: ManifoldParams, field: MagneticField,
     if noise.kind == "ornstein-uhlenbeck":
         raise ValueError("ramsey_map supports quasi-static noise; "
                          "use decoupling_scan for OU noise")
-    if pi_half_s is not None and not 0.0 <= pi_half_s < math.inf:
-        raise ValueError("pi_half_s must be finite and non-negative")
-    freq_grid, delay_grid, engine, transition = _map_setup(
-        params, field, freq_grid, delay_grid, transition)
-    ax, az = amplitude_x_hz, amplitude_z_hz
-    if pi_half_s is None:
-        pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
-    fringe = _program_set(engine, ax, az, freq_grid, delay_grid, transition, pi_half_s,
-                          noise)
-    return SignalMap(freq_grid, delay_grid, _signals(engine, [fringe])[0], transition,
-                     pi_half_s)
+    return _map("ramsey", params, field, amplitude_x_hz, amplitude_z_hz, freq_grid,
+                delay_grid, transition, pi_half_s, noise)
 
 
 @dataclass(frozen=True)
@@ -867,7 +903,7 @@ def clifford_adjust(physical_fidelity: float) -> float:
 
 __all__ = [
     "TRANSITIONS", "ROUTING",
-    "DriveSegment", "PulseProgram", "NoiseModel", "SignalMap",
+    "DriveSegment", "PulseProgram", "NoiseModel", "SignalMap", "ExperimentSpec",
     "propagate", "rabi_map", "ramsey_map",
     "DecouplingResult", "decoupling_scan",
     "RBResult", "rb_simulate", "clifford_adjust",

@@ -15,6 +15,9 @@ lower-branch Hamiltonian unchanged to first order, and the maps cannot
 tell the strain apart.  It stays freeable by name for data that pin the
 ground-state splitting Delta, such as optical spectra.
 
+Each map is an ``ExperimentSpec``, which lives in :mod:`snspin.dynamics`
+(the engine reads it there) and is re-exported here.
+
 Calibration reads the chevron frequencies and the memory Rabi rate in
 closed form, with no map simulated.  Fitting is trust-region least
 squares on the residual vector, over parameters normalized by their
@@ -51,6 +54,7 @@ import numpy as np
 from .params import (ManifoldParams, MagneticField, electron_larmor_hz,
                      field_for_larmor, ground_defaults, reference_field)
 from . import dynamics
+from .dynamics import ExperimentSpec
 from .csvio import load_signal_csv, save_signal_csv  # noqa: F401 (re-exported)
 
 FIT_PARAM_NAMES = (
@@ -115,49 +119,6 @@ class FitParams:
         return params, field, (self.b_x_ac_hz, self.b_z_ac_hz)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One measured map: what was driven and on which grid.
-
-    ``time_s`` is the drive duration axis for a Rabi map and the free
-    delay axis for a Ramsey map.  ``pi_half_s`` freezes the Ramsey
-    pulse duration at its value when the data were taken; it is part of
-    the measurement, not of the model, so the fit never varies it.
-    Initialization is always 0B0M and readout the 1B population; the
-    pre/post mapping-pulse routing follows the transition under test.
-    """
-
-    kind: str
-    transition: str
-    freq_hz: tuple
-    time_s: tuple
-    pi_half_s: float | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("rabi", "ramsey"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.transition not in dynamics.TRANSITIONS:
-            raise ValueError(f"unknown transition {self.transition!r}")
-        dynamics._grids(self.freq_hz, self.time_s)
-        if self.kind == "ramsey" and self.pi_half_s is None:
-            raise ValueError("a ramsey spec needs its calibrated pi_half_s")
-        if self.pi_half_s is not None and not 0.0 <= self.pi_half_s < math.inf:
-            raise ValueError("pi_half_s must be finite and non-negative")
-
-    @property
-    def size(self) -> int:
-        return len(self.freq_hz) * len(self.time_s)
-
-    def metadata(self) -> dict:
-        meta = {"kind": self.kind, "transition": self.transition}
-        if self.pi_half_s is not None:
-            meta["pi_half_s"] = repr(float(self.pi_half_s))
-        if self.label:
-            meta["label"] = self.label
-        return meta
-
-
 def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.SignalMap:
     """Model map for one spec: :func:`_simulate_all` of that spec alone."""
     return dynamics.SignalMap(np.asarray(spec.freq_hz, dtype=float),
@@ -167,18 +128,9 @@ def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.Sign
 
 def _simulate_all(theta: FitParams, specs) -> list:
     """Model signals of every spec from one system of ``theta``, in one
-    planned engine run: the tone tables of all their pulses are built
-    together, and their pulse ends share the stacked end-step passes."""
+    planned engine run (``_Engine.signals``)."""
     params, field, (ax, az) = theta.to_model()
-    engine = dynamics._Engine(params, field)
-    sets = []
-    for spec in specs:
-        freq = np.asarray(spec.freq_hz, dtype=float)
-        times = np.asarray(spec.time_s, dtype=float)
-        pi_half = spec.pi_half_s if spec.kind == "ramsey" else None
-        sets.append(dynamics._program_set(engine, ax, az, freq, times, spec.transition,
-                                          pi_half))
-    return dynamics._signals(engine, sets)
+    return dynamics._Engine(params, field).signals(ax, az, specs)
 
 
 def _nuisance_rescale(sim: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -434,6 +386,11 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
     ``max_eval`` evaluations) then matches the hyperfine constants to the
     frequencies and the z drive to the rate, through the static system's
     transition frequencies and Rabi rates: no map is simulated.
+    Frequency residuals are in MHz, as a chevron centroid's error is
+    absolute, and the rate's is relative: 1 MHz weighs as much as 100%.
+    The normalized values are bounded below by 0, so no calibrated
+    parameter changes sign (a Rabi rate reads the same for either sign of
+    the z drive).
 
     Only parameters in ``problem.free`` are touched; returns the
     calibrated parameter set (the problem itself is immutable).
@@ -463,14 +420,13 @@ def _calibrated(problem: FitProblem, max_eval: int = 2000) -> FitParams:
         theta = initial.with_free_values(x * base, free)
         params, field, (ax, az) = theta.to_model()
         engine = dynamics._Engine(params, field)
-        # a 1% frequency error weighs as much as a 100% rate error
         return np.array(
-            [100.0 * (engine.transition_frequency(key) / f_hat - 1.0)
-             for key, f_hat, _ in targets]
+            [(engine.transition_frequency(key) - f_hat) / 1e6 for key, f_hat, _ in targets]
             + [engine.rabi_rate(key, ax, az) / rate - 1.0
                for key, _, rate in targets if rate > 0])
 
-    res = least_squares(residuals, np.ones(len(free)), method="trf", max_nfev=max_eval)
+    res = least_squares(residuals, np.ones(len(free)), method="trf", bounds=(0.0, np.inf),
+                        max_nfev=max_eval)
     return initial.with_free_values(res.x * base, free)
 
 
@@ -714,7 +670,7 @@ def reference_problem(noise_rel: float = 0.0, seed: int = 0,
         delays = _period_aligned(np.linspace(0.0, 40e-6, n_long), nu)
         specs.append(ExperimentSpec("ramsey", key, (nu,), delays,
                                     pi_half_s=pi_half, label=f"{key}-ramsey-long"))
-    for sig in _simulate_all(theta, specs):
+    for sig in engine.signals(ax, az, specs):
         if noise_rel > 0:
             sig = sig + noise_rel * rng.standard_normal(sig.shape)
         data.append(sig)

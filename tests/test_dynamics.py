@@ -180,10 +180,9 @@ def test_rephased_basis_runs_complex_operators_to_the_same_pixels(ground, field)
     rephased.vx, rephased.vz = (gauge.conj()[:, None] * v * gauge for v in (real.vx, real.vz))
     freqs, times = F_MEMORY + np.array([-1.3e6, 0.4e6]), np.array([37e-9, 151e-9, 263e-9])
     delays = np.array([0.0, 0.4137e-6, 1.2931e-6])
-    signals = [dyn._signals(e, [dyn._program_set(e, AX, AZ, freqs, times, "memory"),
-                                dyn._program_set(e, AX, AZ, freqs + 2e6, delays, "memory",
-                                                 0.5 * PI_S["memory"])])
-               for e in (real, rephased)]
+    specs = [dyn.ExperimentSpec("rabi", "memory", freqs, times),
+             dyn.ExperimentSpec("ramsey", "memory", freqs + 2e6, delays, 0.5 * PI_S["memory"])]
+    signals = [e.signals(AX, AZ, specs) for e in (real, rephased)]
     for a, b in zip(*signals):
         assert np.max(np.abs(a - b)) < 1e-9
     assert real.report()["sweeps_real_operators"] == 1
@@ -308,8 +307,7 @@ def test_engine_report_counts_what_a_chevron_builds(ground, field, transition):
     out of the drive's reach by orders of magnitude."""
     engine = dyn._Engine(ground, field)
     freqs = engine.transition_frequency(transition) + np.array([-2.1e6, -0.3e6, 1.7e6])
-    dyn._signals(engine, [dyn._program_set(engine, AX, AZ, freqs, np.array([40e-9, 150e-9]),
-                                           transition)])
+    engine.signals(AX, AZ, [dyn.ExperimentSpec("rabi", transition, freqs, [40e-9, 150e-9])])
     report = engine.report()
     routing = set(sum(dyn.ROUTING[transition], ()))
     assert report["substep_eigensystems"] == 1
@@ -332,8 +330,7 @@ def test_small_orbital_gap_keeps_8_levels(request, ground, field):
     engine = dyn._Engine(near, field)
     freqs = engine.transition_frequency("broker") + np.array([-2.1e6, 0.0, 1.7e6])
     times = np.array([40e-9, 150e-9, 400e-9])
-    signal = dyn._signals(engine, [dyn._program_set(engine, AX, AZ, freqs, times,
-                                                    "broker")])[0]
+    signal = engine.signals(AX, AZ, [dyn.ExperimentSpec("rabi", "broker", freqs, times)])[0]
     report = engine.report()
     assert (report["sweeps_4_levels"], report["sweeps_8_levels"]) == (0, 1)
     assert report["max_shift_spread_cycles_8_levels"] > dyn._SHIFT_SPREAD_MAX
@@ -344,18 +341,16 @@ def test_small_orbital_gap_keeps_8_levels(request, ground, field):
 
 def test_each_sweep_builds_its_own_tables(ground, field):
     """Tables live for one call: a second identical call on the same
-    engine builds them again and gives bitwise the same states."""
+    engine builds them again and gives bitwise the same signals."""
     engine = dyn._Engine(ground, field)
     freqs = F_MEMORY + np.array([-1.3e6, 0.0, 2.2e6])
-    programs = [dyn._program_set(engine, AX, AZ, freqs, np.array([30e-9, 170e-9]),
-                                 "memory")[0],
-                ("lower.0B0M", 2, [([(F_BROKER, AX, AZ, 0.0)], 0, 80e-9),
-                                   (None, 0, np.array([0.0, 1e-6]))])]
-    first = engine._sweep(programs)
+    specs = [dyn.ExperimentSpec("rabi", "memory", freqs, [30e-9, 170e-9]),
+             dyn.ExperimentSpec("ramsey", "broker", [F_BROKER], [0.0, 1e-6], 40e-9)]
+    first = engine.signals(AX, AZ, specs)
     once = engine.report()
-    second = engine._sweep(programs)
+    second = engine.signals(AX, AZ, specs)
     twice = engine.report()
-    assert second.tobytes() == first.tobytes()
+    assert [s.tobytes() for s in second] == [s.tobytes() for s in first]
     assert once["tone_tables"] > 0 and once["substep_eigensystems"] == 1
     for key in ("tone_tables", "substep_eigensystems"):
         assert twice[key] == 2 * once[key]

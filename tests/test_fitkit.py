@@ -70,6 +70,7 @@ def test_fit_params_to_model_matches_reference_field():
 
 
 def test_spec_validation():
+    assert fitkit.ExperimentSpec is dynamics.ExperimentSpec
     with pytest.raises(ValueError, match="kind"):
         ExperimentSpec("hahn", "broker", (1.0,), (1.0,))
     with pytest.raises(ValueError, match="transition"):
@@ -297,6 +298,32 @@ def test_calibration_reads_closed_forms(monkeypatch, kwargs):
         assert getattr(cal, name) == getattr(start, name)
 
 
+def test_calibration_from_the_mirrored_start_finds_every_chevron_line():
+    """From the mirror of the +-5% start (a_par_hz 5% low, a_perp_hz 5%
+    high) the 30 MHz broker_m1 line sits at 5.7 MHz: relative to its
+    frequency, an error twenty times what the same MHz would be on the
+    600 MHz lines.  With each line's error weighed in MHz, every chevron
+    transition of the calibrated point is within 1 MHz of the truth's."""
+    truth = FitParams.reference()
+    full = reference_problem()
+    cal = calibrate_initial(FitProblem(full.specs, full.data, _alternating(truth, -1.0)))
+    expected, found = derived_transitions(truth), derived_transitions(cal)
+    for spec in full.specs[:3]:
+        assert abs(found[spec.transition] - expected[spec.transition]) < 1e6
+
+
+def test_calibration_keeps_the_sign_of_every_parameter():
+    """A Rabi rate reads the same for either sign of the z drive, so an
+    unbounded calibration may land on -b_z_ac_hz (on this problem, from
+    the mirrored start, at -198%).  Every calibrated parameter comes back
+    within 5%, the z drive with its sign."""
+    truth = FitParams.reference()
+    full = reference_problem(noise_rel=0.05, seed=3)
+    cal = calibrate_initial(FitProblem(full.specs, full.data, _alternating(truth, -1.0)))
+    for name in fitkit._CALIBRATION_NAMES:
+        assert getattr(cal, name) == pytest.approx(getattr(truth, name), rel=0.05)
+
+
 @pytest.mark.parametrize("n_time", [14, 7])
 def test_memory_rate_read_matches_the_engine(n_time):
     """The cosine read of the memory chevron's resonant column is within
@@ -467,6 +494,44 @@ def test_refit_from_an_optimum_ends_no_higher():
                            with_errors=False)
     assert first.success and refit.success
     assert refit.loss <= first.loss
+
+
+def _round_trip(full, start):
+    """``test_10``'s two calls: the calibrated start fitted to every map
+    but the long fringes, then that optimum fitted to all of them."""
+    cal = calibrate_initial(FitProblem(full.specs, full.data, start))
+    short = [i for i, s in enumerate(full.specs) if not s.label.endswith("-long")]
+    first = fit_parameters(FitProblem(tuple(full.specs[i] for i in short),
+                                      tuple(full.data[i] for i in short), cal),
+                           max_eval=1100, with_errors=False)
+    return fit_parameters(FitProblem(full.specs, full.data, first.params),
+                          max_eval=1400, with_errors=False)
+
+
+def test_round_trip_from_the_mirrored_start():
+    """The clean round trip from the mirrored +-5% start recovers all six
+    parameters within 1%, as ``test_10`` does from its own start."""
+    truth = FitParams.reference()
+    final = _round_trip(reference_problem(), _alternating(truth, -1.0))
+    for name in DEFAULT_FREE:
+        assert getattr(final.params, name) == pytest.approx(getattr(truth, name), rel=0.01)
+
+
+def test_one_fit_call_needs_its_middle_stage():
+    """One fit call on the 5% noise problem of seed 3, from the calibrated
+    +-5% start, recovers all six parameters within 5% at a loss no higher
+    than the truth's.  Its short fringes are the middle stage of
+    ``_curriculum``: the chevrons' optimum lies outside the capture range
+    of the long fringes, which alone take the fit 18.9% off, to a loss of
+    7.03 (the truth's is 1.27)."""
+    truth = FitParams.reference()
+    full = reference_problem(noise_rel=0.05, seed=3)
+    cal = calibrate_initial(FitProblem(full.specs, full.data, _alternating(truth, 1.0)))
+    res = fit_parameters(FitProblem(full.specs, full.data, cal), max_eval=2000,
+                         with_errors=False)
+    assert res.loss <= full.loss(truth)
+    for name in DEFAULT_FREE:
+        assert getattr(res.params, name) == pytest.approx(getattr(truth, name), rel=0.05)
 
 
 def test_calibrated_candidate_is_clipped_into_bounds(monkeypatch, shared_list):
