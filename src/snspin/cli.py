@@ -53,8 +53,9 @@ Python's ``float()`` and JavaScript's ``Number()`` read back.
 
 Handlers format nothing.  A JSON result is encoded by ``_plain`` alone; a
 CSV result is columns by header name plus header metadata, and ``csvio``
-formats every cell.  A ``rabi`` or ``ramsey`` header names the transition
-and pi/2 its map ran with, so ``fit`` reads it back from its path alone.
+formats every cell.  A ``rabi`` or ``ramsey`` header is its map's spec
+(``ExperimentSpec.metadata``), so ``fit`` reads the spec back from the
+path alone; a dataset it cannot read is a config error at its block.
 """
 
 from __future__ import annotations
@@ -402,16 +403,11 @@ def _drive(opts) -> tuple:
             opts.get("amplitude_z_hz", reference.b_z_ac_hz))
 
 
-def _signal(m, kind: str):
-    """A map's grid payload, its header naming the transition and pi/2 the
-    map ran with, in the keys of ``ExperimentSpec.metadata``, so that ``fit``
-    reads it back from its path alone."""
-    from .fitkit import ExperimentSpec
-
-    meta = ExperimentSpec(kind, m.transition, m.freq_hz, m.duration_s,
-                          m.pi_half_s).metadata()
+def _signal(m):
+    """A map's grid payload with its spec's metadata as the header, so that
+    ``fit`` reads the spec back from the path alone."""
     return ({"freq_hz": m.freq_hz, "duration_s": m.duration_s, "signal": m.signal},
-            meta), "grid"
+            m.spec.metadata()), "grid"
 
 
 def _cmd_rabi(cfg, opts, seed, base):
@@ -419,7 +415,7 @@ def _cmd_rabi(cfg, opts, seed, base):
 
     return _signal(rabi_map(cfg["ground"], cfg["field"], *_drive(opts),
                             _need(opts, "freq_hz"), _need(opts, "duration_s"),
-                            transition=opts.get("transition")), "rabi")
+                            transition=opts.get("transition")))
 
 
 def _cmd_ramsey(cfg, opts, seed, base):
@@ -428,7 +424,7 @@ def _cmd_ramsey(cfg, opts, seed, base):
     return _signal(ramsey_map(cfg["ground"], cfg["field"], *_drive(opts),
                               _need(opts, "freq_hz"), _need(opts, "delay_s"),
                               noise=opts.get("noise"), transition=opts.get("transition"),
-                              pi_half_s=opts.get("pi_half_s")), "ramsey")
+                              pi_half_s=opts.get("pi_half_s")))
 
 
 def _cmd_decouple(cfg, opts, seed, base):
@@ -460,33 +456,19 @@ def _cmd_coherence_map(cfg, opts, seed, base):
 
 
 def _cmd_fit(cfg, opts, seed, base):
-    from .fitkit import (
-        DEFAULT_FREE, ExperimentSpec, FitProblem, fit_parameters, load_signal_csv,
-    )
+    from .fitkit import DEFAULT_FREE, FitProblem, fit_parameters, load_signal_csv
 
     specs, data = [], []
     for i, block in enumerate(_need(opts, "datasets")):
-        where = f"options.datasets[{i}]"
-        if not block.get("path"):
+        where, spec_keys = f"options.datasets[{i}]", dict(block)
+        path = spec_keys.pop("path", None)
+        if not path:
             raise ConfigError("dataset needs a csv path", f"{where}.path")
-        meta, m = load_signal_csv(os.path.join(base, block["path"]))
-        kind = block.get("kind", meta.get("kind"))
-        transition = block.get("transition", meta.get("transition"))
-        pi_half = block.get("pi_half_s", meta.get("pi_half_s"))
-        if kind is None or transition is None:
-            raise ConfigError(
-                "dataset needs kind and transition (in the block or the csv header)", where)
-        try:
-            spec = ExperimentSpec(
-                kind=kind, transition=transition,
-                freq_hz=tuple(float(f) for f in m.freq_hz),
-                time_s=tuple(float(t) for t in m.duration_s),
-                pi_half_s=None if pi_half is None else float(pi_half),
-                label=block.get("label", meta.get("label", "")),
-            )
-        except ValueError as exc:
+        try:  # the block's kind, transition, pi_half_s and label override the header's
+            _, m = load_signal_csv(os.path.join(base, path), **spec_keys)
+        except (OSError, ValueError) as exc:
             raise ConfigError(str(exc), where)
-        specs.append(spec)
+        specs.append(m.spec)
         data.append(m.signal)
 
     initial = _need(opts, "initial")

@@ -5,7 +5,8 @@ number as the ``repr`` of the Python number, which reads back exactly.
 Rows come from equal-length columns (``table_lines``) or from a grid over
 axis0 x axis1, axis0 outer (``grid_lines``).  Kept apart from the model
 modules so that the format has one home that loads none of them:
-``load_signal_csv`` imports ``SignalMap`` when it runs.
+``load_signal_csv`` imports ``ExperimentSpec`` and ``SignalMap`` when it
+runs, and reads the header back into the map's spec.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ def save_signal_csv(path, signal_map, metadata: dict | None = None):
              metadata)
 
 
-def load_signal_csv(path) -> tuple:
+def load_signal_csv(path, **spec_keys) -> tuple:
     """Read a freq_hz,duration_s,signal CSV into (metadata, SignalMap).
 
-    Leading '#' lines carry optional key=value metadata (experiment
-    kind, transition, calibrated pulse duration) written by the
-    exporter.  The rows must cover a full rectangular grid; malformed
-    content is reported with its line number.
+    Leading '#' lines carry key=value metadata, returned as read.  The
+    map's spec is ``ExperimentSpec.from_metadata`` of it, with the
+    ``spec_keys`` (such as a fit dataset's ``kind`` or ``label``) over its
+    keys.  The rows must cover a full rectangular grid; malformed content
+    is reported with its line number.
     """
     meta = {}
     rows = []
@@ -114,6 +116,7 @@ def load_signal_csv(path) -> tuple:
         if not math.isnan(signal[i, j]):
             raise ValueError(f"{path}: duplicate grid point ({f!r}, {t!r})")
         signal[i, j] = s
-    from .dynamics import SignalMap
+    from .dynamics import ExperimentSpec, SignalMap
 
-    return meta, SignalMap(freq_axis, time_axis, signal)
+    spec = ExperimentSpec.from_metadata({**meta, **spec_keys}, freq_axis, time_axis)
+    return meta, SignalMap(spec, signal)

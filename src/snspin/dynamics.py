@@ -23,13 +23,15 @@ tones of one drive amplitude and phase share the eigensystems of their
 substep Hamiltonians and differ only in the substep length.  A map is
 described by one ``ExperimentSpec``, which ``rabi_map``, ``ramsey_map``
 and the fit all build, and the engine plans a list of them in one call
-(``_Engine.signals``).  Every pixel is one row of a stacked state that
-all its pulses act on at once.  Pulse times do not depend on the state,
-so the engine plans every pulse of a call before it runs any: the period
-tables of all its tones are built side by side, and the pulse ends of a
-group of rows -- which may come from several maps, such as every map of
-one fit evaluation -- are deduplicated once and integrated in one
-stacked pass.
+(``_Engine.signals``).  A map result is its spec and its signal
+(``SignalMap``), and ``ExperimentSpec.from_metadata`` reads a spec back
+from the ``metadata`` an artifact's header holds.  Every pixel is one
+row of a stacked state that all its pulses act on at once.  Pulse times
+do not depend on the state, so the engine plans every pulse of a call
+before it runs any: the period tables of all its tones are built side
+by side, and the pulse ends of a group of rows -- which may come from
+several maps, such as every map of one fit evaluation -- are
+deduplicated once and integrated in one stacked pass.
 
 The tables cost a few large calls rather than many small ones.  The
 tones of one drive are composed side by side, one n x (n tones) matrix
@@ -137,22 +139,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class SignalMap:
-    """Normalized bright-state signal over a frequency x duration grid, with
-    the transition the map drove and, for a Ramsey map, its pi/2 duration."""
-
-    freq_hz: np.ndarray
-    duration_s: np.ndarray
-    signal: np.ndarray
-    transition: str | None = None
-    pi_half_s: float | None = None
-
-    def __post_init__(self):
-        if self.signal.shape != (len(self.freq_hz), len(self.duration_s)):
-            raise ValueError("signal shape must be (n_freq, n_duration)")
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """One measured map: what was driven and on which grid.
 
@@ -176,7 +162,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.transition not in TRANSITIONS:
             raise ValueError(f"unknown transition {self.transition!r}")
-        _grids(self.freq_hz, self.time_s)
+        for name, grid in zip(("freq_hz", "time_s"), _grids(self.freq_hz, self.time_s)):
+            object.__setattr__(self, name, tuple(grid.tolist()))  # so specs hash and compare
         if self.kind == "ramsey" and self.pi_half_s is None:
             raise ValueError("a ramsey spec needs its calibrated pi_half_s")
         if self.pi_half_s is not None and not 0.0 <= self.pi_half_s < math.inf:
@@ -193,6 +180,39 @@ class ExperimentSpec:
         if self.label:
             meta["label"] = self.label
         return meta
+
+    @classmethod
+    def from_metadata(cls, meta: dict, freq_hz, time_s) -> ExperimentSpec:
+        """The spec whose ``metadata`` is ``meta`` (its strings, as a CSV
+        header holds them, or values), on the grids read beside it."""
+        if not {"kind", "transition"} <= meta.keys():
+            raise ValueError("a map needs kind and transition, in its csv header or given")
+        pi_half = meta.get("pi_half_s")
+        return cls(meta["kind"], meta["transition"], freq_hz, time_s,
+                   None if pi_half is None else float(pi_half), meta.get("label", ""))
+
+
+@dataclass(frozen=True)
+class SignalMap:
+    """A map: the ``ExperimentSpec`` it ran (or its CSV header names) and its
+    normalized bright-state signal, one row per frequency of the spec's grid."""
+
+    spec: ExperimentSpec
+    signal: np.ndarray
+
+    def __post_init__(self):
+        grid = (len(self.spec.freq_hz), len(self.spec.time_s))
+        if np.shape(self.signal) != grid:
+            raise ValueError(f"signal shape {np.shape(self.signal)} does not match "
+                             f"the spec grid {grid}")
+
+    @property
+    def freq_hz(self) -> np.ndarray:
+        return np.asarray(self.spec.freq_hz, dtype=float)
+
+    @property
+    def duration_s(self) -> np.ndarray:
+        return np.asarray(self.spec.time_s, dtype=float)
 
 
 def _grids(freq_grid, time_grid) -> tuple:
@@ -649,8 +669,7 @@ def _map(kind, params, field, ax, az, freq_grid, time_grid, transition,
     if kind == "ramsey" and pi_half_s is None:
         pi_half_s = 0.5 * engine.pi_time(transition, ax, az)
     spec = ExperimentSpec(kind, transition, freq_grid, time_grid, pi_half_s)
-    return SignalMap(freq_grid, time_grid, engine.signals(ax, az, [spec], noise)[0],
-                     transition, pi_half_s)
+    return SignalMap(spec, engine.signals(ax, az, [spec], noise)[0])
 
 
 def rabi_map(params: ManifoldParams, field: MagneticField,

@@ -121,9 +121,7 @@ class FitParams:
 
 def simulate_experiment(theta: FitParams, spec: ExperimentSpec) -> dynamics.SignalMap:
     """Model map for one spec: :func:`_simulate_all` of that spec alone."""
-    return dynamics.SignalMap(np.asarray(spec.freq_hz, dtype=float),
-                              np.asarray(spec.time_s, dtype=float),
-                              _simulate_all(theta, (spec,))[0])
+    return dynamics.SignalMap(spec, _simulate_all(theta, (spec,))[0])
 
 
 def _simulate_all(theta: FitParams, specs) -> list:
@@ -166,12 +164,7 @@ class FitProblem:
         if len(self.specs) != len(self.data) or not self.specs:
             raise ValueError("need one data array per spec")
         for spec, d in zip(self.specs, self.data):
-            d = np.asarray(d)
-            if d.shape != (len(spec.freq_hz), len(spec.time_s)):
-                raise ValueError(
-                    f"data shape {d.shape} does not match spec grid "
-                    f"({len(spec.freq_hz)}, {len(spec.time_s)})"
-                )
+            dynamics.SignalMap(spec, np.asarray(d))  # refuses a data shape off the grid
         unknown = set(self.free) - set(FIT_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown free parameters: {sorted(unknown)}")
@@ -334,15 +327,12 @@ def estimate_transition_frequency(spec: ExperimentSpec, data) -> float:
     Rabi width; meant to seed :func:`calibrate_initial`, not to replace
     the fit.
     """
-    data = np.asarray(data, dtype=float)
-    freqs = np.asarray(spec.freq_hz, dtype=float)
-    if data.shape != (freqs.size, len(spec.time_s)):
-        raise ValueError(f"data shape {data.shape} does not match the spec grid")
-    weights = data.max(axis=1) - data.min(axis=1)
+    m = dynamics.SignalMap(spec, np.asarray(data, dtype=float))
+    weights = m.signal.max(axis=1) - m.signal.min(axis=1)
     total = weights.sum()
     if total <= 0:
         raise ValueError("map has no signal contrast to locate a transition")
-    return float(weights @ freqs / total)
+    return float(weights @ m.freq_hz / total)
 
 
 # What the calibration sets: the hyperfine constants from the chevron

@@ -388,30 +388,81 @@ def test_map_artifact_fits_back_from_its_path_alone(tmp_path, command, axis):
     assert math.isfinite(doc["loss"])
 
 
+@pytest.mark.parametrize("command, axis", [("rabi", "duration_s"), ("ramsey", "delay_s")])
+def test_map_artifact_reads_back_to_its_spec(tmp_path, command, axis):
+    """A map run with no transition, and a Ramsey map with no pi_half_s,
+    read back to the spec the map ran: its kind, transition, pi/2 (bit for
+    bit) and grids."""
+    from snspin.dynamics import rabi_map, ramsey_map
+    from snspin.fitkit import load_signal_csv
+
+    freqs, times = [6.16e8, 6.17e8], np.linspace(0.0, 2e-7, 5)
+    cfg = {"command": command, "options": {"freq_hz": freqs, axis: times.tolist()}}
+    written, _ = run_command(tmp_path, cfg)
+    _, m = load_signal_csv(written)
+    library = {"rabi": rabi_map, "ramsey": ramsey_map}[command]
+    expected = library(ground_defaults(), reference_field(), 8.92e6, 5.00e6,
+                       freqs, times).spec
+    assert (m.spec.kind, m.spec.transition) == (command, "memory")
+    assert (m.spec.pi_half_s is None) == (command == "rabi")
+    assert m.spec == expected  # pi/2 bit for bit, and the grids
+    np.testing.assert_array_equal(m.freq_hz, freqs)
+    np.testing.assert_array_equal(m.duration_s, times)
+
+
 def test_fit_reads_the_header_label(tmp_path, monkeypatch):
-    """A dataset's label comes from its block, else from the CSV header."""
+    """A dataset's kind, transition, pi_half_s and label come from its
+    block, else from the CSV header."""
     from snspin import fitkit
 
-    spec = fitkit.ExperimentSpec("rabi", "broker", (6.44e8,), (0.0, 1e-7), label="chevron")
+    spec = fitkit.ExperimentSpec("ramsey", "broker", (6.44e8,), (0.0, 1e-7),
+                                 pi_half_s=5e-8, label="chevron")
     fitkit.save_signal_csv(tmp_path / "map.csv", fitkit.simulate_experiment(
         fitkit.FitParams.reference(), spec), metadata=spec.metadata())
-    labels = []
+    header = {"kind": "ramsey", "transition": "broker", "pi_half_s": 5e-8,
+              "label": "chevron"}
+    read = []
 
     class Stop(Exception):
         pass
 
     def capture(problem, **kwargs):
-        labels.extend(spec.label for spec in problem.specs)
+        read.extend(problem.specs)
         raise Stop
 
     monkeypatch.setattr(fitkit, "fit_parameters", capture)
-    for block, label in (({}, "chevron"), ({"label": "own"}, "own")):
+    for block in ({}, {"kind": "rabi"}, {"transition": "memory"}, {"pi_half_s": 6e-8},
+                  {"label": "own"}):
         cfg = {"command": "fit", "output": str(tmp_path / "fit-out.json"),
                "options": {"datasets": [{"path": "map.csv", **block}],
                            "initial": dataclasses.asdict(fitkit.FitParams.reference())}}
         with pytest.raises(Stop):
             cli.run(str(write_config(tmp_path, cfg, "fit.json")))
-        assert labels.pop() == label
+        got = read.pop()
+        assert {key: getattr(got, key) for key in header} == {**header, **block}
+        assert got.freq_hz == spec.freq_hz and got.time_s == spec.time_s
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("absent.csv", None, "No such file"),
+    ("bad.csv", "# kind=rabi\n# transition=broker\nfreq_hz,duration_s,signal\n1,2,x\n",
+     "line 4: non-numeric"),
+])
+def test_unreadable_dataset_is_config_error(tmp_path, capsys, name, text, message):
+    """A dataset file the fit cannot open or parse is a config error at
+    its block (exit 2), like a header that lacks the kind."""
+    from snspin.fitkit import FitParams
+
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    cfg = {"command": "fit", "output": str(tmp_path / "fit-out.json"),
+           "options": {"datasets": [{"path": name}],
+                       "initial": dataclasses.asdict(FitParams.reference())}}
+    assert cli.main(["--config", str(write_config(tmp_path, cfg, "fit.json"))]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert err["path"] == "options.datasets[0]"
+    assert name in err["message"] and message in err["message"]
 
 
 @pytest.mark.parametrize("command", list(SMALL_CONFIGS))

@@ -11,6 +11,7 @@ from snspin import dynamics as dyn
 from snspin.csvio import save_signal_csv
 from snspin.dynamics import (
     DriveSegment,
+    ExperimentSpec,
     NoiseModel,
     PulseProgram,
     SignalMap,
@@ -778,8 +779,9 @@ def test_maps_reject_negative_times_and_non_finite_grids(ground, field):
 
 def test_signal_map_csv_and_shape(tmp_path):
     with pytest.raises(ValueError, match="shape"):
-        SignalMap(np.arange(3.0), np.arange(2.0), np.zeros((2, 3)))
-    sm = SignalMap(np.array([1.0, 2.0]), np.array([0.5]),
+        SignalMap(ExperimentSpec("rabi", "broker", np.arange(3.0), np.arange(2.0)),
+                  np.zeros((2, 3)))
+    sm = SignalMap(ExperimentSpec("rabi", "broker", np.array([1.0, 2.0]), np.array([0.5])),
                    np.array([[0.25], [0.75]]))
     save_signal_csv(tmp_path / "map.csv", sm, {"kind": "rabi"})
     lines = (tmp_path / "map.csv").read_text().splitlines()

@@ -765,7 +765,7 @@ def test_csv_loader_errors(tmp_path):
         load_signal_csv(
             write("d.csv", header + "1,1,0\n1,1,0.5\n1,2,0\n2,1,0\n"))
     meta, sm = load_signal_csv(
-        write("ok.csv", "# kind=rabi\n" + header + "1,1,0.25\n"))
+        write("ok.csv", "# kind=rabi\n" + header + "1,1,0.25\n"), transition="broker")
     assert meta == {"kind": "rabi"}
     assert sm.signal[0, 0] == 0.25
 
