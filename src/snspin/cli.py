@@ -20,7 +20,9 @@ Config layout::
       "options": { ... per-command options ... }
     }
 
-Grids are lists or {"start": lo, "stop": hi, "points": n} blocks.
+Grids are lists or {"start": lo, "stop": hi, "points": n} blocks.  A
+map's grids (``freq_hz``, ``duration_s``, ``delay_s``) repeat no value,
+and its frequencies are positive.
 
 ``run`` reads the whole config in one pass, before any command runs: it
 reads ``command``, then the config object through ``_CONFIG``, one reader
@@ -181,9 +183,10 @@ def _names(val, path: str) -> list:
     return [] if val == [] else _list(_text)(val, path)
 
 
-def _grid(val, path: str, times: bool = False):
+def _grid(val, path: str, times: bool = False, axis: bool = False):
     """A list or a start/stop/points block of finite values, which must
-    also be non-negative when they are ``times``."""
+    also be non-negative when they are ``times``.  A map's ``axis`` holds
+    no value twice, and its frequencies (not ``times``) are positive."""
     import numpy as np
 
     if isinstance(val, dict):
@@ -196,6 +199,8 @@ def _grid(val, path: str, times: bool = False):
     if not np.all(np.isfinite(grid)) or (times and np.any(grid < 0)):
         raise ConfigError("expected finite " + ("non-negative times" if times else "values"),
                           path)
+    if axis and (np.unique(grid).size < grid.size or not (times or np.all(grid > 0))):
+        raise ConfigError("expected distinct " + ("times" if times else "values > 0"), path)
     return grid
 
 
@@ -484,8 +489,9 @@ def _cmd_fit(cfg, opts, seed, base):
 
 # Each command's handler and its option readers; run rejects any other key
 # under ``options``.
+_MAP_TIMES = functools.partial(_grid, times=True, axis=True)
 _MAP_OPTIONS = {"amplitude_x_hz": _float, "amplitude_z_hz": _float,
-                "transition": _transition, "freq_hz": _grid}
+                "transition": _transition, "freq_hz": functools.partial(_grid, axis=True)}
 _COMMANDS = {
     "levels": (_cmd_levels, {"manifold": _choice("ground", "excited", "both")}),
     "transitions": (_cmd_transitions, {"include_optical": _flag, "zpl_hz": _float}),
@@ -496,8 +502,8 @@ _COMMANDS = {
     "fidelity-budget": (_cmd_fidelity_budget,
                         {"tau_s": _float, "delta_omega_rad_s": _float,
                          "n_list": _list(_int), "f_min": _float}),
-    "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _times}),
-    "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _times, "pi_half_s": _time,
+    "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _MAP_TIMES}),
+    "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _MAP_TIMES, "pi_half_s": _time,
                              "noise": _noise(("none", "quasi-static-gaussian"),
                                              {"samples": _count})}),
     "decouple": (_cmd_decouple, {"noise": _noise(("ornstein-uhlenbeck",),

@@ -19,7 +19,7 @@ constant-amplitude tone is periodic (Shirley, Phys. Rev. 138, B979
 whole periods become powers of its eigenvalues, and only the fractional
 remainders at the pulse ends are integrated explicitly; and the midpoint
 substeps of every period sample the drive at the same phases, so the
-tones of one drive amplitude and phase share the eigensystems of their
+tones of one call, which has one drive, share the eigensystems of their
 substep Hamiltonians and differ only in the substep length.  A map is
 described by one ``ExperimentSpec``, which ``rabi_map``, ``ramsey_map``
 and the fit all build, and the engine plans a list of them in one call
@@ -34,7 +34,7 @@ several maps, such as every map of one fit evaluation -- are
 deduplicated once and integrated in one stacked pass.
 
 The tables cost a few large calls rather than many small ones.  The
-tones of one drive are composed side by side, one n x (n tones) matrix
+tones of a call are composed side by side, one n x (n tones) matrix
 per substep, so each substep is two 2-D products for all of them; the
 period propagators of all tones get one finite check, one LAPACK
 workspace query and one complex Schur factorization (``zgees``) each.
@@ -143,9 +143,11 @@ class ExperimentSpec:
     """One measured map: what was driven and on which grid.
 
     ``time_s`` is the drive duration axis for a Rabi map and the free
-    delay axis for a Ramsey map.  ``pi_half_s`` freezes the Ramsey
-    pulse duration at its value when the data were taken; it is part of
-    the measurement, not of the model, so the fit never varies it.
+    delay axis for a Ramsey map; each grid holds distinct values, the
+    frequencies positive and the times non-negative.  ``pi_half_s``
+    freezes the Ramsey pulse duration at its value when the data were
+    taken; it is part of the measurement, not of the model, so the fit
+    never varies it.
     Initialization is always 0B0M and readout the 1B population; the
     pre/post mapping-pulse routing follows the transition under test.
     """
@@ -216,16 +218,19 @@ class SignalMap:
 
 
 def _grids(freq_grid, time_grid) -> tuple:
-    """A map's frequency and time grids as arrays: non-empty, finite, and
-    with no negative time, so no pulse runs backwards."""
+    """A map's frequency and time grids as arrays: non-empty, finite and
+    free of repeats, with positive frequencies and no negative time, so no
+    pulse runs backwards."""
     freq_grid = np.asarray(freq_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     if freq_grid.size == 0 or time_grid.size == 0:
         raise ValueError("grids must be non-empty")
     if not (np.all(np.isfinite(freq_grid)) and np.all(np.isfinite(time_grid))):
         raise ValueError("grids must be finite")
-    if np.any(time_grid < 0):
-        raise ValueError("durations and delays must be non-negative")
+    if np.any(freq_grid <= 0) or np.any(time_grid < 0):
+        raise ValueError("frequencies must be positive, durations and delays non-negative")
+    if any(np.unique(grid).size < grid.size for grid in (freq_grid, time_grid)):
+        raise ValueError("a grid must not repeat a value")
     return freq_grid, time_grid
 
 
@@ -241,9 +246,9 @@ class _Engine:
 
     All states and unitaries live in the static eigenbasis, where free
     evolution is diagonal and the bright projector is a label mask.
-    A tone b(t) = cos(2 pi f t + phase) is phase-coherent in absolute
-    time, so each tone gets one table, anchored at t = 0: the products
-    P[k] of the first k midpoint substeps of one drive period, and the
+    A tone b(t) = cos(2 pi f t) is phase-coherent in absolute time, so
+    each tone gets one table, anchored at t = 0: the products P[k] of the
+    first k midpoint substeps of one drive period, and the
     eigendecomposition Q diag(exp(i theta)) Q^dagger of the period
     propagator M = P[_SUBSTEPS].  Up to t = n T + k dt + r the tone
     evolves by W(t) = F P[k] M^n, with F one midpoint step over the
@@ -251,27 +256,27 @@ class _Engine:
     with M^(n_b - n_a) taken from powers of the eigenvalues.  Many
     programs run side by side as the rows of one stacked state:
     ``signals`` plans a list of ``ExperimentSpec``s as program sets of
-    ``_sweep``, which runs them all in one call.
+    ``_sweep``, which runs them all in one call under one drive V =
+    ax Vx + az Vz.
 
     Substep k of every period samples the drive at the phase
-    2 pi (k + 1/2) / _SUBSTEPS (negated for f < 0, zero for a constant
-    drive), so its Hamiltonian E + c_k V does not depend on the
-    frequency: one stacked eigh per (amplitudes, phase, sign of f)
-    serves every tone, and a tone's steps differ only in dt = T /
-    _SUBSTEPS.  The tables of a call of ``_sweep`` are built together
-    from those eigensystems and dropped after it, and the end steps
-    F P[k] of each group of at most ``_BLOCK_ROWS`` rows are taken in one
-    stacked pass.  Vx and Vz are float64 when their imaginary parts
-    are exactly zero (no static field along y, strain along Egx only),
-    complex otherwise; the same formulas serve both.
+    2 pi (k + 1/2) / _SUBSTEPS, so its Hamiltonian E + c_k V does not
+    depend on the frequency: one stacked eigh per call serves every
+    tone, and a tone's steps differ only in dt = T / _SUBSTEPS.  The
+    tables of a call of ``_sweep`` are built together from those
+    eigensystems and dropped after it, and the end steps F P[k] of each
+    group of at most ``_BLOCK_ROWS`` rows are taken in one stacked pass.
+    Vx and Vz are float64 when their imaginary parts are exactly zero
+    (no static field along y, strain along Egx only), complex otherwise;
+    the same formulas serve both.
 
-    Each call runs on the n x n block of E, Vx and Vz that ``_levels``
-    picks: the four lower-branch levels of the exact 8-level static
-    eigenbasis, or all 8.  Its states keep 8 components, the upper ones
-    zero when reduced.  ``report`` counts the substep eigensystems, tone
-    tables, end steps, end-step passes, sweeps on 4 and on 8 levels and
-    sweeps on real drive operators, summed over the engine's calls, with
-    the largest figures of ``_levels`` among the sweeps of each size.
+    Each call runs on the n x n block of E and V that ``_levels`` picks:
+    the four lower-branch levels of the exact 8-level static eigenbasis,
+    or all 8.  Its states keep 8 components, the upper ones zero when
+    reduced.  ``report`` counts the substep eigensystems, tone tables,
+    end steps, end-step passes, sweeps on 4 and on 8 levels and sweeps
+    on real drive operators, summed over the engine's calls, with the
+    largest figures of ``_levels`` among the sweeps of each size.
     """
 
     def __init__(self, params: ManifoldParams, bias: MagneticField):
@@ -329,153 +334,137 @@ class _Engine:
         and shift-spread figures (``_levels``) of each size."""
         return dict(self._built)
 
-    def _levels(self, labels, tones, driven_s: float) -> tuple:
+    def _levels(self, v, fastest: float, driven_s: float) -> tuple:
         """The levels a sweep propagates, 4 or 8, and the figures that
         chose them: (n, leakage, shift spread in cycles).
 
-        Per drive (ax, az) of ``tones``, with V_lu = ax Vx + az Vz between
-        the lower (l) and upper (u) branch and its cosine bounded by 1,
-        the upper branch takes at most the population (|V_lu| / gap)^2,
-        the gap less the fastest tone.  On the cycle average the drive
-        shifts each lower level by 1/2 sum_u |V_lu|^2 / (E_l - E_u); a
-        common shift is a global phase, and their spread dephases the
-        lower levels over the longest driven time ``driven_s`` (no drive,
-        no shift).  These are the terms the reduction drops, the
-        second-order effective Hamiltonian (Schrieffer-Wolff; Bravyi,
-        DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  Keep 4 levels
-        when every program starts from a lower-branch label of
-        ``labels`` and both figures stay within their bounds.
+        With V_lu the drive V between the lower (l) and upper (u) branch
+        and its cosine bounded by 1, the upper branch takes at most the
+        population (|V_lu| / gap)^2, the gap less the ``fastest`` tone.
+        On the cycle average the drive shifts each lower level by 1/2
+        sum_u |V_lu|^2 / (E_l - E_u); a common shift is a global phase,
+        and their spread dephases the lower levels over the longest driven
+        time ``driven_s`` (no drive, no shift).  These are the terms the
+        reduction drops, the second-order effective Hamiltonian
+        (Schrieffer-Wolff; Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
+        2793 (2011)).  Keep 4 levels when both figures stay within their
+        bounds.
         """
         e = self.energies
-        fastest = max((abs(tone[0]) for tone in tones), default=0.0)
         gap = float(e[4] - e[3]) - fastest
-        leakage = spread = 0.0
-        for ax, az in {tone[1:3] for tone in tones}:
-            v = np.abs((ax * self.vx + az * self.vz)[:4, 4:])
-            leakage = max(leakage, (float(v.max()) / gap) ** 2 if gap > 0 else math.inf)
-            shifts = 0.5 * np.sum(v ** 2 / (e[:4, None] - e[4:]), axis=1)
-            spread = max(spread, float(np.ptp(shifts)) * driven_s)
-        reduce = (all(lab.startswith("lower.") for lab in labels)
-                  and leakage <= _LEAKAGE_MAX and spread <= _SHIFT_SPREAD_MAX)
+        v = np.abs(v[:4, 4:])
+        leakage = (float(v.max()) / gap) ** 2 if gap > 0 else math.inf
+        spread = float(np.ptp(0.5 * np.sum(v ** 2 / (e[:4, None] - e[4:]), axis=1))) * driven_s
+        reduce = leakage <= _LEAKAGE_MAX and spread <= _SHIFT_SPREAD_MAX
         return (4 if reduce else 8), leakage, spread
 
-    def _tables(self, tones: list, block: tuple) -> tuple:
-        """Tables of ``tones`` on the levels of ``block`` = (E, Vx, Vz)
-        (see the class notes): the stacks of P[k] Q and of theta, row i
-        for tone i.  The tones of one drive (ax, az, phase, sign of f)
-        share one stacked eigh of its substep Hamiltonians (real when Vx
-        and Vz are) and are composed side by side (``_compose``).  The
-        period propagators M of all tones get one finite check and one
-        LAPACK workspace query, then one complex Schur factorization
-        (``zgees``, as ``scipy.linalg.schur`` calls it) each, which
-        raises ``LinAlgError`` on a nonzero ``info``; P[k] Q is one
-        stacked product over every tone, all k of a tone in one matrix."""
+    def _tables(self, freqs, block: tuple) -> tuple:
+        """Tables of the tones ``freqs`` (Hz) on the levels of ``block`` =
+        (E, V) (see the class notes): the stacks of P[k] Q and of theta,
+        row i for tone i.  The tones share one stacked eigh of the substep
+        Hamiltonians (real when V is) and are composed side by side
+        (``_compose``).  The period propagators M of all tones get one
+        finite check and one LAPACK workspace query, then one complex
+        Schur factorization (``zgees``, as ``scipy.linalg.schur`` calls
+        it) each, which raises ``LinAlgError`` on a nonzero ``info``;
+        P[k] Q is one stacked product over every tone, all k of a tone in
+        one matrix."""
         from scipy.linalg.lapack import zgees
 
-        energies, vx, vz = block
+        energies, v = block
         n = len(energies)
-        p = np.empty((len(tones), _SUBSTEPS + 1, n, n), dtype=complex)
-        drives = {}
-        for i, (freq, ax, az, phase) in enumerate(tones):
-            drives.setdefault((ax, az, phase, np.sign(freq)), []).append(i)
-        for (ax, az, phase, sign), rows in drives.items():
-            c = np.cos(sign * 2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS
-                       + phase)
-            vals, vecs = np.linalg.eigh(np.diag(energies)
-                                        + c[:, None, None] * (ax * vx + az * vz))
-            dt = _period(np.array([tones[i][0] for i in rows])) / _SUBSTEPS
-            phases = np.exp(-2j * math.pi * vals[:, :, None, None] * dt[:, None])
-            p[rows] = _compose(vecs, phases).transpose(2, 0, 1, 3)
-            self._built["substep_eigensystems"] += 1
-            self._built["tone_tables"] += len(rows)
+        c = np.cos(2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS)
+        vals, vecs = np.linalg.eigh(np.diag(energies) + c[:, None, None] * v)
+        dt = 1.0 / freqs / _SUBSTEPS
+        factors = np.exp(-2j * math.pi * vals[:, :, None, None] * dt[:, None])
+        p = _compose(vecs, factors).transpose(2, 0, 1, 3)
+        self._built["substep_eigensystems"] += 1
+        self._built["tone_tables"] += len(freqs)
         period = p[:, -1]
         if not np.all(np.isfinite(period)):
             raise ValueError("a period propagator is not finite")
         lwork = int(zgees(_no_sort, np.eye(n), lwork=-1)[-2][0].real)   # reads n only
-        q = np.empty((len(tones), n, n), dtype=complex)
-        theta = np.empty((len(tones), n))
+        q = np.empty((len(freqs), n, n), dtype=complex)
+        theta = np.empty((len(freqs), n))
         for i, m in enumerate(period):
             _, _, w, q[i], _, info = zgees(_no_sort, m, lwork=lwork)
             if info:
                 raise np.linalg.LinAlgError(f"no Schur form of a period propagator "
                                             f"(LAPACK zgees info {info})")
             theta[i] = np.angle(w)
-        return (p.reshape(len(tones), (_SUBSTEPS + 1) * n, n) @ q).reshape(p.shape), theta
+        return (p.reshape(len(freqs), (_SUBSTEPS + 1) * n, n) @ q).reshape(p.shape), theta
 
-    def _sweep(self, programs) -> np.ndarray:
-        """Final states of the rows of every program set, in order.
+    def _sweep(self, ax: float, az: float, programs) -> np.ndarray:
+        """Final states of the rows of every program set, in order, under
+        the one drive V = ax Vx + az Vz.
 
-        A program set (init_label, n, layers) runs n programs side by
-        side.  Each layer is (tones, which, durations): row i is driven by
-        ``tones[which[i]]`` for its duration, or evolves freely when
-        ``tones`` is None; a layer starts where the previous one ended.
-        Pulse times do not depend on the state, so the whole call is
-        planned before any state moves: the tables of all its tones are
-        built together and dropped after the call, and the rows of all
-        sets go through in groups of ``_BLOCK_ROWS`` (a group may hold
-        rows of several sets), each group taking its end steps in one
+        A program set (n, layers) runs n programs side by side, each from
+        0B0M.  Each layer is (freqs, which, durations): row i is driven at
+        ``freqs[which[i]]`` (Hz, positive) for its duration, or evolves
+        freely when ``freqs`` is None; a layer starts where the previous
+        one ended.  Pulse times do not depend on the state, so the whole
+        call is planned before any state moves: the tables of all its
+        tones are built together and dropped after the call, and the rows
+        of all sets go through in groups of ``_BLOCK_ROWS`` (a group may
+        hold rows of several sets), each group taking its end steps in one
         stacked pass (``_group``).  All of it runs on the levels
         ``_levels`` chooses; the upper components of the states stay zero
         when those are the lower four.
         """
         index = {}
-        depth = max(len(layers) for _, _, layers in programs)
-        size = sum(n for _, n, _ in programs)
+        depth = max(len(layers) for _, layers in programs)
+        size = sum(n for n, _ in programs)
         kind = np.full((depth, size), -2)   # tone index, -1 free, -2 past the end
         dur = np.zeros((depth, size))
         psi = np.zeros((size, 8), dtype=complex)
+        psi[:, self.system.index("lower.0B0M")] = 1.0
         row = 0
-        for label, n, layers in programs:
+        for n, layers in programs:
             rows = slice(row, row + n)
-            psi[rows, self.system.index(label)] = 1.0
-            for j, (tones, which, d) in enumerate(layers):
+            for j, (freqs, which, d) in enumerate(layers):
                 dur[j, rows] = d
-                kind[j, rows] = -1 if tones is None else np.array(
-                    [index.setdefault(tone, len(index)) for tone in tones])[which]
+                kind[j, rows] = -1 if freqs is None else np.array(
+                    [index.setdefault(f, len(index)) for f in freqs])[which]
             row += n
-        tones = list(index)
+        freqs = np.array(list(index), dtype=float)
         driven_s = float(np.sum(np.where(kind >= 0, dur, 0.0), axis=0).max())
-        n, leakage, spread = self._levels([label for label, _, _ in programs], tones,
-                                          driven_s)
+        v = ax * self.vx + az * self.vz
+        n, leakage, spread = self._levels(v, max(index, default=0.0), driven_s)
         self._built[f"sweeps_{n}_levels"] += 1
-        self._built["sweeps_real_operators"] += self.vx.dtype.kind == self.vz.dtype.kind == "f"
+        self._built["sweeps_real_operators"] += v.dtype.kind == "f"
         for figure, value in (("leakage", leakage), ("shift_spread_cycles", spread)):
             key = f"max_{figure}_{n}_levels"
             self._built[key] = max(self._built[key], value)
-        block = (self.energies[:n], self.vx[:n, :n], self.vz[:n, :n])
-        pq, theta = self._tables(tones, block)
+        block = (self.energies[:n], v[:n, :n])
+        pq, theta = self._tables(freqs, block)
         start = np.zeros_like(dur)
         start[1:] = np.cumsum(dur[:-1], axis=0)
         for first in range(0, size, _BLOCK_ROWS):
             rows = slice(first, first + _BLOCK_ROWS)
-            self._group(psi[rows, :n], tones, block, pq, theta, kind[:, rows],
+            self._group(psi[rows, :n], freqs, block, pq, theta, kind[:, rows],
                         start[:, rows], dur[:, rows])
         return psi
 
-    def _group(self, psi, tones, block, pq, theta, kind, start, dur):
+    def _group(self, psi, freqs, block, pq, theta, kind, start, dur):
         """Apply the layers of one group of rows to ``psi`` in place, on
-        the levels of ``block`` = (E, Vx, Vz) and with the call's tone
-        tables ``pq`` and ``theta`` (see ``_sweep``).
+        the levels of ``block`` = (E, V) and with the call's tone
+        frequencies ``freqs`` and tables ``pq`` and ``theta`` (see
+        ``_sweep``).
 
         Plan: the ends of every driven layer of every row are collected,
         each bitwise-distinct (tone, substep, remainder) once, and their
         end steps F P[k] taken in one pass: F = exp(-2 pi i (E + c V) r)
-        from one stacked eigh (a real symmetric one with real drive
-        operators, leaving only the phases complex), then the product
-        with P[k].  A constant drive (f = 0) is time-invariant: it
-        runs from t = 0, and any period tabulates it exactly.  Run: each
-        layer gathers its rows' end steps and applies W(t_b) W(t_a)^dagger.
+        from one stacked eigh (a real symmetric one for a real V), then
+        the product with P[k].  Run: each layer gathers its rows' end
+        steps and applies W(t_b) W(t_a)^dagger.
         """
-        energies, vx, vz = block
-        freq, ax, az, phase = np.array(tones, dtype=float).reshape(-1, 4).T
-        period = _period(freq)
+        energies, v = block
+        period = 1.0 / freqs
         driven = [np.flatnonzero(layer >= 0) for layer in kind]
         tone, ends = [], []
         for layer, t0, d, rows in zip(kind, start, dur, driven):
-            which, t0, d = layer[rows], t0[rows], d[rows]
-            dc = freq[which] == 0.0
-            tone += [which, which]
-            ends += [np.where(dc, 0.0, t0), np.where(dc, d, t0 + d)]
+            tone += [layer[rows], layer[rows]]
+            ends += [t0[rows], t0[rows] + d[rows]]
         if tone:
             tone, ends = np.concatenate(tone), np.concatenate(ends)
             n_per, rem = np.divmod(ends, period[tone])
@@ -485,17 +474,16 @@ class _Engine:
                                   return_inverse=True)
             (tone, k), frac = np.divmod(keys.real.astype(int), _SUBSTEPS + 1), keys.imag
             t_mid = k * period[tone] / _SUBSTEPS + 0.5 * frac
-            c = np.cos(2.0 * math.pi * freq[tone] * t_mid + phase[tone])
+            c = np.cos(2.0 * math.pi * freqs[tone] * t_mid)
             self._built["end_steps"] += len(keys)
             self._built["end_step_passes"] += 1
             # At most three stacks of ends live at once: E + c V is built in
-            # place and dropped after eigh, a real V^dagger is cast ahead of
+            # one stack and dropped after eigh, a real V^dagger is cast ahead of
             # the product (which would cast a copy of its own), and each
             # product's inputs go before the next one.
-            v = (ax[:, None, None] * vx + az[:, None, None] * vz)[tone]
-            vals, vecs = np.linalg.eigh(np.add(np.diag(energies), np.multiply(
-                c[:, None, None], v, out=v), out=v))
-            del v
+            h = c[:, None, None] * v
+            vals, vecs = np.linalg.eigh(np.add(h, np.diag(energies), out=h))
+            del h
             vecs_h = np.conj(np.swapaxes(vecs, -1, -2)).astype(complex, copy=False)
             vecs = vecs * np.exp(-2j * math.pi * vals * frac[:, None])[:, None, :]
             g = vecs @ vecs_h
@@ -523,38 +511,34 @@ class _Engine:
         pulses around a chevron driven for each time, or around a free
         delay of each time between two pi/2 pulses.  Each signal is the
         mean over the quasi-static shifts of ``noise`` (one shift is
-        exact), clipped to [0, 1]."""
+        exact), clipped to [0, 1]; a shift that takes a tone to 0 Hz or
+        below is a ``ValueError``."""
         quasi_static = noise.kind == "quasi-static-gaussian" and noise.sigma_hz > 0
         shifts = noise.sigma_hz * _gaussian_quantiles(noise.samples) if quasi_static else [0.0]
         programs = []
         for spec in specs:
-            freq, times = _grids(spec.freq_hz, spec.time_s)
-            pre, post = ([([(self.transition_frequency(key), ax, az, 0.0)], 0,
-                           self.pi_time(key, ax, az)) for key in keys]
-                         for keys in ROUTING[spec.transition])
-            tones = [(float(nu), ax, az, 0.0) for nu in np.add.outer(freq, shifts).ravel()]
-            which, times = np.repeat(np.arange(len(tones)), times.size), np.tile(times, len(tones))
+            pre, post = ([([self.transition_frequency(key)], 0, self.pi_time(key, ax, az))
+                          for key in keys] for keys in ROUTING[spec.transition])
+            tones = np.add.outer(spec.freq_hz, shifts).ravel().tolist()
+            if min(tones) <= 0.0:
+                raise ValueError(f"a quasi-static shift takes a {spec.transition} tone to "
+                                 f"{min(tones):g} Hz; drive tones must stay positive")
+            which = np.repeat(np.arange(len(tones)), len(spec.time_s))
+            times = np.tile(spec.time_s, len(tones))
             if spec.kind == "rabi":
                 core = [(tones, which, times)]
             else:
-                half = (tones, which, float(spec.pi_half_s))
+                half = (tones, which, spec.pi_half_s)
                 core = [half, (None, 0, times), half]
-            programs.append(("lower.0B0M", times.size, pre + core + post))
-        psi = self._sweep(programs)
+            programs.append((times.size, pre + core + post))
+        psi = self._sweep(ax, az, programs)
         signals, row = [], 0
-        for spec, (_, n, _) in zip(specs, programs):
+        for spec, (n, _) in zip(specs, programs):
             signal = self.bright_population(psi[row:row + n]).reshape(
                 len(spec.freq_hz), len(shifts), -1)
             signals.append(np.clip(signal.mean(axis=1), 0.0, 1.0))
             row += n
         return signals
-
-    def run(self, program: PulseProgram) -> np.ndarray:
-        """Final state of a program, in the static eigenbasis."""
-        layers = [(None if seg.is_gap else [(seg.frequency_hz, seg.amplitude_x_hz,
-                                             seg.amplitude_z_hz, seg.phase_rad)],
-                   0, seg.duration_s) for seg in program.segments]
-        return self._sweep([(program.init_label, 1, layers)])[0]
 
 
 def _compose(vecs, phases) -> np.ndarray:
@@ -570,19 +554,14 @@ def _compose(vecs, phases) -> np.ndarray:
     prefix[0] = np.eye(n)[:, None]
     vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
     for k in range(_SUBSTEPS):
-        x = (vecs_h[k] @ prefix[k].reshape(n, -1)).reshape(n, tones, n)
+        x = (vecs_h[k] @ prefix[k].reshape(n, tones * n)).reshape(n, tones, n)
         x *= phases[k]
-        np.matmul(vecs[k], x.reshape(n, -1), out=prefix[k + 1].reshape(n, -1))
+        np.matmul(vecs[k], x.reshape(n, tones * n), out=prefix[k + 1].reshape(n, tones * n))
     return prefix
 
 
 def _no_sort(w):
     """Eigenvalue selector of an unsorted Schur factorization, never called."""
-
-
-def _period(freq):
-    """Drive period of a tone, s; a constant drive gets a nominal 1 s."""
-    return 1.0 / np.where(freq == 0.0, 1.0, np.abs(freq))
 
 
 def _drive_operators(params: ManifoldParams, basis: np.ndarray) -> tuple:

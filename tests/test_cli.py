@@ -648,6 +648,15 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
      "options.noise.kind"),
     ("pump", "options.line", "other", "options.line"),
     ("pump", "options.line", "f3", "options.line"),
+    # a map grid that fit cannot read back (a repeat), or a tone at or below 0 Hz
+    ("rabi", "options.freq_hz", [6.44e8, 6.44e8], "options.freq_hz"),
+    ("rabi", "options.freq_hz", [0.0, 6.44e8], "options.freq_hz"),
+    ("rabi", "options.freq_hz", {"start": -6.44e8, "stop": 6.44e8, "points": 3},
+     "options.freq_hz"),
+    ("rabi", "options.duration_s", [0.0, 1e-7, 1e-7], "options.duration_s"),
+    ("ramsey", "options.delay_s", {"start": 1e-7, "stop": 1e-7, "points": 3},
+     "options.delay_s"),
+    ("ramsey", "options.freq_hz", [6.143066e8, 6.143066e8], "options.freq_hz"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

@@ -72,13 +72,25 @@ def pi_segment(engine, name):
                         engine.pi_time(name, AX, AZ))
 
 
+def engine_state(engine, prog):
+    """Final state of ``prog`` in the static eigenbasis, as the one row of
+    a ``_sweep`` plan: a program of drives at (AX, AZ) and phase 0 from
+    0B0M, which is what the engine runs."""
+    assert prog.init_label == "lower.0B0M"
+    assert all(seg.is_gap or (seg.amplitude_x_hz, seg.amplitude_z_hz, seg.phase_rad)
+               == (AX, AZ, 0.0) for seg in prog.segments)
+    layers = [(None if seg.is_gap else [seg.frequency_hz], 0, seg.duration_s)
+              for seg in prog.segments]
+    return engine._sweep(AX, AZ, [(1, layers)])[0]
+
+
 def test_broker_pi_transfer(engine):
-    psi = engine.run(PulseProgram((pi_segment(engine, "broker"),)))
+    psi = engine_state(engine, PulseProgram((pi_segment(engine, "broker"),)))
     assert engine.bright_population(psi) == pytest.approx(BROKER_PI_BRIGHT, abs=1e-4)
 
 
 def test_memory_pi_transfer(engine):
-    psi = engine.run(PulseProgram((pi_segment(engine, "memory"),)))
+    psi = engine_state(engine, PulseProgram((pi_segment(engine, "memory"),)))
     pops = np.abs(psi) ** 2
     assert pops[engine.system.index("lower.0B1M")] == pytest.approx(
         MEMORY_PI_TARGET, abs=1e-4)
@@ -87,7 +99,7 @@ def test_memory_pi_transfer(engine):
 
 
 def test_broker_m1_dark_without_memory_pulse(engine):
-    psi = engine.run(PulseProgram((pi_segment(engine, "broker_m1"),)))
+    psi = engine_state(engine, PulseProgram((pi_segment(engine, "broker_m1"),)))
     assert engine.bright_population(psi) < 3 * BROKER_M1_DARK_LEAK
 
 
@@ -99,34 +111,17 @@ def test_memory_readout_routing(ground, field, engine):
 
 def test_propagate_matches_engine(ground, field, engine):
     prog = PulseProgram((
-        DriveSegment(F_BROKER, AX, AZ, 0.3, PI_S["broker"]),
+        DriveSegment(F_BROKER, AX, AZ, 0.0, PI_S["broker"]),
         DriveSegment(0.0, 0.0, 0.0, 0.0, 50e-9),
-        DriveSegment(F_MEMORY, AX, AZ, 1.1, 100e-9),
+        DriveSegment(F_MEMORY, AX, AZ, 0.0, 100e-9),
     ))
     psi_ref, u = propagate(engine.h0, ground, prog, return_unitary=True)
-    psi_eng = engine.system.states @ engine.run(prog)
+    psi_eng = engine.system.states @ engine_state(engine, prog)
     overlap = abs(np.vdot(psi_ref, psi_eng))
     assert overlap > 1 - 1e-6
     pops = np.abs(psi_ref) ** 2 - np.abs(psi_eng) ** 2
     assert np.max(np.abs(pops)) < 1e-4
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-11
-
-
-def test_upper_branch_start_keeps_8_levels(ground, field):
-    """A program that starts in the upper orbital branch is driven there,
-    so the engine keeps all 8 levels and matches ``propagate`` as it does
-    from the lower branch."""
-    engine = dyn._Engine(ground, field)
-    prog = PulseProgram((
-        DriveSegment(F_BROKER, AX, AZ, 0.3, PI_S["broker"]),
-        DriveSegment(0.0, 0.0, 0.0, 0.0, 50e-9),
-        DriveSegment(F_MEMORY, AX, AZ, 1.1, 100e-9),
-    ), init_label="upper.0B0M")
-    psi_ref = propagate(engine.h0, ground, prog)
-    psi_eng = engine.system.states @ engine.run(prog)
-    assert engine.report()["sweeps_8_levels"] == 1
-    assert abs(np.vdot(psi_ref, psi_eng)) > 1 - 1e-6
-    assert np.max(np.abs(np.abs(psi_ref) ** 2 - np.abs(psi_eng) ** 2)) < 1e-4
 
 
 SKEW_FIELD = MagneticField(bx=2.2e-4, by=1e-4, bz=5.5e-5)   # by != 0: H is complex
@@ -149,7 +144,8 @@ def test_complex_drive_operators_match_propagate(request, ground, levels):
     f_memory, t_memory = engine.transition_frequency("memory"), engine.pi_time("memory", AX, AZ)
     chevron = rabi_map(ground, SKEW_FIELD, AX, AZ, [f_memory], [t_memory], transition="memory")
     prog = routed_program(engine, "memory", [DriveSegment(f_memory, AX, AZ, 0.0, t_memory)])
-    assert abs(chevron.signal[0, 0] - engine.bright_population(engine.run(prog))) < 1e-12
+    pixel = engine.bright_population(engine_state(engine, prog))
+    assert abs(chevron.signal[0, 0] - pixel) < 1e-12
     psi = propagate(engine.h0, ground, prog, timestep=1.0 / (128 * f_memory))
     reference = engine.bright_population(engine.system.states.conj().T @ psi)
     assert abs(chevron.signal[0, 0] - reference) < 2e-3
@@ -161,7 +157,7 @@ def test_complex_drive_operators_match_propagate(request, ground, levels):
     prog = routed_program(engine, "broker", [DriveSegment(f_broker, AX, AZ, 0.0, half),
                                              DriveSegment(0.0, 0.0, 0.0, 0.0, delay),
                                              DriveSegment(f_broker, AX, AZ, 0.0, half)])
-    psi_eng = engine.run(prog)
+    psi_eng = engine_state(engine, prog)
     assert abs(fringe.signal[0, 0] - engine.bright_population(psi_eng)) < 1e-12
     psi_ref, psi_eng = propagate(engine.h0, ground, prog), engine.system.states @ psi_eng
     assert abs(np.vdot(psi_ref, psi_eng)) > 1 - 1e-6
@@ -198,70 +194,43 @@ def test_propagate_timestep_guard(ground, engine):
 
 
 def test_gap_is_exact_free_evolution(ground, engine):
+    """A gap is exact free evolution, in ``propagate`` from any start and
+    in the engine, whose rows start in 0B0M."""
     dur = 123.4e-9
-    prog = PulseProgram((DriveSegment(0.0, 0.0, 0.0, 0.0, dur),),
-                        init_label="lower.1B0M")
-    psi = propagate(engine.h0, ground, prog)
-    idx = engine.system.index("lower.1B0M")
-    phase = np.exp(-2j * math.pi * engine.energies[idx] * dur)
-    expected = engine.system.states[:, idx] * phase
-    assert np.allclose(psi, expected, atol=1e-14)
-    assert np.allclose(engine.system.states @ engine.run(prog), expected, atol=1e-14)
-
-
-def check_constant_drive(engine, levels):
-    """A zero-frequency drive acts by its duration alone, wherever it
-    starts: one exact step on the ``levels`` lowest levels, which the
-    engine propagated while the others stayed zero."""
-    first = DriveSegment(F_BROKER, AX, AZ, 0.0, 43e-9)
-    psi = engine.run(PulseProgram((first, DriveSegment(0.0, AX, AZ, 0.4, 30e-9))))
-    block = slice(0, levels)
-    vals, vecs = np.linalg.eigh(np.diag(engine.energies[block]) + math.cos(0.4)
-                                * (AX * engine.vx + AZ * engine.vz)[block, block])
-    step = (vecs * np.exp(-2j * math.pi * vals * 30e-9)) @ vecs.conj().T
-    before = engine.run(PulseProgram((first,)))
-    assert engine.report()[f"sweeps_{levels}_levels"] == 2
-    assert np.allclose(psi[block], step @ before[block], atol=1e-12)
-    assert not np.any(psi[levels:]) and not np.any(before[levels:])
-
-
-def test_constant_drive_is_time_invariant(ground, field, eight_levels):
-    """On all 8 levels, with the lower-branch reduction refused."""
-    check_constant_drive(dyn._Engine(ground, field), 8)
-
-
-def test_constant_drive_is_time_invariant_on_the_lower_branch(ground, field):
-    """On the four lower-branch levels that the engine keeps at the
-    reference, with the step built from their block."""
-    check_constant_drive(dyn._Engine(ground, field), 4)
+    gap = (DriveSegment(0.0, 0.0, 0.0, 0.0, dur),)
+    for label in ("lower.1B0M", "lower.0B0M"):
+        prog = PulseProgram(gap, init_label=label)
+        idx = engine.system.index(label)
+        phase = np.exp(-2j * math.pi * engine.energies[idx] * dur)
+        expected = engine.system.states[:, idx] * phase
+        assert np.allclose(propagate(engine.h0, ground, prog), expected, atol=1e-14)
+        if label == "lower.0B0M":
+            psi = engine.system.states @ engine_state(engine, prog)
+            assert np.allclose(psi, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("freqs, phase, periods, eigensystems", [
     ((2.0 ** 29, 2.0 ** 25), 0.0, (40, 3), 1),        # two frequencies, one drive
-    ((2.0 ** 29, -2.0 ** 29), math.pi / 3, (40, 40), 2),
-    ((0.0,), 0.4, (1,), 1),
-    ((2.0 ** 29, -2.0 ** 29, 2.0 ** 25), 0.0, (40, 40, 3), 2),   # drives interleaved
 ])
 def test_tables_match_propagation_over_whole_periods(ground, field, eight_levels, freqs,
                                                      phase, periods, eigensystems):
     """A pulse of whole periods from t = 0 is a power of its tone's period
     propagator, so it matches ``propagate`` at the table's own substeps:
-    the tones of one drive amplitude and phase share the eigensystem of
-    their substep Hamiltonians whatever their frequency.  Powers of two
-    make the periods and substeps exact.  A constant drive has no period;
-    its pulse is one exact step of any duration.  All pulses run in one
-    call, so the shared eigensystems are counted within it.  The states
-    are compared on all 8 levels, so the lower-branch reduction is
-    refused: it drops upper-branch amplitudes of order 1e-6."""
+    the tones of one call share the eigensystem of their substep
+    Hamiltonians whatever their frequency.  Powers of two make the
+    periods and substeps exact.  All pulses run in one call, so the
+    shared eigensystems are counted within it.  The states are compared
+    on all 8 levels, so the lower-branch reduction is refused: it drops
+    upper-branch amplitudes of order 1e-6."""
     engine = dyn._Engine(ground, field)
     programs, references = [], []
     for freq, n in zip(freqs, periods):
-        period = 1.0 / abs(freq) if freq else 150e-9
-        programs.append(("lower.0B0M", 1, [([(freq, AX, AZ, phase)], 0, n * period)]))
+        period = 1.0 / freq
+        programs.append((1, [([freq], 0, n * period)]))
         prog = PulseProgram((DriveSegment(freq, AX, AZ, phase, n * period),))
         references.append(propagate(engine.h0, ground, prog,
                                     timestep=period / dyn._SUBSTEPS))
-    for psi, reference in zip(engine._sweep(programs), references):
+    for psi, reference in zip(engine._sweep(AX, AZ, programs), references):
         assert np.max(np.abs(engine.system.states @ psi - reference)) < 1e-9
     assert engine.report()["substep_eigensystems"] == eigensystems
     assert engine.report()["tone_tables"] == len(freqs)
@@ -271,31 +240,28 @@ def test_tables_match_propagation_over_whole_periods(ground, field, eight_levels
 @pytest.mark.parametrize("levels", [4, 8])
 def test_tables_are_sequential_substep_products(ground, field, levels):
     """Every P[k] (k = 0 .. _SUBSTEPS) and theta of ``_tables`` for three
-    tones of one drive and a tone of a second drive, listed interleaved,
-    against products of the substep exponentials built here one tone and
-    one substep at a time.  A table holds P[k] Q, so Q is its row k = 0,
+    tones of one drive against products of the substep exponentials built
+    here one tone and one substep at a time.  A table holds P[k] Q, so Q is its row k = 0,
     and the period propagator P[_SUBSTEPS] is Q diag(exp(i theta))
     Q^dagger.  The drive is sampled as the engine samples it, so that the
     static phases E dt (up to 6e3 rad a substep) agree to the bit."""
     engine = dyn._Engine(ground, field)
-    energies, vx, vz = block = (engine.energies[:levels], engine.vx[:levels, :levels],
-                                engine.vz[:levels, :levels])
-    tones = [(F_BROKER, AX, AZ, 0.3), (-F_MEMORY, 0.5 * AX, AZ, 1.1),
-             (F_MEMORY, AX, AZ, 0.3), (F_BROKER_M1, AX, AZ, 0.3)]
-    pq, theta = engine._tables(tones, block)
-    assert engine.report()["substep_eigensystems"] == 2
-    assert engine.report()["tone_tables"] == len(tones)
-    for (freq, ax, az, phase), table, angles in zip(tones, pq, theta):
-        dt = 1.0 / abs(freq) / dyn._SUBSTEPS
-        c = np.cos(np.sign(freq) * 2.0 * math.pi * (np.arange(dyn._SUBSTEPS) + 0.5)
-                   / dyn._SUBSTEPS + phase)
+    v = (AX * engine.vx + AZ * engine.vz)[:levels, :levels]
+    energies = engine.energies[:levels]
+    freqs = np.array([F_BROKER, F_MEMORY, F_BROKER_M1])
+    pq, theta = engine._tables(freqs, (energies, v))
+    assert engine.report()["substep_eigensystems"] == 1
+    assert engine.report()["tone_tables"] == len(freqs)
+    c = np.cos(2.0 * math.pi * (np.arange(dyn._SUBSTEPS) + 0.5) / dyn._SUBSTEPS)
+    for freq, table, angles in zip(freqs, pq, theta):
+        dt = 1.0 / freq / dyn._SUBSTEPS
         q = table[0]
         assert np.max(np.abs(q.conj().T @ q - np.eye(levels))) < 1e-12
         p = np.eye(levels)
         for k in range(dyn._SUBSTEPS + 1):
             assert np.max(np.abs(table[k] @ q.conj().T - p)) < 1e-12
             if k < dyn._SUBSTEPS:
-                vals, vecs = np.linalg.eigh(np.diag(energies) + c[k] * (ax * vx + az * vz))
+                vals, vecs = np.linalg.eigh(np.diag(energies) + c[k] * v)
                 p = (vecs * np.exp(-2j * math.pi * vals * dt)) @ vecs.conj().T @ p
         assert np.max(np.abs(q @ np.diag(np.exp(1j * angles)) @ q.conj().T - p)) < 1e-12
 
@@ -385,7 +351,7 @@ def test_maps_match_engine_programs(ground, field, engine, transition):
     for i, f in enumerate(freqs):
         for j, t in enumerate(times):
             prog = routed_program(engine, transition, [DriveSegment(f, AX, AZ, 0.0, t)])
-            expected = engine.bright_population(engine.run(prog))
+            expected = engine.bright_population(engine_state(engine, prog))
             assert abs(chevron.signal[i, j] - expected) < 1e-12
 
     noise = NoiseModel(kind="quasi-static-gaussian", sigma_hz=0.2e6, samples=3)
@@ -396,7 +362,7 @@ def test_maps_match_engine_programs(ground, field, engine, transition):
                         transition=transition)
     for i, f in enumerate(freqs + 2e6):
         for j, d in enumerate(delays):
-            expected = np.mean([engine.bright_population(engine.run(routed_program(
+            expected = np.mean([engine.bright_population(engine_state(engine, routed_program(
                 engine, transition, [DriveSegment(f + s, AX, AZ, 0.0, half),
                                      DriveSegment(0.0, 0.0, 0.0, 0.0, d),
                                      DriveSegment(f + s, AX, AZ, 0.0, half)])))
@@ -777,9 +743,35 @@ def test_maps_reject_negative_times_and_non_finite_grids(ground, field):
             ramsey_map(ground, field, AX, AZ, [F_BROKER], times, pi_half_s=bad)
 
 
+def test_spec_grids_are_positive_frequencies_and_distinct_values():
+    """A spec drives positive frequencies only, and repeats no grid value,
+    which its artifact could not be read back from."""
+    times = [0.0, 50e-9]
+    for freqs in ([0.0, F_BROKER], [-F_BROKER], [F_BROKER, -0.0]):
+        with pytest.raises(ValueError, match="positive"):
+            ExperimentSpec("rabi", "broker", freqs, times)
+    with pytest.raises(ValueError, match="repeat"):
+        ExperimentSpec("rabi", "broker", [F_BROKER, F_BROKER], times)
+    with pytest.raises(ValueError, match="repeat"):
+        ExperimentSpec("ramsey", "broker", [F_BROKER], [0.0, 1e-7, 1e-7], 40e-9)
+
+
+def test_ramsey_noise_that_takes_a_tone_to_zero_is_refused(ground, field):
+    """The outermost quasi-static quantile (-1.15 sigma of 4 samples) takes
+    a 30 MHz tone below 0 Hz at sigma = 30 MHz, and the map is refused;
+    at sigma = 20 MHz every tone stays positive."""
+    noise = NoiseModel(kind="quasi-static-gaussian", sigma_hz=30e6, samples=4)
+    with pytest.raises(ValueError, match="positive"):
+        ramsey_map(ground, field, AX, AZ, [F_BROKER_M1], [0.0, 1e-7], noise=noise,
+                   transition="broker_m1")
+    noise = dataclasses.replace(noise, sigma_hz=20e6)
+    assert ramsey_map(ground, field, AX, AZ, [F_BROKER_M1], [0.0, 1e-7], noise=noise,
+                      transition="broker_m1").signal.shape == (1, 2)
+
+
 def test_signal_map_csv_and_shape(tmp_path):
     with pytest.raises(ValueError, match="shape"):
-        SignalMap(ExperimentSpec("rabi", "broker", np.arange(3.0), np.arange(2.0)),
+        SignalMap(ExperimentSpec("rabi", "broker", np.arange(1.0, 4.0), np.arange(2.0)),
                   np.zeros((2, 3)))
     sm = SignalMap(ExperimentSpec("rabi", "broker", np.array([1.0, 2.0]), np.array([0.5])),
                    np.array([[0.25], [0.75]]))

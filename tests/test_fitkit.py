@@ -85,7 +85,7 @@ def test_spec_validation():
         ExperimentSpec("rabi", "broker", (math.nan,), (1.0,))
     with pytest.raises(ValueError, match="pi_half_s"):
         ExperimentSpec("ramsey", "broker", (1.0,), (1.0,), pi_half_s=-1e-8)
-    spec = ExperimentSpec("ramsey", "memory", (1.0, 2.0), (1.0,) * 3,
+    spec = ExperimentSpec("ramsey", "memory", (1.0, 2.0), (1.0, 2.0, 3.0),
                           pi_half_s=50e-9, label="scan")
     assert spec.size == 6
     meta = spec.metadata()
