@@ -48,10 +48,11 @@ A noise block takes the keys its model reads: ``kind`` (``none`` or
 ``quasi-static-gaussian``), ``sigma_hz`` and ``samples`` for ``ramsey``;
 ``kind`` (``ornstein-uhlenbeck``), ``sigma_hz`` and ``correlation_time_s``
 (static noise when left out) for ``decouple``, whose curve is exact, so
-the seed enters ``rb`` only.  JSON artifacts are strict JSON: a
-non-finite result, such as ``n_max`` of ``fidelity-budget`` at zero
-field, is the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
-Python's ``float()`` and JavaScript's ``Number()`` read back.
+the seed enters ``rb`` only.  A ``sigma_hz`` above 0 needs a ``kind``
+other than ``none``.  JSON artifacts are strict JSON: a non-finite
+result, such as ``n_max`` of ``fidelity-budget`` at zero field, is the
+string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which Python's
+``float()`` and JavaScript's ``Number()`` read back.
 
 Handlers format nothing.  A JSON result is encoded by ``_plain`` alone; a
 CSV result is columns by header name plus header metadata, and ``csvio``
@@ -500,7 +501,7 @@ _COMMANDS = {
     "pump": (_cmd_pump, {"line": _line, "rabi_hz": _float, "linewidth_hz": _float,
                          "duration_s": _float, "lifetime_s": _float}),
     "fidelity-budget": (_cmd_fidelity_budget,
-                        {"tau_s": _float, "delta_omega_rad_s": _float,
+                        {"tau_s": _time, "delta_omega_rad_s": _float,
                          "n_list": _list(_int), "f_min": _float}),
     "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _MAP_TIMES}),
     "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _MAP_TIMES, "pi_half_s": _time,

@@ -122,7 +122,8 @@ class NoiseModel:
     ``samples`` applies to it only.  OU noise is a fluctuating transition
     frequency with standard deviation ``sigma_hz`` and correlation time
     ``correlation_time_s`` (which applies to it only; ``inf`` is static
-    noise), and ``decoupling_scan`` averages over it exactly.
+    noise), and ``decoupling_scan`` averages over it exactly.  Kind
+    ``none`` takes no ``sigma_hz``.
     """
 
     kind: str = "none"
@@ -136,6 +137,8 @@ class NoiseModel:
         if self.sigma_hz < 0 or self.samples < 1 or not self.correlation_time_s > 0:
             raise ValueError("sigma must be >= 0, correlation_time_s > 0 (inf for "
                              "static noise) and samples >= 1")
+        if self.kind == "none" and self.sigma_hz > 0:
+            raise ValueError("noise of kind 'none' takes no sigma; give its kind")
 
 
 @dataclass(frozen=True)

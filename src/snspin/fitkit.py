@@ -609,10 +609,11 @@ def _period_aligned(delays, freq_hz):
 
     This keeps the second Ramsey pulse phase-locked to the tone, as in a
     synthesizer-timed measurement.  The sub-period rounding (< 2 ns) is
-    stored in the spec, so data and model stay consistent.
+    stored in the spec, so data and model stay consistent.  Delays closer
+    than a period round to one count, which the grid keeps once.
     """
     period = 1.0 / freq_hz
-    return tuple(np.round(np.asarray(delays) / period) * period)
+    return tuple(np.unique(np.round(np.asarray(delays) / period)) * period)
 
 
 def reference_problem(noise_rel: float = 0.0, seed: int = 0,

@@ -271,8 +271,8 @@ def excitation_fidelity(delta_omega_m: float, tau: float, n: float) -> float:
     F = 1/2 (1 + (1 + (delta_omega_m * tau)^2)^(-n/2)); the linear phase
     accumulated by the mean dwell time is treated as correctable.
     """
-    if n < 0:
-        raise ValueError("excitation count must be non-negative")
+    if n < 0 or tau < 0:
+        raise ValueError("excitation count and lifetime must be non-negative")
     x2 = (delta_omega_m * tau) ** 2
     return 0.5 * (1.0 + (1.0 + x2) ** (-0.5 * n))
 
@@ -312,6 +312,8 @@ def max_excitations(delta_omega_m: float, tau: float, f_min: float) -> float:
     """
     if not 0.5 < f_min < 1.0:
         raise ValueError("threshold must lie strictly between 1/2 and 1")
+    if tau < 0:
+        raise ValueError("lifetime must be non-negative")
     x2 = (delta_omega_m * tau) ** 2
     if x2 == 0.0:
         return math.inf

@@ -27,17 +27,17 @@ spin states are labeled by the broker/memory qubit convention:
 
 Degenerate levels are resolved by symmetry, not by a tolerance: without
 a transverse field H conserves Fz = sz_S + sz_I (Hepp et al., PRL 112,
-036405 (2014)), and each Fz sector is diagonalized on its own.
-Otherwise one ``eigh`` decides, down to its ~1e-3 Hz resolution.
+036405 (2014)) and is block diagonal in a basis ordered by Fz sector.
+``eigh`` takes it there: its tridiagonal form has exact zeros at the
+block ends, where LAPACK splits it, so each eigenvector stays in one
+sector.  Otherwise ``eigh`` decides, down to its ~1e-3 Hz resolution.
 
 ``eigensystem`` is the one-point path: it checks, diagonalizes, labels
-and gauges the 8x8 matrix itself, with one 8x8 ``eigh`` or one ``eigh``
-per Fz sector size.  ``eigensystems`` is the stacked path for (n, 8, 8):
-the points that couple Fz sectors share one stacked ``eigh``, the others
-one stacked ``eigh`` per sector size, and every point comes out bitwise
-as ``eigensystem`` gives it alone.  ``manifold_eigensystems`` builds such
-a stack over n field points from the one Hamiltonian formula of
-``build_hamiltonian``.
+and gauges the 8x8 matrix itself with one ``eigh``.  ``eigensystems`` is
+the stacked path for (n, 8, 8): one stacked ``eigh`` takes every point
+in the basis ``eigensystem`` would use, and each comes out bitwise as it
+would alone.  ``manifold_eigensystems`` builds such a stack over n field
+points from the one Hamiltonian formula of ``build_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -94,14 +94,13 @@ _NUCLEAR_BIT = np.array([i & 1 for i in range(8)])
 _ALIGNED = (_ELECTRON_BIT == _NUCLEAR_BIT).astype(float)
 _NUCLEAR_UP = (_NUCLEAR_BIT == 0).astype(float)
 
-# Fz = sz_S + sz_I of each basis state, the basis ordered by its sectors
-# -- aligned up {0, 4}, aligned down {3, 7}, anti-aligned {1, 2, 5, 6} --
-# and the entries of an 8x8 matrix that couple two different sectors.
+# Fz = sz_S + sz_I of each basis state; the basis in sector order (aligned
+# up {0, 4}, aligned down {3, 7}, anti-aligned {1, 2, 5, 6}), as a gather of
+# (..., 8, 8) matrices and its rows back; the entries coupling two sectors.
 _FZ = 2 - 2 * (_ELECTRON_BIT + _NUCLEAR_BIT)
 _SECTOR_ORDER = np.concatenate([np.flatnonzero(_FZ == fz) for fz in (2, -2, 0)])
-_ALIGNED_PAIRS = _SECTOR_ORDER[:4].reshape(2, 2)
-_ALIGNED_BLOCKS = (..., _ALIGNED_PAIRS[:, :, None], _ALIGNED_PAIRS[:, None, :])
-_ANTI_BLOCK = (...,) + np.ix_(_SECTOR_ORDER[4:], _SECTOR_ORDER[4:])
+_SECTOR_BLOCK = (...,) + np.ix_(_SECTOR_ORDER, _SECTOR_ORDER)
+_BASIS_ORDER = np.argsort(_SECTOR_ORDER)
 _CROSS_SECTOR = _FZ[:, None] != _FZ[None, :]
 
 _COLUMNS = np.arange(8)
@@ -190,21 +189,6 @@ def _check(h: np.ndarray) -> None:
         raise ValueError("Hamiltonian is not Hermitian")
 
 
-def _sector_eighs(h: np.ndarray) -> tuple:
-    """Energies (..., 8) and states (..., 8, 8) of Hamiltonians ``h``
-    (..., 8, 8) that couple no two Fz sectors, from one stacked ``eigh``
-    per sector size.  Not sorted: columns 0-1 are the aligned-up sector,
-    2-3 the aligned-down one and 4-7 the anti-aligned one."""
-    vals2, vecs2 = np.linalg.eigh(h[_ALIGNED_BLOCKS])
-    vals4, vecs4 = np.linalg.eigh(h[_ANTI_BLOCK])
-    blocks = np.zeros(h.shape, dtype=complex)
-    blocks[..., :2, :2], blocks[..., 2:4, 2:4] = vecs2[..., 0, :, :], vecs2[..., 1, :, :]
-    blocks[..., 4:, 4:] = vecs4
-    states = np.empty(h.shape, dtype=complex)
-    states[..., _SECTOR_ORDER, :] = blocks
-    return np.concatenate([vals2.reshape(h.shape[:-2] + (4,)), vals4], axis=-1), states
-
-
 def _label_columns(pops: np.ndarray) -> np.ndarray:
     """Column of each of :data:`LABELS` in energy-sorted eigenvectors with
     populations ``pops`` (n, 8, 8), by the rule of :func:`eigensystem`."""
@@ -224,11 +208,11 @@ def eigensystems(h: np.ndarray) -> tuple:
     Returns ``(energies, states, columns)`` of shapes (n, 8), (n, 8, 8)
     and (n, 8): point i has eigenvector ``states[i, :, k]`` at
     ``energies[i, k]``, and ``columns[i, j]`` is the column of
-    ``LABELS[j]``.  This is the stacked path of :func:`eigensystem`: the
-    points whose ``h`` couples two Fz sectors share one stacked ``eigh``,
-    the others one stacked ``eigh`` per sector size, and the labeling
-    rule runs on the whole stack with the same stable sorts.  Each point
-    comes out bitwise as :func:`eigensystem` gives it alone.
+    ``LABELS[j]``.  This is the stacked path of :func:`eigensystem`: one
+    stacked ``eigh`` takes every point, each ``h`` that couples no two Fz
+    sectors in the sector order, and the labeling rule runs on the whole
+    stack with the same stable sorts.  Each point comes out bitwise as
+    :func:`eigensystem` gives it alone.
 
     :param h: (n, 8, 8) finite Hermitian matrices in the fixed product
         basis (Hz).
@@ -237,18 +221,12 @@ def eigensystems(h: np.ndarray) -> tuple:
     if h.ndim != 3 or h.shape[1:] != (8, 8):
         raise ValueError(f"expected a stack of 8x8 matrices, got shape {h.shape}")
     _check(h)
-    coupled = h[:, _CROSS_SECTOR].any(axis=1)
-    if coupled.all():
-        energies, states = np.linalg.eigh(h)
-    else:
-        energies = np.empty(h.shape[:2])
-        states = np.empty(h.shape, dtype=complex)
-        if coupled.any():
-            energies[coupled], states[coupled] = np.linalg.eigh(h[coupled])
-        sector_energies, sector_states = _sector_eighs(h[~coupled])
-        order = np.argsort(sector_energies, axis=-1, kind="stable")
-        energies[~coupled] = np.take_along_axis(sector_energies, order, -1)
-        states[~coupled] = np.take_along_axis(sector_states, order[:, None, :], -1)
+    sector = ~h[:, _CROSS_SECTOR].any(axis=1)
+    if sector.any():  # reorder a copy, never the caller's array
+        h = h.copy()
+        h[sector] = h[sector][_SECTOR_BLOCK]
+    energies, states = np.linalg.eigh(h)
+    states[sector] = states[sector][:, _BASIS_ORDER]
     mags = np.abs(states)
     columns = _label_columns(mags ** 2)
     # gauge: the largest-magnitude component of each column real positive
@@ -262,13 +240,14 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     This is the one-point path: it works on the 8x8 matrix itself, and
     :func:`eigensystems` gives each point of a stack bitwise as this
     does.  When ``h`` couples no two Fz sectors (no transverse field),
-    each sector is diagonalized on its own, so every eigenvector has a
-    definite Fz even inside a degenerate level: the aligned pair splits
-    into |up,Up> (1B0M) and |down,Down> (1B1M).  Any other ``h`` takes
-    one ``eigh``, whose ~1e-3 Hz resolution limits the labels at bz = 0
-    with bx below about 1 uT: there the excited 1B gap (0.02 Hz at 1 uT,
-    growing as bx^2) nears it, and rounding sets lambda_f0 (2.0-5.6 for
-    10-400 nT).
+    ``eigh`` takes it in the sector order, where it is block diagonal and
+    its tridiagonal form has exact zeros at the block ends.  So every
+    eigenvector has a definite Fz even inside a degenerate level: the
+    aligned pair splits into |up,Up> (1B0M) and |down,Down> (1B1M), in the
+    column order ``eigh`` gives.  Any other ``h`` goes to ``eigh`` as it is,
+    whose ~1e-3 Hz resolution limits the labels at bz = 0 with bx below
+    about 1 uT: there the excited 1B gap (0.02 Hz at 1 uT, growing as bx^2)
+    nears it, and rounding sets lambda_f0 (2.0-5.6 for 10-400 nT).
 
     In each branch (columns 0-3 lower, 4-7 upper) the two most aligned
     states are 1B, 1B0M the one with more nuclear-up weight (the more
@@ -285,9 +264,8 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     if np.count_nonzero(h[_CROSS_SECTOR]):
         energies, states = np.linalg.eigh(h)
     else:
-        energies, states = _sector_eighs(h)
-        order = energies.argsort(kind="stable")
-        energies, states = energies[order], states[:, order]
+        energies, states = np.linalg.eigh(h[_SECTOR_BLOCK])
+        states = states[_BASIS_ORDER]
     mags = np.abs(states)
     pops = mags ** 2
     aligned, up = (_ALIGNED @ pops).tolist(), (_NUCLEAR_UP @ pops).tolist()

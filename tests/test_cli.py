@@ -657,6 +657,12 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("ramsey", "options.delay_s", {"start": 1e-7, "stop": 1e-7, "points": 3},
      "options.delay_s"),
     ("ramsey", "options.freq_hz", [6.143066e8, 6.143066e8], "options.freq_hz"),
+    # a noise sigma with no kind to carry it, and a negative lifetime
+    pytest.param("ramsey", "options.noise", {"sigma_hz": 3e5, "samples": 12}, "options.noise",
+                 id="ramsey-options.noise-sigma-without-kind"),
+    pytest.param("decouple", "options.noise", {"sigma_hz": 2e4}, "options.noise",
+                 id="decouple-options.noise-sigma-without-kind"),
+    ("fidelity-budget", "options.tau_s", -1, "options.tau_s"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

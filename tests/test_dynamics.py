@@ -714,6 +714,10 @@ def test_noise_model_validation():
         NoiseModel(sigma_hz=-1.0)
     with pytest.raises(ValueError):
         NoiseModel(samples=0)
+    # a sigma under the default kind "none" would be dropped unseen
+    with pytest.raises(ValueError, match="kind"):
+        NoiseModel(sigma_hz=3e5)
+    assert NoiseModel(sigma_hz=0.0).kind == "none"
 
 
 def test_segment_and_program_validation():

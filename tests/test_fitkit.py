@@ -388,6 +388,19 @@ def two_parameter_problem(**kwargs):
     return small_problem(initial=start, free=names, **kwargs)
 
 
+def test_dense_ramsey_grid_keeps_one_delay_per_period():
+    """400 short-Ramsey delays over 6 us are closer than the 33 ns period
+    of the broker_m1 tone.  The problem still builds, with each whole
+    period of the span once."""
+    prob = reference_problem(n_freq=3, n_time=4, n_delay=400, n_long=10)
+    (spec,) = [s for s in prob.specs if s.label == "broker_m1-ramsey"]
+    counts = np.asarray(spec.time_s) * spec.freq_hz[0]
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-6)
+    assert np.all(np.diff(np.round(counts)) == 1)
+    assert counts[0] == 0.0 and counts[-1] == np.round(6e-6 * spec.freq_hz[0])
+    assert prob.data[prob.specs.index(spec)].shape == (1, len(counts))
+
+
 def six_parameter_problem():
     """A small reference problem from the +-5% alternating start."""
     prob = reference_problem(n_freq=3, n_time=5, n_delay=7, n_long=9)

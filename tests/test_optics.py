@@ -150,6 +150,9 @@ def test_excitation_fidelity_limits():
     assert f[-1] == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(ValueError):
         excitation_fidelity(1e5, 6e-9, -1)
+    with pytest.raises(ValueError, match="lifetime"):
+        excitation_fidelity(1e5, -6e-9, 10)
+    assert excitation_fidelity(1e5, 0.0, 10) == 1.0
 
 
 def test_excitation_fidelity_value():
@@ -185,6 +188,10 @@ def test_max_excitations_budget():
         max_excitations(1e5, 6e-9, 0.4)
     with pytest.raises(ValueError):
         max_excitations(1e5, 6e-9, 1.0)
+    # the squared phase (delta_omega tau)^2 would hide the sign of tau
+    with pytest.raises(ValueError, match="lifetime"):
+        max_excitations(1e5, -6e-9, 0.95)
+    assert max_excitations(1e5, 0.0, 0.95) == math.inf
 
 
 def test_collection_efficiency():

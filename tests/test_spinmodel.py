@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snspin.params import MU_B_HZ_PER_T, MagneticField, ManifoldParams, ground_defaults
+from snspin.params import (
+    MU_B_HZ_PER_T, MagneticField, ManifoldParams, ground_defaults, reference_field,
+)
 from snspin.spinmodel import (
     BRANCHES,
     LABELS,
@@ -121,6 +123,30 @@ def test_stacked_eigensystems_match_one_point(params, fields):
             assert np.array_equal(energies[i], one.energies)
             assert np.array_equal(states[i], one.states)
             assert tuple(one.labels[c] for c in columns[i]) == LABELS
+
+
+def test_one_eigh_per_call(monkeypatch):
+    """Each path diagonalizes with one ``eigh`` call, at B = 0, at an
+    axial field, at the reference field and on a stack that mixes
+    sector-coupling and axial points: the Fz sectors are kept apart by a
+    basis permutation."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    params = ground_defaults()
+    for field in (MagneticField(), MagneticField(bz=3e-4), reference_field()):
+        shapes.clear()
+        manifold_eigensystem(params, field)
+        assert shapes == [(8, 8)]
+    shapes.clear()
+    manifold_eigensystems(params, [0.0, 1e-4, 0.0, 2e-4], [0.0, 0.0, 0.0, 1e-5],
+                          [0.0, 0.0, 3e-4, 1e-4])
+    assert shapes == [(4, 8, 8)]
 
 
 def operator_sum(p, bx, by, bz):
