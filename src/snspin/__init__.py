@@ -6,12 +6,12 @@ optical transitions and cyclicity, microwave-driven spin dynamics, the
 coherence limits set by phonon-mediated orbital hopping, and a fitting
 workflow that recovers model parameters from spectroscopy data.
 
-Imports: at module top a submodule imports numpy, its sibling submodules
-and light standard-library modules only.  scipy, and the
-``multiprocessing`` and ``concurrent.futures`` of the fit's process pool,
-are imported inside the functions that call them.  So importing any submodule loads none of them,
-and the commands that call no scipy routine (``levels``,
-``cyclicity-map``, ``coherence-map``, ``decouple``) never load it.
+Imports: at module top a submodule imports numpy, its sibling submodules and
+light standard-library modules only.  scipy, and the ``multiprocessing`` and
+``concurrent.futures`` of the fit's process pool, are imported inside the
+functions that call them.  So importing any submodule loads none of them, and
+the commands that call no scipy routine (``levels``, ``cyclicity-map``,
+``coherence-map``, ``decouple``, ``rabi``, ``ramsey``) never load it.
 """
 
 # Public names and the submodule each comes from.  The submodules load on

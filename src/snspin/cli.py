@@ -37,8 +37,9 @@ an error for every command and whatever ``--seed`` or ``--out`` say,
 while a well-formed block that a command does not use is accepted.  An
 unset parameter block or field takes the package's fitted defaults.  A
 number is finite (JSON's ``NaN`` and ``Infinity`` are refused) and never a
-boolean, and switches such as ``include_optical`` and ``nuisance`` take
-JSON ``true`` or ``false`` only.  ``null`` is a value of the wrong type
+boolean, and a bounded one is read in the range the library accepts.
+Switches such as ``include_optical`` and ``nuisance`` take JSON ``true``
+or ``false`` only.  ``null`` is a value of the wrong type
 for every key: to take a default, leave the key out.  ``decouple`` models
 ideal instantaneous pulses against pure dephasing, so it uses only
 ``options.noise``, ``options.n_pulses`` and ``options.total_time_s``: no
@@ -119,15 +120,20 @@ def _int(val, path: str, minimum: int = 0) -> int:
     return int(val)
 
 
-def _count(val, path: str) -> int:
-    return _int(val, path, minimum=1)
+_count = functools.partial(_int, minimum=1)
 
 
-def _time(val, path: str) -> float:
-    time = _float(val, path)
-    if time < 0.0:
-        raise ConfigError(f"expected a finite non-negative time, got {val!r}", path)
-    return time
+def _range(within, what: str):
+    """A reader of a finite number that ``within`` accepts (``what``)."""
+    def read(val, path: str) -> float:
+        if not within(number := _float(val, path)):
+            raise ConfigError(f"expected {what}, got {val!r}", path)
+        return number
+    return read
+
+
+_nonnegative = _range(lambda x: x >= 0.0, "a finite number >= 0")
+_positive = _range(lambda x: x > 0.0, "a finite number > 0")
 
 
 def _flag(val, path: str) -> bool:
@@ -169,13 +175,16 @@ def _line(val, path: str):
     return _choice("f0", "f1", "f2")(val, path) if isinstance(val, str) else _float(val, path)
 
 
-def _list(read=_float, count: int | None = None):
-    """A reader of a non-empty list (of ``count`` entries when given), each
-    entry read by ``read``."""
+def _list(read=_float, count: int | None = None, distinct: int = 1):
+    """A reader of a non-empty list (of ``count`` entries when given, at
+    least ``distinct`` of them different), each entry read by ``read``."""
     def read_list(val, path: str) -> list:
         if not isinstance(val, list) or not val or count not in (None, len(val)):
             raise ConfigError(f"expected a list of {count or 'one or more'} entries", path)
-        return [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
+        entries = [read(x, f"{path}[{i}]") for i, x in enumerate(val)]
+        if distinct > 1 and len(set(entries)) < distinct:
+            raise ConfigError(f"expected at least {distinct} distinct entries", path)
+        return entries
     return read_list
 
 
@@ -203,10 +212,6 @@ def _grid(val, path: str, times: bool = False, axis: bool = False):
     if axis and (np.unique(grid).size < grid.size or not (times or np.all(grid > 0))):
         raise ConfigError("expected distinct " + ("times" if times else "values > 0"), path)
     return grid
-
-
-def _times(val, path: str):
-    return _grid(val, path, times=True)
 
 
 def _object(val, path: str, readers: dict) -> dict:
@@ -265,7 +270,7 @@ def _bounds(val, path: str) -> dict:
 def _dataset(val, path: str) -> dict:
     """A ``fit`` dataset block: a signal CSV and what its header may lack."""
     return _object(val, path, {"path": _text, "kind": _text, "transition": _text,
-                               "pi_half_s": _time, "label": _text})
+                               "pi_half_s": _nonnegative, "label": _text})
 
 
 # --- top-level blocks --------------------------------------------------------
@@ -496,22 +501,25 @@ _MAP_OPTIONS = {"amplitude_x_hz": _float, "amplitude_z_hz": _float,
 _COMMANDS = {
     "levels": (_cmd_levels, {"manifold": _choice("ground", "excited", "both")}),
     "transitions": (_cmd_transitions, {"include_optical": _flag, "zpl_hz": _float}),
-    "ple": (_cmd_ple, {"zpl_hz": _float, "linewidth_hz": _float, "detuning_hz": _grid}),
+    "ple": (_cmd_ple, {"zpl_hz": _float, "linewidth_hz": _positive, "detuning_hz": _grid}),
     "cyclicity-map": (_cmd_cyclicity_map, {"bx_t": _grid, "bz_t": _grid}),
-    "pump": (_cmd_pump, {"line": _line, "rabi_hz": _float, "linewidth_hz": _float,
-                         "duration_s": _float, "lifetime_s": _float}),
+    "pump": (_cmd_pump, {"line": _line, "rabi_hz": _nonnegative, "linewidth_hz": _positive,
+                         "duration_s": _positive, "lifetime_s": _positive}),
     "fidelity-budget": (_cmd_fidelity_budget,
-                        {"tau_s": _time, "delta_omega_rad_s": _float,
-                         "n_list": _list(_int), "f_min": _float}),
+                        {"tau_s": _nonnegative, "delta_omega_rad_s": _float,
+                         "n_list": _list(_int),
+                         "f_min": _range(lambda x: 0.5 < x < 1.0, "a threshold in (1/2, 1)")}),
     "rabi": (_cmd_rabi, {**_MAP_OPTIONS, "duration_s": _MAP_TIMES}),
-    "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _MAP_TIMES, "pi_half_s": _time,
+    "ramsey": (_cmd_ramsey, {**_MAP_OPTIONS, "delay_s": _MAP_TIMES, "pi_half_s": _nonnegative,
                              "noise": _noise(("none", "quasi-static-gaussian"),
                                              {"samples": _count})}),
     "decouple": (_cmd_decouple, {"noise": _noise(("ornstein-uhlenbeck",),
                                                  {"correlation_time_s": _float}),
-                                 "n_pulses": _int, "total_time_s": _times}),
-    "rb": (_cmd_rb, {"gate_fidelity": _float, "lengths": _list(_int),
-                     "sequences_per_length": lambda val, path: _int(val, path, minimum=2),
+                                 "n_pulses": _int,
+                                 "total_time_s": functools.partial(_grid, times=True)}),
+    "rb": (_cmd_rb, {"gate_fidelity": _range(lambda x: 0.0 <= x <= 1.0, "a fidelity in [0, 1]"),
+                     "lengths": _list(_int, distinct=3),
+                     "sequences_per_length": functools.partial(_int, minimum=2),
                      "spam": _list(_float, 2)}),
     "coherence-map": (_cmd_coherence_map,
                       {"upsilon_hz": _grid, "alpha_hz": _grid, "gamma_phonon": _float,

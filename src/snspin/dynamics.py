@@ -36,8 +36,11 @@ deduplicated once and integrated in one stacked pass.
 The tables cost a few large calls rather than many small ones.  The
 tones of a call are composed side by side, one n x (n tones) matrix
 per substep, so each substep is two 2-D products for all of them; the
-period propagators of all tones get one finite check, one LAPACK
-workspace query and one complex Schur factorization (``zgees``) each.
+period propagators of all tones get one finite check, one stacked
+``eig`` and one stacked QR of the eigenvectors.  M is unitary, so
+normal: QR keeps each eigenvector in its eigenspace, which the earlier
+ones are orthogonal to, and makes Q exactly unitary where eigenphases
+coincide (no field or no drive).  Maps need no scipy.
 With no static field along y and strain along Egx only, H is real in the
 product basis, and so are its eigenvectors and the drive operators; the
 engine then keeps Vx and Vz real, and every substep and end-step eigh is
@@ -238,10 +241,11 @@ def _grids(freq_grid, time_grid) -> tuple:
 
 
 def _gaussian_quantiles(n: int) -> np.ndarray:
-    """Deterministic stratified standard-normal samples (midpoint quantiles)."""
-    from scipy.special import ndtri
+    """Deterministic stratified standard-normal samples: the midpoint
+    quantiles, from ``statistics.NormalDist().inv_cdf``."""
+    from statistics import NormalDist
 
-    return ndtri((np.arange(n) + 0.5) / n)
+    return np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
 
 
 class _Engine:
@@ -367,13 +371,10 @@ class _Engine:
         row i for tone i.  The tones share one stacked eigh of the substep
         Hamiltonians (real when V is) and are composed side by side
         (``_compose``).  The period propagators M of all tones get one
-        finite check and one LAPACK workspace query, then one complex
-        Schur factorization (``zgees``, as ``scipy.linalg.schur`` calls
-        it) each, which raises ``LinAlgError`` on a nonzero ``info``;
-        P[k] Q is one stacked product over every tone, all k of a tone in
-        one matrix."""
-        from scipy.linalg.lapack import zgees
-
+        finite check, one stacked ``eig`` (``LinAlgError`` if it fails) and
+        one stacked QR of the eigenvectors, Q, unitary for degenerate
+        eigenphases too (module notes); theta is the eigenvalues' angle.
+        P[k] Q is one stacked product over every tone, all k in one matrix."""
         energies, v = block
         n = len(energies)
         c = np.cos(2.0 * math.pi * (np.arange(_SUBSTEPS) + 0.5) / _SUBSTEPS)
@@ -386,16 +387,9 @@ class _Engine:
         period = p[:, -1]
         if not np.all(np.isfinite(period)):
             raise ValueError("a period propagator is not finite")
-        lwork = int(zgees(_no_sort, np.eye(n), lwork=-1)[-2][0].real)   # reads n only
-        q = np.empty((len(freqs), n, n), dtype=complex)
-        theta = np.empty((len(freqs), n))
-        for i, m in enumerate(period):
-            _, _, w, q[i], _, info = zgees(_no_sort, m, lwork=lwork)
-            if info:
-                raise np.linalg.LinAlgError(f"no Schur form of a period propagator "
-                                            f"(LAPACK zgees info {info})")
-            theta[i] = np.angle(w)
-        return (p.reshape(len(freqs), (_SUBSTEPS + 1) * n, n) @ q).reshape(p.shape), theta
+        w, u = np.linalg.eig(period)
+        pq = p.reshape(len(freqs), (_SUBSTEPS + 1) * n, n) @ np.linalg.qr(u).Q
+        return pq.reshape(p.shape), np.angle(w)
 
     def _sweep(self, ax: float, az: float, programs) -> np.ndarray:
         """Final states of the rows of every program set, in order, under
@@ -462,6 +456,7 @@ class _Engine:
         steps and applies W(t_b) W(t_a)^dagger.
         """
         energies, v = block
+        n = len(energies)
         period = 1.0 / freqs
         driven = [np.flatnonzero(layer >= 0) for layer in kind]
         tone, ends = [], []
@@ -561,10 +556,6 @@ def _compose(vecs, phases) -> np.ndarray:
         x *= phases[k]
         np.matmul(vecs[k], x.reshape(n, tones * n), out=prefix[k + 1].reshape(n, tones * n))
     return prefix
-
-
-def _no_sort(w):
-    """Eigenvalue selector of an unsorted Schur factorization, never called."""
 
 
 def _drive_operators(params: ManifoldParams, basis: np.ndarray) -> tuple:

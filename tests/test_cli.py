@@ -534,16 +534,20 @@ def test_main_exit_codes_and_error_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert "not valid JSON" in err["error"]["message"]
 
-    # library ValueError -> exit 1 with a runtime error record
+    # library ValueError -> exit 1 with a runtime error record: quasi-static
+    # noise of 30 MHz takes the 30 MHz broker_m1 tone below 0 Hz
     runtime = write_config(
         tmp_path,
-        {"command": "rb", "output": str(tmp_path / "x.json"),
-         "options": {"gate_fidelity": 1.5}},
+        {"command": "ramsey", "output": str(tmp_path / "x.csv"),
+         "options": {"transition": "broker_m1", "freq_hz": [3.028611e7],
+                     "delay_s": [0.0, 1e-7],
+                     "noise": {"kind": "quasi-static-gaussian", "sigma_hz": 30e6,
+                               "samples": 4}}},
         "r.json")
     assert cli.main(["--config", str(runtime)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "runtime"
-    assert "gate fidelity" in err["error"]["message"]
+    assert "positive" in err["error"]["message"]
 
     # a negative seed is refused, in the config (exit 2) and on the command line
     rb = {"command": "rb", "seed": -1, "output": str(tmp_path / "s.json"),
@@ -663,6 +667,15 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     pytest.param("decouple", "options.noise", {"sigma_hz": 2e4}, "options.noise",
                  id="decouple-options.noise-sigma-without-kind"),
     ("fidelity-budget", "options.tau_s", -1, "options.tau_s"),
+    # a value out of the range the library accepts
+    ("pump", "options.lifetime_s", -6e-9, "options.lifetime_s"),
+    ("pump", "options.rabi_hz", -30e6, "options.rabi_hz"),
+    ("pump", "options.duration_s", 0, "options.duration_s"),
+    ("ple", "options.linewidth_hz", -1e8, "options.linewidth_hz"),
+    ("rb", "options.gate_fidelity", 1.5, "options.gate_fidelity"),
+    ("rb", "options.gate_fidelity", -0.1, "options.gate_fidelity"),
+    ("rb", "options.lengths", [1, 1, 4], "options.lengths"),
+    ("fidelity-budget", "options.f_min", 1.5, "options.f_min"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at
@@ -784,6 +797,39 @@ def test_imports_and_zero_field_commands_load_no_scipy(tmp_path):
     seen = json.loads(proc.stderr.strip().splitlines()[-1])
     assert {"cli", "dynamics", "fitkit", "optics", "spectrum"} <= set(seen["submodules"])
     assert seen["at_import"] == []
+    assert seen["runs"] == [[0, []]] * len(configs)
+
+
+def test_map_commands_load_no_scipy(tmp_path):
+    """The map engine calls nothing outside numpy and the standard library,
+    so ``rabi`` and ``ramsey`` load no scipy: at the reference field, on
+    all 8 levels, on complex drive operators, at zero field, and with
+    quasi-static noise."""
+    chevron = {"transition": "broker", "freq_hz": [6.40e8, 6.44e8, 6.48e8],
+               "duration_s": {"start": 0.0, "stop": 2.4e-7, "points": 5}}
+    configs = {
+        "rabi": {"options": chevron},
+        "rabi-8-levels": {"ground": dict(dataclasses.asdict(ground_defaults()),
+                                         lambda_soc=1e10, a_par=673.8e6, a_perp=670.95e6),
+                          "options": dict(chevron, freq_hz=[3.45e8, 3.494e8, 3.54e8])},
+        "rabi-complex": {"field": {"bx_t": 2.2e-4, "by_t": 1e-4, "bz_t": 5.5e-5},
+                         "options": chevron},
+        "rabi-zero-field": {"field": {"bx_t": 0.0, "by_t": 0.0, "bz_t": 0.0},
+                            "options": chevron},
+        "ramsey": {"options": {"freq_hz": [6.17e8], "delay_s": [0.0, 1e-7, 2e-7],
+                               "noise": {"kind": "quasi-static-gaussian",
+                                         "sigma_hz": 3e5, "samples": 12}}},
+    }
+    argv = []
+    for name, cfg in configs.items():
+        cfg = write_config(tmp_path, dict(cfg, command=name.partition("-")[0]),
+                           f"{name}.json")
+        argv += [str(cfg), str(tmp_path / f"{name}.csv")]
+    src = str(Path(snspin.__file__).resolve().parent.parent)
+    env = {"PATH": "", "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
     assert seen["runs"] == [[0, []]] * len(configs)
 
 

@@ -237,16 +237,25 @@ def test_tables_match_propagation_over_whole_periods(ground, field, eight_levels
     assert engine.report()["sweeps_8_levels"] == 1
 
 
-@pytest.mark.parametrize("levels", [4, 8])
-def test_tables_are_sequential_substep_products(ground, field, levels):
+@pytest.mark.parametrize("levels, zero_field, drive", [
+    pytest.param(4, False, (AX, AZ), id="4"),
+    pytest.param(8, False, (AX, AZ), id="8"),
+    pytest.param(4, True, (AX, AZ), id="4-zero-field"),
+    pytest.param(8, True, (AX, AZ), id="8-zero-field"),
+    pytest.param(4, False, (0.0, 0.0), id="4-zero-drive"),
+    pytest.param(8, True, (0.0, 0.0), id="8-zero-field-zero-drive"),
+])
+def test_tables_are_sequential_substep_products(ground, field, levels, zero_field, drive):
     """Every P[k] (k = 0 .. _SUBSTEPS) and theta of ``_tables`` for three
     tones of one drive against products of the substep exponentials built
     here one tone and one substep at a time.  A table holds P[k] Q, so Q is its row k = 0,
     and the period propagator P[_SUBSTEPS] is Q diag(exp(i theta))
     Q^dagger.  The drive is sampled as the engine samples it, so that the
-    static phases E dt (up to 6e3 rad a substep) agree to the bit."""
-    engine = dyn._Engine(ground, field)
-    v = (AX * engine.vx + AZ * engine.vz)[:levels, :levels]
+    static phases E dt (up to 6e3 rad a substep) agree to the bit.  At
+    zero field and with no drive the period propagator has exactly
+    degenerate eigenphases, where Q must still be unitary."""
+    engine = dyn._Engine(ground, MagneticField(0.0, 0.0, 0.0) if zero_field else field)
+    v = (drive[0] * engine.vx + drive[1] * engine.vz)[:levels, :levels]
     energies = engine.energies[:levels]
     freqs = np.array([F_BROKER, F_MEMORY, F_BROKER_M1])
     pq, theta = engine._tables(freqs, (energies, v))
@@ -758,6 +767,18 @@ def test_spec_grids_are_positive_frequencies_and_distinct_values():
         ExperimentSpec("rabi", "broker", [F_BROKER, F_BROKER], times)
     with pytest.raises(ValueError, match="repeat"):
         ExperimentSpec("ramsey", "broker", [F_BROKER], [0.0, 1e-7, 1e-7], 40e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 100])
+def test_gaussian_quantiles_match_scipy(n):
+    """The standard-library midpoint quantiles agree with scipy's inverse
+    normal CDF within 4 ulps."""
+    from scipy.special import ndtri
+
+    reference = ndtri((np.arange(n) + 0.5) / n)
+    quantiles = dyn._gaussian_quantiles(n)
+    assert quantiles.shape == (n,)
+    assert np.all(np.abs(quantiles - reference) <= 4 * np.spacing(np.abs(reference)))
 
 
 def test_ramsey_noise_that_takes_a_tone_to_zero_is_refused(ground, field):
