@@ -252,8 +252,8 @@ def test_tables_are_sequential_substep_products(ground, field, levels, zero_fiel
     and the period propagator P[_SUBSTEPS] is Q diag(exp(i theta))
     Q^dagger.  The drive is sampled as the engine samples it, so that the
     static phases E dt (up to 6e3 rad a substep) agree to the bit.  At
-    zero field and with no drive the period propagator has exactly
-    degenerate eigenphases, where Q must still be unitary."""
+    zero field the period propagator has degenerate eigenphases, driven
+    or not, where Q must still be unitary; with no drive it is diagonal."""
     engine = dyn._Engine(ground, MagneticField(0.0, 0.0, 0.0) if zero_field else field)
     v = (drive[0] * engine.vx + drive[1] * engine.vz)[:levels, :levels]
     energies = engine.energies[:levels]
