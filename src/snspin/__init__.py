@@ -31,8 +31,7 @@ _EXPORTS = {
     "dipole_strengths": "optics", "spin_conserving_pairs": "optics",
     "cyclicity": "optics", "cyclicity_from_lifetimes": "optics",
     "pump_dynamics": "optics", "excitation_fidelity": "optics",
-    "excitation_fidelity_mc": "optics", "max_excitations": "optics",
-    "collection_efficiency": "optics",
+    "max_excitations": "optics", "collection_efficiency": "optics",
     "DriveSegment": "dynamics", "PulseProgram": "dynamics",
     "NoiseModel": "dynamics", "SignalMap": "dynamics", "propagate": "dynamics",
     "rabi_map": "dynamics", "ramsey_map": "dynamics",

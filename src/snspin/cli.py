@@ -189,14 +189,16 @@ def _list(read=_float, count: int | None = None, distinct: int = 1):
 
 
 def _names(val, path: str) -> list:
-    """Parameter names; ``[]`` frees none, for a loss-only fit."""
-    return [] if val == [] else _list(_text)(val, path)
+    """Fit parameter names; ``[]`` frees none, for a loss-only fit."""
+    from .fitkit import FIT_PARAM_NAMES
+
+    return [] if val == [] else _list(_choice(*FIT_PARAM_NAMES))(val, path)
 
 
-def _grid(val, path: str, times: bool = False, axis: bool = False):
-    """A list or a start/stop/points block of finite values, which must
-    also be non-negative when they are ``times``.  A map's ``axis`` holds
-    no value twice, and its frequencies (not ``times``) are positive."""
+def _grid(val, path: str, nonnegative: bool = False, axis: bool = False):
+    """A list or a start/stop/points block of finite values, none below 0
+    when ``nonnegative`` (times, magnitudes).  A map's ``axis`` holds no
+    value twice, and its frequencies (not ``nonnegative``) are positive."""
     import numpy as np
 
     if isinstance(val, dict):
@@ -206,11 +208,10 @@ def _grid(val, path: str, times: bool = False, axis: bool = False):
         grid = np.asarray(_list(_number)(val, path))
     else:
         raise ConfigError("expected a grid list or a start/stop/points object", path)
-    if not np.all(np.isfinite(grid)) or (times and np.any(grid < 0)):
-        raise ConfigError("expected finite " + ("non-negative times" if times else "values"),
-                          path)
-    if axis and (np.unique(grid).size < grid.size or not (times or np.all(grid > 0))):
-        raise ConfigError("expected distinct " + ("times" if times else "values > 0"), path)
+    if not np.all(np.isfinite(grid)) or (nonnegative and np.any(grid < 0)):
+        raise ConfigError("expected finite values" + (" >= 0" if nonnegative else ""), path)
+    if axis and (np.unique(grid).size < grid.size or not (nonnegative or np.all(grid > 0))):
+        raise ConfigError("expected distinct values" + ("" if nonnegative else " > 0"), path)
     return grid
 
 
@@ -264,7 +265,11 @@ def _initial(val, path: str):
 def _bounds(val, path: str) -> dict:
     from .fitkit import FIT_PARAM_NAMES
 
-    return _object(val, path, dict.fromkeys(FIT_PARAM_NAMES, _list(_float, 2)))
+    bounds = _object(val, path, dict.fromkeys(FIT_PARAM_NAMES, _list(_float, 2)))
+    for name, (lo, hi) in bounds.items():
+        if not lo < hi:
+            raise ConfigError(f"expected low < high, got {[lo, hi]}", f"{path}.{name}")
+    return bounds
 
 
 def _dataset(val, path: str) -> dict:
@@ -482,12 +487,14 @@ def _cmd_fit(cfg, opts, seed, base):
         specs.append(m.spec)
         data.append(m.signal)
 
-    initial = _need(opts, "initial")
-    bounds = {k: tuple(pair) for k, pair in opts.get("bounds", {}).items()}
+    initial, free = _need(opts, "initial"), tuple(opts.get("free", DEFAULT_FREE))
+    for name in free:  # the fit works in units of the initial values
+        if getattr(initial, name) == 0:
+            raise ConfigError(f"initial {name} is 0, which sets no scale for the fit; "
+                              "hold it out of free", f"options.initial.{name}")
     try:
-        problem = FitProblem(tuple(specs), tuple(data), initial,
-                             free=tuple(opts.get("free", DEFAULT_FREE)),
-                             bounds=bounds or None, nuisance=opts.get("nuisance", False))
+        problem = FitProblem(tuple(specs), tuple(data), initial, free=free,
+                             bounds=opts.get("bounds"), nuisance=opts.get("nuisance", False))
     except ValueError as exc:
         raise ConfigError(str(exc), "options")
     return fit_parameters(problem, **{k: opts[k] for k in ("max_eval",) if k in opts}), "json"
@@ -495,7 +502,8 @@ def _cmd_fit(cfg, opts, seed, base):
 
 # Each command's handler and its option readers; run rejects any other key
 # under ``options``.
-_MAP_TIMES = functools.partial(_grid, times=True, axis=True)
+_NONNEGATIVE_GRID = functools.partial(_grid, nonnegative=True)
+_MAP_TIMES = functools.partial(_grid, nonnegative=True, axis=True)
 _MAP_OPTIONS = {"amplitude_x_hz": _float, "amplitude_z_hz": _float,
                 "transition": _transition, "freq_hz": functools.partial(_grid, axis=True)}
 _COMMANDS = {
@@ -516,14 +524,14 @@ _COMMANDS = {
     "decouple": (_cmd_decouple, {"noise": _noise(("ornstein-uhlenbeck",),
                                                  {"correlation_time_s": _float}),
                                  "n_pulses": _int,
-                                 "total_time_s": functools.partial(_grid, times=True)}),
+                                 "total_time_s": _NONNEGATIVE_GRID}),
     "rb": (_cmd_rb, {"gate_fidelity": _range(lambda x: 0.0 <= x <= 1.0, "a fidelity in [0, 1]"),
                      "lengths": _list(_int, distinct=3),
                      "sequences_per_length": functools.partial(_int, minimum=2),
                      "spam": _list(_float, 2)}),
     "coherence-map": (_cmd_coherence_map,
-                      {"upsilon_hz": _grid, "alpha_hz": _grid, "gamma_phonon": _float,
-                       "sign_convention": _sign_convention}),
+                      {"upsilon_hz": _NONNEGATIVE_GRID, "alpha_hz": _NONNEGATIVE_GRID,
+                       "gamma_phonon": _positive, "sign_convention": _sign_convention}),
     "fit": (_cmd_fit, {"datasets": _list(_dataset), "initial": _initial, "free": _names,
                        "bounds": _bounds, "nuisance": _flag, "max_eval": _count}),
 }

@@ -101,18 +101,16 @@ def ridge_upsilon(lambda_soc_hz: float, a_perp_hz: float, alpha_hz):
 
 @dataclass(frozen=True)
 class CoherenceMap:
-    """Broker T2 over a (strain, Jahn-Teller) grid, with the ridge track.
+    """Broker T2 over a (strain, Jahn-Teller) grid.
 
     ``upsilon_hz`` holds the signed strain values actually evaluated;
-    ``ridge_upsilon_hz`` is the analytic lambda_B zero per alpha (only
-    meaningful for the opposite-sign convention).
+    :func:`ridge_upsilon` gives the analytic lambda_B zero per alpha
+    (on the grid only under the opposite-sign convention).
     """
 
     upsilon_hz: np.ndarray
     alpha_hz: np.ndarray
     t2_s: np.ndarray               # shape (n_upsilon, n_alpha)
-    ridge_upsilon_hz: np.ndarray   # analytic ridge position per alpha
-    sign_convention: str
 
 
 def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
@@ -140,9 +138,7 @@ def coherence_map(base: ManifoldParams, upsilon_grid, alpha_grid,
     signed_ups = sign * math.copysign(1.0, base.lambda_soc) * upsilon_grid
 
     lam_b = _lambda_b(base.lambda_soc, signed_ups[:, None], base.a_perp, alpha_grid)
-    t2 = _t2(lam_b, gamma_phonon)
-    ridge = ridge_upsilon(base.lambda_soc, base.a_perp, alpha_grid)
-    return CoherenceMap(signed_ups, alpha_grid, t2, ridge, sign_convention)
+    return CoherenceMap(signed_ups, alpha_grid, _t2(lam_b, gamma_phonon))
 
 
 __all__ = [

@@ -60,19 +60,17 @@ def spin_conserving_pairs(ground: EigenSystem, excited: EigenSystem) -> dict:
 
 @dataclass(frozen=True)
 class CyclicityResult:
-    """Branching matrix and per-excited-state cyclicity.
+    """Branching matrix and the cyclicity of the f0 line.
 
-    ``branching[i, j]`` is the probability that excited state i decays
-    into ground state j (rows sum to 1).  ``cyclicity[label]`` is
-    1/(1 - max_j branching), i.e. the mean number of optical cycles on
-    the dominant line before the spin leaks elsewhere; ``inf`` for a
-    perfectly cycling state and ``nan`` when the state does not emit.
-    ``lambda_f0`` is the cyclicity of the f0 line: the weaker of the two
-    1B excited states.
+    ``branching[i, j]`` is the probability that excited state i (of
+    ``excited_labels``) decays into ground state j (of ``ground_labels``);
+    rows sum to 1.  ``lambda_f0`` is the cyclicity of the f0 line,
+    1/(1 - max_j branching) of the weaker of the two 1B excited states:
+    the mean number of optical cycles before the spin leaks elsewhere,
+    ``inf`` if it never does and ``nan`` if the state does not emit.
     """
 
     branching: np.ndarray
-    cyclicity: dict
     lambda_f0: float
     excited_labels: tuple = LOWER_LABELS
     ground_labels: tuple = LOWER_LABELS
@@ -93,10 +91,9 @@ def _cyclicities(strengths: np.ndarray) -> tuple:
 
 
 def cyclicity(ground: EigenSystem, excited: EigenSystem) -> CyclicityResult:
-    """Optical cyclicity of each lower-branch excited state."""
-    branching, cyc, f0 = _cyclicities(dipole_strengths(ground, excited))
-    return CyclicityResult(branching=branching, lambda_f0=float(f0),
-                           cyclicity=dict(zip(LOWER_LABELS, cyc.tolist())))
+    """Branching of each lower-branch excited state and lambda_f0."""
+    branching, _, f0 = _cyclicities(dipole_strengths(ground, excited))
+    return CyclicityResult(branching=branching, lambda_f0=float(f0))
 
 
 # Field points per stacked pass of lambda_f0_map; bounds its temporaries.
@@ -147,9 +144,8 @@ class PumpResult:
     message: str = ""
 
 
-def _pump_rates(ground, excited, pump_freq_hz, rabi_hz, linewidth_hz):
+def _pump_rates(strengths, ground, excited, pump_freq_hz, rabi_hz, linewidth_hz):
     """Per-line excitation rates w[i, j] of a weak-coherence rate model."""
-    strengths = dipole_strengths(ground, excited)
     peak = strengths.max()
     if peak <= 0:
         return np.zeros((4, 4))
@@ -191,19 +187,20 @@ def pump_dynamics(ground: EigenSystem, excited: EigenSystem, pump_line,
     else:
         pump_freq = float(pump_line)
 
-    w = _pump_rates(ground, excited, pump_freq, rabi_hz, linewidth_hz)
-    res = cyclicity(ground, excited)
+    strengths = dipole_strengths(ground, excited)
+    w = _pump_rates(strengths, ground, excited, pump_freq, rabi_hz, linewidth_hz)
+    branching = _cyclicities(strengths)[0]
 
     # State vector: 4 ground then 4 excited populations.  Excited states
     # that do not emit (all-zero branching row) keep no decay channel, so
     # the rate matrix always conserves total population.
-    decay = np.where(res.branching.sum(axis=1) > 0, 1.0 / lifetime_s, 0.0)
+    decay = np.where(branching.sum(axis=1) > 0, 1.0 / lifetime_s, 0.0)
     rate = np.zeros((8, 8))
     rate[4:, :4] += w
     rate[:4, :4] -= np.diag(w.sum(axis=0))
     rate[:4, 4:] += w.T
     rate[4:, 4:] -= np.diag(w.sum(axis=1))
-    rate[:4, 4:] += res.branching.T * decay
+    rate[:4, 4:] += branching.T * decay
     rate[4:, 4:] -= np.diag(decay)
 
     x0 = np.zeros(8)
@@ -277,33 +274,6 @@ def excitation_fidelity(delta_omega_m: float, tau: float, n: float) -> float:
     return 0.5 * (1.0 + (1.0 + x2) ** (-0.5 * n))
 
 
-def excitation_fidelity_mc(delta_omega_m: float, tau: float, n: int,
-                           trials: int = 10_000, seed: int = 0):
-    """Monte Carlo estimate of :func:`excitation_fidelity`.
-
-    Draws ``n`` exponential dwell times per trial, accumulates the random
-    memory phase and returns ``(fidelity, stderr)`` with
-    F = 1/2 (1 + |mean of exp(i delta_omega_m T)|).
-    """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a meaningful stderr")
-    if n < 0:
-        raise ValueError("excitation count must be non-negative")
-    rng = np.random.default_rng(seed)
-    total = np.zeros(trials)
-    block = 256
-    remaining = int(n)
-    while remaining > 0:
-        m = min(block, remaining)
-        total += rng.exponential(tau, size=(trials, m)).sum(axis=1)
-        remaining -= m
-    z = np.exp(1j * delta_omega_m * total)
-    mean = z.mean()
-    fidelity = 0.5 * (1.0 + abs(mean))
-    stderr = 0.5 * math.sqrt((z.real.var() + z.imag.var()) / trials)
-    return fidelity, stderr
-
-
 def max_excitations(delta_omega_m: float, tau: float, f_min: float) -> float:
     """Largest excitation count keeping the memory fidelity at or above f_min.
 
@@ -332,6 +302,6 @@ __all__ = [
     "DIPOLE", "dipole_strengths", "spin_conserving_pairs",
     "CyclicityResult", "cyclicity", "lambda_f0_map", "cyclicity_from_lifetimes",
     "PumpResult", "pump_dynamics",
-    "excitation_fidelity", "excitation_fidelity_mc", "max_excitations",
+    "excitation_fidelity", "max_excitations",
     "collection_efficiency",
 ]

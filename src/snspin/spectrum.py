@@ -39,7 +39,6 @@ class TransitionTable:
 class SpectrumTrace:
     detuning_hz: np.ndarray
     intensity: np.ndarray
-    linewidth_hz: float
 
 
 def mw_transitions(ground: EigenSystem) -> TransitionTable:
@@ -85,26 +84,20 @@ def optical_transitions(ground: EigenSystem, excited: EigenSystem,
 
 
 def ple_spectrum(table: TransitionTable, linewidth: float = OPTICAL_LINEWIDTH_HZ,
-                 weights=None, grid: np.ndarray | None = None) -> SpectrumTrace:
+                 grid: np.ndarray | None = None) -> SpectrumTrace:
     """Photoluminescence-excitation trace: a sum of Lorentzian lines.
 
-    Each line is a unit-peak Lorentzian of FWHM ``linewidth`` scaled by
-    its weight.  Without explicit ``weights`` the named peaks (f0/f1/f2)
-    enter with weight 1 and the spin-flipping ``other`` lines with 0;
-    pass one weight per table entry to override.
+    Each named peak's line (f0/f1/f2) is a unit-peak Lorentzian of FWHM
+    ``linewidth``; the spin-flipping ``other`` lines add nothing.
     """
     if linewidth <= 0:
         raise ValueError("linewidth must be positive")
     optical = [e for e in table.entries if e.kind == "optical"]
-    if weights is None:
-        weights = [1.0 if e.peak_id != "other" else 0.0 for e in optical]
-    elif len(weights) != len(optical):
-        raise ValueError(f"need {len(optical)} weights, got {len(weights)}")
     centers = np.array([e.frequency_hz for e in optical])
-    weights = np.asarray(weights, dtype=float)
+    weights = np.array([1.0 if e.peak_id != "other" else 0.0 for e in optical])
     if centers.size == 0:
         grid = np.array([]) if grid is None else np.asarray(grid, dtype=float)
-        return SpectrumTrace(grid, np.zeros_like(grid), linewidth)
+        return SpectrumTrace(grid, np.zeros_like(grid))
     if grid is None:
         lo = centers.min() - 10 * linewidth
         hi = centers.max() + 10 * linewidth
@@ -112,7 +105,7 @@ def ple_spectrum(table: TransitionTable, linewidth: float = OPTICAL_LINEWIDTH_HZ
     grid = np.asarray(grid, dtype=float)
     delta = grid[:, None] - centers[None, :]
     lines = weights / (1.0 + (2.0 * delta / linewidth) ** 2)
-    return SpectrumTrace(grid, lines.sum(axis=1), linewidth)
+    return SpectrumTrace(grid, lines.sum(axis=1))
 
 
 def memory_detuning(ground: EigenSystem, excited: EigenSystem) -> float:

@@ -104,7 +104,8 @@ def test_03_optical_hyperfine_splitting():
 def test_04_fidelity_formula_against_monte_carlo():
     """Closed-form excitation fidelity tracks dwell-time sampling within
     three standard errors across the (splitting x count) plane."""
-    from snspin.optics import excitation_fidelity, excitation_fidelity_mc
+    from oracles import excitation_fidelity_mc
+    from snspin.optics import excitation_fidelity
 
     elapsed = _timer()
     tau = 6e-9

@@ -14,6 +14,7 @@ import pytest
 
 import snspin
 from snspin import cli
+from snspin.fitkit import FitParams
 from snspin.params import (
     MagneticField,
     excited_defaults,
@@ -676,6 +677,17 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
     ("rb", "options.gate_fidelity", -0.1, "options.gate_fidelity"),
     ("rb", "options.lengths", [1, 1, 4], "options.lengths"),
     ("fidelity-budget", "options.f_min", 1.5, "options.f_min"),
+    ("coherence-map", "options.upsilon_hz", [-1e5, 0], "options.upsilon_hz"),
+    ("coherence-map", "options.alpha_hz", {"start": -1e12, "stop": 1e12, "points": 3},
+     "options.alpha_hz"),
+    ("coherence-map", "options.gamma_phonon", 0, "options.gamma_phonon"),
+    ("coherence-map", "options.gamma_phonon", -1, "options.gamma_phonon"),
+    # a free parameter starting at 0 (it sets the fit's scale), a name that
+    # is no fit parameter, and a bounds pair out of order
+    ("fit", "options.initial", dict(dataclasses.asdict(FitParams.reference()), b_x_ac_hz=0),
+     "options.initial.b_x_ac_hz"),
+    ("fit", "options.free", ["b_x_ac_hz", "b_q_hz"], "options.free[1]"),
+    ("fit", "options.bounds", {"b_x_ac_hz": [9.5e6, 8.5e6]}, "options.bounds.b_x_ac_hz"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at

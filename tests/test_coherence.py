@@ -147,7 +147,8 @@ def test_lambda_b_exactly_zero_on_ridge(ground, alpha):
     on_ridge = replace(ground, upsilon_ioc=ridge, strain_egx=alpha, strain_egy=0.0)
     assert lambda_eff(on_ridge)[0] == 0.0
     cmap = coherence_map(ground, [abs(ridge)], [abs(alpha)], "opposite")
-    assert cmap.upsilon_hz[0] == cmap.ridge_upsilon_hz[0] == ridge
+    assert cmap.upsilon_hz[0] == ridge_upsilon(ground.lambda_soc, ground.a_perp,
+                                               abs(alpha)) == ridge
     assert cmap.t2_s[0, 0] == math.inf
 
 
@@ -162,7 +163,8 @@ def test_coherence_map_opposite_sign_has_ridge(ground):
     # interior maximum many orders above the off-ridge background
     assert np.argmax(cmap.t2_s[:, 0]) == 10
     assert cmap.t2_s[10, 0] > 1e6 * cmap.t2_s[0, 0]
-    assert cmap.ridge_upsilon_hz[0] == pytest.approx(RIDGE_FITTED_HZ, rel=1e-6)
+    assert ridge_upsilon(ground.lambda_soc, ground.a_perp, alpha_grid)[0] == pytest.approx(
+        RIDGE_FITTED_HZ, rel=1e-6)
     # evaluated upsilon values carry the opposite sign of lambda_soc
     assert np.all(cmap.upsilon_hz[1:] < 0)
 

@@ -14,11 +14,12 @@ from snspin.optics import (
     DIPOLE,
     dipole_strengths,
     excitation_fidelity,
-    excitation_fidelity_mc,
     max_excitations,
     pump_dynamics,
     spin_conserving_pairs,
 )
+
+from oracles import excitation_fidelity_mc
 
 LINEWIDTH_HZ = 61.859e6
 

@@ -112,14 +112,8 @@ def test_ple_spectrum_peaks_at_lines(ground_system, excited_system):
     assert peak == pytest.approx(f1, abs=2e5)
 
 
-def test_ple_spectrum_custom_weights(ground_system, excited_system):
+def test_ple_spectrum_refuses_zero_linewidth(ground_system, excited_system):
     table = optical_transitions(ground_system, excited_system)
-    optical = [e for e in table.entries if e.kind == "optical"]
-    weights = [0.0] * len(optical)
-    trace = ple_spectrum(table, weights=weights)
-    assert np.all(trace.intensity == 0.0)
-    with pytest.raises(ValueError, match="weights"):
-        ple_spectrum(table, weights=[1.0])
     with pytest.raises(ValueError, match="linewidth"):
         ple_spectrum(table, linewidth=0.0)
 
