@@ -77,8 +77,8 @@ class CyclicityResult:
 
 
 def _cyclicities(strengths: np.ndarray) -> tuple:
-    """Branching (..., 4, 4), cyclicity (..., 4) and lambda_f0 (...) of
-    dipole strengths (..., 4, 4) in label order."""
+    """Branching (..., 4, 4) and lambda_f0 (...) of dipole strengths
+    (..., 4, 4) in label order."""
     totals = strengths.sum(axis=-1)
     emits = totals > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -87,12 +87,12 @@ def _cyclicities(strengths: np.ndarray) -> tuple:
         cyc = np.where(emits, np.where(leak <= 0.0, math.inf, 1.0 / leak), math.nan)
     # the smaller of 1B0M and 1B1M, the first one if they do not compare
     f0 = np.where(cyc[..., 3] < cyc[..., 2], cyc[..., 3], cyc[..., 2])
-    return branching, cyc, f0
+    return branching, f0
 
 
 def cyclicity(ground: EigenSystem, excited: EigenSystem) -> CyclicityResult:
     """Branching of each lower-branch excited state and lambda_f0."""
-    branching, _, f0 = _cyclicities(dipole_strengths(ground, excited))
+    branching, f0 = _cyclicities(dipole_strengths(ground, excited))
     return CyclicityResult(branching=branching, lambda_f0=float(f0))
 
 
@@ -115,7 +115,7 @@ def lambda_f0_map(ground: ManifoldParams, excited: ManifoldParams,
         for manifold in (excited, ground):
             _, states, columns = manifold_eigensystems(manifold, bx[block], 0.0, bz[block])
             lower.append(np.take_along_axis(states, columns[:, None, :4], axis=-1))
-        out[block] = _cyclicities(_strengths(*lower))[2]
+        out[block] = _cyclicities(_strengths(*lower))[1]
     return out
 
 
