@@ -11,7 +11,8 @@ light standard-library modules only.  scipy, and the ``multiprocessing`` and
 ``concurrent.futures`` of the fit's process pool, are imported inside the
 functions that call them.  So importing any submodule loads none of them, and
 the commands that call no scipy routine (``levels``, ``cyclicity-map``,
-``coherence-map``, ``decouple``, ``rabi``, ``ramsey``) never load it.
+``coherence-map``, ``decouple``, ``rabi``, ``ramsey``, ``fit``) never load
+it.
 """
 
 # Public names and the submodule each comes from.  The submodules load on

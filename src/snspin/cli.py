@@ -189,10 +189,14 @@ def _list(read=_float, count: int | None = None, distinct: int = 1):
 
 
 def _names(val, path: str) -> list:
-    """Fit parameter names; ``[]`` frees none, for a loss-only fit."""
+    """Fit parameter names, each once; ``[]`` frees none, for a loss-only fit."""
     from .fitkit import FIT_PARAM_NAMES
 
-    return [] if val == [] else _list(_choice(*FIT_PARAM_NAMES))(val, path)
+    names = [] if val == [] else _list(_choice(*FIT_PARAM_NAMES))(val, path)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{name} is named twice", f"{path}[{i}]")
+    return names
 
 
 def _grid(val, path: str, nonnegative: bool = False, axis: bool = False):
@@ -492,11 +496,13 @@ def _cmd_fit(cfg, opts, seed, base):
         if getattr(initial, name) == 0:
             raise ConfigError(f"initial {name} is 0, which sets no scale for the fit; "
                               "hold it out of free", f"options.initial.{name}")
+    bounds = opts.get("bounds", {})
     try:
         problem = FitProblem(tuple(specs), tuple(data), initial, free=free,
-                             bounds=opts.get("bounds"), nuisance=opts.get("nuisance", False))
-    except ValueError as exc:
-        raise ConfigError(str(exc), "options")
+                             bounds=bounds, nuisance=opts.get("nuisance", False))
+    except ValueError as exc:  # a start outside its bounds, reported at the first such key
+        outside = [n for n, (lo, hi) in bounds.items() if not lo <= getattr(initial, n) <= hi]
+        raise ConfigError(str(exc), f"options.bounds.{outside[0]}" if outside else "options")
     return fit_parameters(problem, **{k: opts[k] for k in ("max_eval",) if k in opts}), "json"
 
 

@@ -37,12 +37,17 @@ where ``fork`` is unavailable, there is no executor and the caller runs
 every point.  Either way the
 fit's result, its evaluation count included, is the same bit for bit.
 The pool's modules, ``multiprocessing`` and ``concurrent.futures``, load
-at the first fit (in :func:`_workers` and :class:`_Pool`), as does scipy's
-``least_squares``, so importing this module loads none of them.
+at the first fit (in :func:`_workers` and :class:`_Pool`), so importing
+this module loads neither.
+
+The calibration and the fit minimize with :func:`_least_squares`, the
+trust-region method of scipy's ``least_squares`` (``method="trf"``) in
+numpy, so neither loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
@@ -168,6 +173,8 @@ class FitProblem:
         unknown = set(self.free) - set(FIT_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown free parameters: {sorted(unknown)}")
+        if len(set(self.free)) < len(self.free):
+            raise ValueError(f"free parameters named twice: {list(self.free)}")
         for name, (lo, hi) in (self.bounds or {}).items():
             if name not in FIT_PARAM_NAMES:
                 raise ValueError(f"bound on unknown parameter {name!r}")
@@ -211,13 +218,195 @@ _FD_STEP = 1e-6
 # Step tolerance of the trust-region optimizer, in the same coordinates.
 _XTOL = 1e-4
 
+_EPS = np.finfo(float).eps
 
-def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
+# scipy.optimize.least_squares's messages, by termination status.
+_MESSAGES = {
+    0: "The maximum number of function evaluations is exceeded.",
+    1: "`gtol` termination condition is satisfied.",
+    2: "`ftol` termination condition is satisfied.",
+    3: "`xtol` termination condition is satisfied.",
+    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
+}
+
+
+def _region_step(uf, s, vt, delta, alpha, full_rank):
+    """The step of ``min |J p + f|`` with ``|p| <= delta``, from the SVD
+    ``J = U diag(s) vt`` and ``uf = U^T f``: the Gauss-Newton step when
+    ``J`` has full rank and that step lies in the region, else the
+    Levenberg-Marquardt step ``-(J^T J + alpha)^-1 J^T f`` of length
+    ``delta``, with ``alpha`` found by More's safeguarded Newton
+    iteration (1977) from the previous ``alpha``.  Returns the step and
+    its ``alpha`` (0 for the Gauss-Newton step)."""
+    suf = s * uf
+    if full_rank:
+        p = -vt.T @ (uf / s)
+        if np.linalg.norm(p) <= delta:
+            return p, 0.0
+
+    def phi(a):
+        """|p(a)| - delta and its derivative in a."""
+        denom = s ** 2 + a
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+
+    upper = np.linalg.norm(suf) / delta
+    lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0:
+        alpha = max(0.001 * upper, math.sqrt(lower * upper))
+    for _ in range(10):
+        if not lower <= alpha <= upper:
+            alpha = max(0.001 * upper, math.sqrt(lower * upper))
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        newton = value / slope
+        lower = max(lower, alpha - newton)
+        alpha -= (value + delta) * newton / delta
+        if abs(value) < 0.01 * delta:
+            break
+    p = -vt.T @ (suf / (s ** 2 + alpha))
+    return p * (delta / np.linalg.norm(p)), alpha
+
+
+def _least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), xtol=1e-8,
+                   max_nfev=None):
+    """Minimize ``|fun(x)|^2 / 2`` over the box ``bounds``: the algorithm
+    of ``scipy.optimize.least_squares(method="trf")`` with its exact
+    trust-region solver and unit ``x_scale``, in numpy.
+
+    The trust region lives in variables scaled as Coleman and Li scale
+    them: by the square root of v, each component's distance to the
+    bound its descent direction points at (1 where there is none, so
+    without bounds nothing is scaled).  Each Jacobian, so scaled and
+    stacked on scipy's diagonal rows sqrt(g dv/dx), is factored by one
+    SVD, on which :func:`_region_step` finds the step.  The radius starts
+    at ``|x0 / sqrt(v)|`` (1 at 0); a step whose reduction ratio is below
+    1/4 sets it to a quarter of the step's length, and one above 3/4
+    that reaches 95% of the radius doubles it.  A step to non-finite
+    residuals quarters it likewise.  The tolerances and termination
+    tests are scipy's: ``ftol`` = ``gtol`` = 1e-8 (the gradient times
+    v), ``xtol`` as given, and the status is a key of ``_MESSAGES``.
+
+    Every point evaluated lies strictly inside the box.  A start within
+    1e-10 (relative) of a bound is moved to that distance, as scipy's
+    ``make_strictly_feasible`` does; each component of a step that would
+    cross a bound stops short of it, by 0.5% of the distance (less once
+    the scaled gradient is below 0.005).  This takes the place of
+    scipy's choice between that step, a reflected one and a Cauchy one.
+
+    ``jac(x)`` returns the Jacobian; by default it is forward differences
+    at scipy's relative step sqrt(eps) max(1, |x|), each one flipped when
+    it would leave the box.  ``max_nfev`` (default 100 per parameter)
+    counts the calls of ``fun`` at ``x0`` and at the trial points, not
+    the differences, as scipy's does.  With ``jac`` given, ``fun`` or
+    ``jac`` may return None, which stops the descent with status 0.
+
+    Returns ``(x, f, J, status)``: the last accepted point, its
+    residuals and Jacobian (None where they were not obtained), and the
+    termination status.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
+    if max_nfev is None:
+        max_nfev = 100 * x0.size
+    if jac is None:
+        def jac(x):  # at the accepted x, whose residuals f are
+            h = _EPS ** 0.5 * np.maximum(1.0, np.abs(x)) * np.where(x >= 0, 1.0, -1.0)
+            h = np.where((x + h < lo) | (x + h > hi), -h, h)
+            steps = np.diag((x + h) - x)
+            return np.column_stack([(fun(x + d) - f) / d[k] for k, d in enumerate(steps)])
+
+    def scaling(x, g):
+        """Coleman and Li's v at ``x`` and its derivative dv/dx."""
+        dv = np.where((g < 0) & (hi < np.inf), -1.0,
+                      np.where((g > 0) & (lo > -np.inf), 1.0, 0.0))
+        return np.where(dv < 0, hi - x, np.where(dv > 0, x - lo, 1.0)), dv
+
+    margin = 1e-10 * np.maximum(1.0, np.abs(x0))
+    x = np.clip(x0, lo + margin, hi - margin)
+    inner = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    f = fun(x)
+    nfev = 1
+    J = None if f is None else jac(x)
+    if J is None:
+        return x, f, J, 0
+    cost, g = 0.5 * (f @ f), J.T @ f
+    delta = np.linalg.norm(x / scaling(x, g)[0] ** 0.5) or 1.0
+    alpha, status = 0.0, None
+    while True:
+        v, dv = scaling(x, g)
+        g_norm = np.linalg.norm(g * v, ord=np.inf)
+        if g_norm < 1e-8:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        # the subproblem in scaled variables x = d x_h, whose region is a ball
+        d, diag_h = v ** 0.5, g * dv
+        j_h = J * d
+        u, s, vt = np.linalg.svd(
+            np.vstack([j_h, np.diag(diag_h ** 0.5)]) if diag_h.any() else j_h,
+            full_matrices=False)
+        uf = u[:f.size].T @ f
+        full_rank = f.size >= x.size and s[-1] > _EPS * f.size * s[0]
+        theta = max(0.995, 1.0 - g_norm)
+        reduction = -1.0
+        while reduction <= 0 and nfev < max_nfev:
+            step_h, alpha = _region_step(uf, s, vt, delta, alpha, full_rank)
+            step = d * step_h
+            # each component that would cross a bound stops short of it
+            edge = np.where(step > 0, hi - x, lo - x)
+            out = np.abs(step) > np.abs(edge)
+            step[out] = theta * edge[out]
+            step_h = step / d
+            js = j_h @ step_h
+            predicted = -(0.5 * (js @ js + diag_h @ step_h ** 2) + g @ step)
+            x_new = np.clip(x + step, *inner)
+            f_new = fun(x_new)
+            nfev += 1
+            if f_new is None:
+                return x, f, J, 0
+            step_h_norm = np.linalg.norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * (f_new @ f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0 else 0.0
+            new_delta = delta
+            if ratio < 0.25:
+                new_delta = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                new_delta = 2.0 * delta
+            ftol_met = reduction < 1e-8 * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= delta / new_delta
+            delta = new_delta
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            if J is None:
+                return x, f, J, 0
+            g = J.T @ f
+    return x, f, J, status or 0
+
+
+def _jacobian(residuals, x: np.ndarray) -> np.ndarray | None:
     """Central-difference Jacobian at normalized ``x``.
 
-    ``residuals`` maps a list of points to their residual vectors; it
-    gets all 2n points at once, x + h e_k then x - h e_k for each column
-    k in turn, so that it may evaluate them side by side.
+    ``residuals`` maps a list of points to their residual vectors, or to
+    None (then so does this); it gets all 2n points at once, x + h e_k
+    then x - h e_k for each column k in turn, so that it may evaluate
+    them side by side.
 
     The step must stay in the linear regime: a 1e-4 change of a
     hyperfine constant already moves the 40 us fringes by radians, and
@@ -234,6 +423,8 @@ def _jacobian(residuals, x: np.ndarray) -> np.ndarray:
         shift[k] = _FD_STEP
         points += [x + shift, x - shift]
     r = residuals(points)
+    if r is None:
+        return None
     return np.column_stack([(r[2 * k] - r[2 * k + 1]) / (2 * _FD_STEP)
                             for k in range(x.size)])
 
@@ -372,10 +563,13 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
     only sees flat loss.  This reads each chevron's transition frequency
     (:func:`estimate_transition_frequency`) and the memory chevron's
     Rabi rate in its column nearest that frequency
-    (:func:`_rabi_rate_read`).  Trust-region least squares (at most
-    ``max_eval`` evaluations) then matches the hyperfine constants to the
-    frequencies and the z drive to the rate, through the static system's
-    transition frequencies and Rabi rates: no map is simulated.
+    (:func:`_rabi_rate_read`).  Trust-region least squares
+    (:func:`_least_squares`, with forward-difference Jacobians) then
+    matches the hyperfine constants to the frequencies and the z drive to
+    the rate, through the static system's transition frequencies and
+    Rabi rates: no map is simulated.  ``max_eval`` caps the residual
+    evaluations at the start and the trial points; the Jacobians' n
+    points each are not counted, as in scipy's ``least_squares``.
     Frequency residuals are in MHz, as a chevron centroid's error is
     absolute, and the rate's is relative: 1 MHz weighs as much as 100%.
     The normalized values are bounded below by 0, so no calibrated
@@ -390,8 +584,6 @@ def calibrate_initial(problem: FitProblem, max_eval: int = 2000) -> FitParams:
 
 def _calibrated(problem: FitProblem, max_eval: int = 2000) -> FitParams:
     """:func:`calibrate_initial`, under the name the fit calls it by."""
-    from scipy.optimize import least_squares
-
     free = tuple(n for n in _CALIBRATION_NAMES if n in problem.free)
     targets = []  # (transition, measured frequency, memory rate or 0)
     for spec, d in zip(problem.specs, problem.data):
@@ -415,13 +607,9 @@ def _calibrated(problem: FitProblem, max_eval: int = 2000) -> FitParams:
             + [engine.rabi_rate(key, ax, az) / rate - 1.0
                for key, _, rate in targets if rate > 0])
 
-    res = least_squares(residuals, np.ones(len(free)), method="trf", bounds=(0.0, np.inf),
-                        max_nfev=max_eval)
-    return initial.with_free_values(res.x * base, free)
-
-
-class _BudgetExhausted(Exception):
-    """Raised inside an optimizer run once ``max_eval`` is used up."""
+    x = _least_squares(residuals, np.ones(len(free)), bounds=(0.0, np.inf),
+                       max_nfev=max_eval)[0]
+    return initial.with_free_values(x * base, free)
 
 
 def _curriculum(problem: FitProblem) -> list:
@@ -451,21 +639,23 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
                    with_errors: bool = True) -> FitResult:
     """Recover the free parameters by staged trust-region least squares.
 
-    The optimizer (scipy's bounded trust-region reflective method) works
-    on the residual vector over values normalized by the problem's
-    initial point, so all directions have comparable scale, and stops at
-    a step of ``_XTOL`` in those units.  It follows :func:`_curriculum`:
-    the chevrons first, then ever longer Ramsey fringes.  Each stage runs
+    The optimizer (:func:`_least_squares`, scipy's trust-region method
+    in numpy) works on the residual vector over values normalized by the
+    problem's initial point, so all directions have comparable scale,
+    and stops at a step of ``_XTOL`` in those units.  It follows
+    :func:`_curriculum`: the chevrons first, then ever longer Ramsey
+    fringes.  Each stage runs
     one descent, from the best of its candidate starts: the first stage's
     are the problem's initial point and that point as
     :func:`calibrate_initial` leaves it, clipped into ``bounds``; the last
     stage's are the previous stage's optimum and the initial point, which
     earlier stages may have lost; any other stage starts from the previous
     optimum.  Candidates that differ are each scored by one evaluation
-    before the descent, and bitwise equal ones are not scored.  The best
-    point a stage evaluated, its candidates included, goes on to the
-    next.  Nothing reads ``seed``; it stays for the callers that pass it
-    until the benchmark next changes.
+    before the descent, and bitwise equal ones are not scored.  The
+    descent's end, the best point it evaluated, goes on to the next
+    stage; a stage whose budget runs out before its descent evaluates a
+    point passes on its best candidate.  Nothing reads ``seed``; it
+    stays for the callers that pass it until the benchmark next changes.
 
     Each Jacobian's 2n points (:func:`_jacobian`) run at once: the
     caller takes the first share and each worker of a fork-context
@@ -479,8 +669,9 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
 
     ``max_eval`` (at least 1) bounds every residual evaluation of the
     fit, finite-difference Jacobian points included, and ``n_eval``
-    counts them all, wherever they ran.  Once it is used up the fit
-    stops with ``success`` False and the best point so far; a Jacobian
+    counts them all, wherever they ran; the calibration simulates no map
+    and is not counted.  Once it is used up the fit stops with
+    ``success`` False and the best point so far; a Jacobian
     that it cuts short simulates the points the budget still holds, in
     column order, and no more.  A stage before the last keeps one
     evaluation back, so the result is always scored on the full
@@ -489,8 +680,6 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
     there; a singular information matrix is reported in the message
     rather than raised.
     """
-    from scipy.optimize import least_squares
-
     names = tuple(problem.free)
     initial = problem.initial
     if not names:
@@ -514,38 +703,31 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
 
     stages = _curriculum(problem)
     last = len(stages) - 1
-    state = {"n": 0, "limit": max_eval}
+    state = {"n": 0, "limit": max_eval, "exhausted": False}
 
     def residuals(k, x):
         return stages[k].residuals(initial.with_free_values(start * x, names))
 
     def evaluate(k, points):
-        """Residuals of stage ``k`` at ``points``, each one counted: as
-        many as the budget has room for are simulated, and if that is
-        not all of them the budget is exhausted."""
+        """Residuals of stage ``k`` at ``points``, each one counted, or
+        None once the budget cannot hold them all, which exhausts it: as
+        many as it has room for are simulated all the same."""
         room = max(state["limit"] - state["n"], 0)
         state["n"] += min(room, len(points))
         out = pool.map(k, points[:room])
         if room < len(points):
-            raise _BudgetExhausted
+            state["exhausted"] = True
+            return None
         return out
 
-    def fun(x, k, best):
-        """Stage ``k``'s residuals at ``x``; ``best`` keeps the best point."""
-        r = evaluate(k, [x])[0]
-        val = float(r @ r)
-        if val < best["loss"]:
-            best.update(loss=val, x=x.copy(), jac=None)
-        return r
+    def fun(k, x):
+        out = evaluate(k, [x])
+        return out and out[0]
 
-    def jac(x, k, best):
-        j = _jacobian(lambda points: evaluate(k, points), x)
-        if np.array_equal(x, best["x"]):
-            best["jac"] = j
-        return j
+    def jac(k, x):
+        return _jacobian(functools.partial(evaluate, k), x)
 
-    x = np.ones(len(names))
-    exhausted = False
+    x, r, status = np.ones(len(names)), None, 0
     with _Pool(residuals, _workers(2 * len(names))) as pool:
         for k in range(len(stages)):
             # an earlier stage leaves one evaluation for the full problem
@@ -558,47 +740,48 @@ def fit_parameters(problem: FitProblem, seed: int = 0, max_eval: int = 2000,
             elif k == last:
                 # the caller's own start, which earlier stages may have lost
                 candidates.append(np.ones(len(names)))
-            outcome = {"loss": math.inf, "x": x, "jac": None}
-            try:
-                # one descent, from the lowest-scoring of candidates that differ
-                if any(not np.array_equal(c, x) for c in candidates):
-                    for c in candidates:
-                        fun(c, k, outcome)
-                res = least_squares(fun, outcome["x"], jac=jac, bounds=(lo, hi),
-                                    method="trf", xtol=_XTOL, args=(k, outcome))
-                outcome.update(success=bool(res.success), message=str(res.message))
-            except _BudgetExhausted:
-                exhausted = True
-            x = outcome["x"]
-            if exhausted:
+            jac_x = None
+            # one descent, from the lowest-scoring of candidates that differ
+            if any(not np.array_equal(c, x) for c in candidates):
+                scores = [fun(k, c) for c in candidates]
+                x, r = min(((c, s) for c, s in zip(candidates, scores) if s is not None),
+                           key=lambda cs: cs[1] @ cs[1], default=(x, r))
+            if not state["exhausted"]:
+                # it ends at the best point it evaluated, if it evaluated any
+                end, r_end, jac_x, status = _least_squares(
+                    functools.partial(fun, k), x, jac=functools.partial(jac, k),
+                    bounds=(lo, hi), xtol=_XTOL)
+                if r_end is not None:
+                    x, r = end, r_end
+            if state["exhausted"]:
                 break
         if k != last:
             # the evaluation kept back scores the stage's best point
             state["limit"] = max_eval
-            r = evaluate(last, [x])[0]
-            outcome = {"loss": float(r @ r), "x": x, "jac": None}
+            r, jac_x = evaluate(last, [x])[0], None
 
-    best = initial.with_free_values(start * outcome["x"], names)
-    success = not exhausted and outcome["success"]
+    best = initial.with_free_values(start * x, names)
+    loss = float(r @ r)
+    exhausted = state["exhausted"]
+    success = not exhausted and status > 0
     message = (f"evaluation budget of {max_eval} exhausted" if exhausted
-               else outcome["message"])
+               else _MESSAGES[status])
     errors = {}
     if with_errors:
         rel = np.full(len(names), math.nan)
-        jac = outcome["jac"]
-        if jac is None:
+        if jac_x is None:
             message += "; no Jacobian at the optimum"
         else:
-            s2 = outcome["loss"] / max(jac.shape[0] - len(names), 1)
+            s2 = loss / max(jac_x.shape[0] - len(names), 1)
             try:
-                cov = s2 * np.linalg.inv(jac.T @ jac)
-                rel = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / np.abs(outcome["x"])
+                cov = s2 * np.linalg.inv(jac_x.T @ jac_x)
+                rel = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / np.abs(x)
             except np.linalg.LinAlgError:
                 message += "; information matrix singular"
         errors = dict(zip(names, map(float, rel)))
 
     return FitResult(
-        params=best, loss=outcome["loss"], errors_rel=errors,
+        params=best, loss=loss, errors_rel=errors,
         transitions_hz=derived_transitions(best), n_eval=state["n"],
         success=success, message=message,
     )

@@ -688,6 +688,9 @@ def test_unknown_option_key_rejected(tmp_path, command, key):
      "options.initial.b_x_ac_hz"),
     ("fit", "options.free", ["b_x_ac_hz", "b_q_hz"], "options.free[1]"),
     ("fit", "options.bounds", {"b_x_ac_hz": [9.5e6, 8.5e6]}, "options.bounds.b_x_ac_hz"),
+    # a free parameter named twice, and a start outside its bounds
+    ("fit", "options.free", ["b_x_ac_hz", "a_par_hz", "b_x_ac_hz"], "options.free[2]"),
+    ("fit", "options.bounds", {"a_par_hz": [6.5e8, 6.6e8]}, "options.bounds.a_par_hz"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, path):
     """A value of the wrong type or an unknown name is a config error at
@@ -702,6 +705,24 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, key, value, 
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "config"
     assert err["path"] == path
+
+
+def test_start_outside_bounds_is_the_library_error_at_its_key(tmp_path, capsys):
+    """A start outside its bounds is reported at that bound's key, in the
+    words ``FitProblem`` refuses it with."""
+    from snspin.fitkit import FitProblem, reference_problem
+
+    cfg = small_config("fit", tmp_path)
+    cfg["options"]["bounds"] = {"b_x_ac_hz": [8.0e6, 9.5e6], "a_par_hz": [6.5e8, 6.6e8]}
+    assert cli.main(["--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out.json")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["path"] == "options.bounds.a_par_hz"
+    ref = reference_problem(n_freq=3, n_time=3, n_delay=3, n_long=3)
+    with pytest.raises(ValueError) as refused:
+        FitProblem(ref.specs, ref.data, FitParams(**cfg["options"]["initial"]),
+                   bounds={"a_par_hz": (6.5e8, 6.6e8)})
+    assert err["message"] == str(refused.value)
 
 
 def test_main_success_prints_path(tmp_path, capsys):
@@ -843,6 +864,36 @@ def test_map_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     seen = json.loads(proc.stderr.strip().splitlines()[-1])
     assert seen["runs"] == [[0, []]] * len(configs)
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    """The calibration and the fit minimize in numpy, so ``fit`` loads no
+    scipy: of a bare Ramsey artifact and of a relabelled chevron, each
+    written by a run before it."""
+    initial = dataclasses.asdict(FitParams.reference())
+    configs = {
+        "ramsey": {"options": {"freq_hz": [6.17e8], "delay_s": [0.0, 1e-7, 2e-7]}},
+        "rabi": {"options": {"transition": "broker", "freq_hz": [6.40e8, 6.44e8, 6.48e8],
+                             "duration_s": {"start": 0.0, "stop": 2.4e-7, "points": 5}}},
+        "fit": {"options": {"datasets": [{"path": "ramsey.csv"}], "initial": initial,
+                            "max_eval": 20}},
+        "fit-rabi": {"options": {"datasets": [{"path": "rabi.csv", "label": "chevron",
+                                               "transition": "broker"}],
+                                 "initial": initial, "max_eval": 20}},
+    }
+    argv = []
+    for name, cfg in configs.items():
+        cfg = write_config(tmp_path, dict(cfg, command=name.partition("-")[0]),
+                           f"{name}.json")
+        argv += [str(cfg), str(tmp_path / f"{name}.{'json' if 'fit' in name else 'csv'}")]
+    src = str(Path(snspin.__file__).resolve().parent.parent)
+    env = {"PATH": "", "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert seen["runs"] == [[0, []]] * len(configs)
+    for name in ("fit", "fit-rabi"):
+        assert load_json_artifact(tmp_path / f"{name}.json")["n_eval"] > 1
 
 
 def test_every_export_resolves():

@@ -1,4 +1,5 @@
-"""Fit workflow: specs, problems, loss, calibration, CSV I/O, small fits."""
+"""Fit workflow: specs, problems, loss, calibration, the trust-region
+solver, CSV I/O, small fits."""
 
 import dataclasses
 import math
@@ -196,6 +197,8 @@ def test_problem_validation():
         FitProblem((spec,), (good.T,), initial=truth)
     with pytest.raises(ValueError, match="unknown free"):
         FitProblem((spec,), (good,), initial=truth, free=("lambda_soc_hz",))
+    with pytest.raises(ValueError, match="named twice"):
+        FitProblem((spec,), (good,), initial=truth, free=("a_par_hz", "b_x_ac_hz", "a_par_hz"))
     with pytest.raises(ValueError, match="ordered"):
         FitProblem((spec,), (good,), initial=truth,
                    bounds={"a_par_hz": (7e8, 6e8)})
@@ -483,8 +486,8 @@ def test_each_stage_runs_one_descent_from_its_best_candidate(monkeypatch, make):
             starts.append(np.array(x0))
         return least_squares(fun, x0, **kwargs)
 
-    least_squares = scipy.optimize.least_squares
-    monkeypatch.setattr(scipy.optimize, "least_squares", recorded)
+    least_squares = fitkit._least_squares
+    monkeypatch.setattr(fitkit, "_least_squares", recorded)
     res = fit_parameters(prob, max_eval=2000)
     assert res.success
     assert len(starts) == len(_curriculum(prob))
@@ -739,6 +742,157 @@ def test_curriculum_stages_by_delay_reach():
         "broker", "memory", "broker_m1", "broker-ramsey", "broker_m1-ramsey"}
     assert stages[-1] is prob
     assert all(s.free == prob.free and s.initial == prob.initial for s in stages)
+
+
+# The trust-region solver, with scipy's least_squares(method="trf") as
+# the oracle.  The suite turns warnings into errors, so none of these
+# runs raises a RuntimeWarning.
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def _rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+_DECAY_T = np.linspace(0.0, 4.0, 25)
+_DECAY_DATA = 2.5 * np.exp(-1.3 * _DECAY_T) + 0.4 + 0.01 * np.sin(7.0 * _DECAY_T)
+
+
+def _decay(p):
+    return p[0] * np.exp(-p[1] * _DECAY_T) + p[2] - _DECAY_DATA
+
+
+def _decay_jac(p):
+    e = np.exp(-p[1] * _DECAY_T)
+    return np.column_stack([e, -p[0] * _DECAY_T * e, np.ones_like(e)])
+
+
+def _recording(fun, points):
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return fun(x)
+    return recorded
+
+
+@pytest.mark.parametrize("fun, jac, x0", [
+    (_rosenbrock, _rosenbrock_jac, [-1.2, 1.0]),
+    (_rosenbrock, None, [-1.2, 1.0]),
+    (_decay, _decay_jac, [1.0, 0.5, 0.0]),
+    (_decay, None, [1.0, 0.5, 0.0]),
+])
+def test_solver_evaluates_the_points_scipy_trf_does(fun, jac, x0):
+    """Unbounded, with a Jacobian given or by forward differences, the
+    solver evaluates scipy's points to rounding, and ends at its optimum
+    with its status, message and Jacobian."""
+    ours, theirs = [], []
+    x, f, J, status = fitkit._least_squares(_recording(fun, ours), np.array(x0), jac=jac)
+    ref = scipy.optimize.least_squares(_recording(fun, theirs), x0, method="trf",
+                                       jac=jac or "2-point")
+    assert (status, fitkit._MESSAGES[status]) == (ref.status, ref.message)
+    assert ref.success
+    assert len(ours) == len(theirs)
+    np.testing.assert_allclose(ours, theirs, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(x, ref.x, rtol=1e-8)
+    np.testing.assert_array_equal(f, fun(x))
+    np.testing.assert_allclose(J, ref.jac, rtol=1e-6, atol=1e-9)
+
+
+def test_solver_on_a_rank_deficient_jacobian():
+    """Residuals of x0 + x1 alone have a Jacobian of rank 1.  The
+    solver ends at scipy's loss and sum; where it lies along the null
+    direction follows the last bits of the SVD, as scipy's does."""
+    def fun(x):
+        s = x[0] + x[1]
+        return np.array([math.exp(s) - 2.0, s - 0.5, 3.0 * s - 1.0])
+
+    def jac(x):
+        column = np.array([math.exp(x[0] + x[1]), 1.0, 3.0])
+        return np.column_stack([column, column])
+
+    x, f, J, status = fitkit._least_squares(fun, np.array([1.0, -2.0]), jac=jac)
+    ref = scipy.optimize.least_squares(fun, [1.0, -2.0], jac=jac, method="trf")
+    assert status > 0 and ref.success
+    assert x.sum() == pytest.approx(ref.x.sum(), rel=1e-6)
+    assert 0.5 * (f @ f) == pytest.approx(ref.cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi, x0", [
+    ([-np.inf, -np.inf], [0.5, np.inf], [-1.2, 1.0]),  # optimum (0.5, 0.25)
+    ([-np.inf, -np.inf], [0.5, np.inf], [0.5, 1.0]),  # from the bound
+    ([-np.inf, 0.3], [0.5, np.inf], [0.5, 1.0]),  # optimum in the corner
+    ([-np.inf, 0.3], [0.5, np.inf], [0.5, 0.3]),  # from the corner
+])
+def test_solver_pins_an_optimum_on_a_bound(lo, hi, x0):
+    """With Rosenbrock's optimum (1, 1) outside the box, the solver ends
+    on its boundary where scipy's does, and every point it evaluates,
+    forward differences included, lies strictly inside the box."""
+    lo, hi, points = np.array(lo), np.array(hi), []
+    x, f, J, status = fitkit._least_squares(_recording(_rosenbrock, points), np.array(x0),
+                                            bounds=(lo, hi))
+    ref = scipy.optimize.least_squares(_rosenbrock, x0, bounds=(lo, hi), method="trf")
+    assert status > 0 and ref.success
+    np.testing.assert_allclose(x, ref.x, rtol=1e-6)
+    assert x[0] == pytest.approx(0.5, rel=1e-9)
+    assert all(np.all((lo < p) & (p < hi)) for p in points)
+
+
+def test_solver_shrinks_its_region_after_non_finite_residuals():
+    """The first trial, a step of the initial radius 1 from x = 1, lands
+    on x = 0, where the residual is NaN: the radius drops to a quarter of
+    that step, and the solver goes on to scipy's optimum on scipy's
+    points."""
+    def log_ratio(x):  # NaN at x <= 0
+        return np.array([math.log(x[0] / 0.01) if x[0] > 0 else math.nan])
+
+    def jac(x):
+        return np.array([[1.0 / x[0]]])
+
+    ours, theirs = [], []
+    x, f, J, status = fitkit._least_squares(_recording(log_ratio, ours), np.array([1.0]),
+                                            jac=jac)
+    ref = scipy.optimize.least_squares(_recording(log_ratio, theirs), [1.0], jac=jac,
+                                       method="trf")
+    assert [p[0] for p in ours[:3]] == [1.0, 0.0, 0.75]
+    assert len(ours) == len(theirs)
+    np.testing.assert_allclose(ours, theirs, rtol=1e-8)
+    assert x[0] == pytest.approx(0.01, rel=1e-8)
+    assert status == ref.status > 0
+
+
+def test_solver_stops_at_its_budget_with_scipy_message():
+    """``max_nfev`` counts the residual calls from the start on; once it
+    is used up the status is 0 with scipy's message, at scipy's point."""
+    ours = []
+    x, f, J, status = fitkit._least_squares(_recording(_rosenbrock, ours),
+                                            np.array([-1.2, 1.0]), jac=_rosenbrock_jac,
+                                            max_nfev=4)
+    ref = scipy.optimize.least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac,
+                                       method="trf", max_nfev=4)
+    assert len(ours) == ref.nfev == 4
+    assert status == ref.status == 0
+    assert fitkit._MESSAGES[status] == ref.message
+    np.testing.assert_allclose(x, ref.x, rtol=1e-8)
+
+
+def test_solver_stops_when_the_residuals_are_withheld():
+    """A ``fun`` that returns None, as the fit's does once its budget is
+    spent, stops the descent with status 0 at its last accepted point,
+    with that point's residuals and Jacobian."""
+    calls = []
+
+    def fun(x):
+        calls.append(np.array(x))
+        return None if len(calls) > 3 else _rosenbrock(x)
+
+    x, f, J, status = fitkit._least_squares(fun, np.array([-1.2, 1.0]), jac=_rosenbrock_jac)
+    ref = scipy.optimize.least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac,
+                                       method="trf", max_nfev=3)
+    assert status == 0 and len(calls) == 4
+    np.testing.assert_allclose(x, ref.x, rtol=1e-8)
+    np.testing.assert_array_equal(f, _rosenbrock(x))
+    np.testing.assert_array_equal(J, _rosenbrock_jac(x))
 
 
 def test_csv_round_trip(tmp_path):
